@@ -7,12 +7,36 @@ harnesses (robust accuracy, Fourier heat maps, Grad-CAM, wavelet-decay
 checks).
 """
 
+import ctypes
 import os
 
 # single-sequence determinism is the contract, and one BLAS thread is faster
 # than two on small desk-scale GEMMs; honored only if the user has not chosen
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+
+def _keep_heap_mapped():
+    """Stop glibc from handing freed heap back to the kernel between passes.
+
+    Every attack step allocates and frees the same few megabytes of
+    activations and gradients. By default glibc trims the top of the heap
+    after each backward, and its dynamic mmap threshold sends mid-sized
+    arrays to fresh mmaps, so the next pass faults the same pages in again.
+    A 1 GiB trim threshold and a fixed 32 MiB mmap threshold keep them
+    mapped. Without glibc's ``mallopt`` this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no C library handle, or not glibc
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+
+
+_keep_heap_mapped()
 
 from .autodiff import SGDMomentum, Tensor, no_grad
 from .wavelet import SUPPORTED_BASES, FilterBank, SubbandSet, filter_bank

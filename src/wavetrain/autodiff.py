@@ -5,10 +5,12 @@ and a backward rule on the implicit tape (the operation graph); calling
 ``backward`` on a scalar replays the recorded rules in reverse topological
 order, visiting each node exactly once.
 
-Reductions (sums, means, batch statistics, losses) and small-problem
-convolution/matmul products accumulate in float64 before rounding back to
-float32, which keeps finite-difference gradient checks stable; large
-convolutions use float32 BLAS for throughput.
+Reductions (sums, means, batch statistics, losses), dense products and a
+convolution whose columns fit in one block accumulate in float64 before
+rounding back to float32, which keeps finite-difference gradient checks
+stable. Larger convolutions stream their im2col columns through batch blocks
+of at most ``_BLOCK`` elements with float32 BLAS, so no full column matrix is
+ever built or kept on the tape.
 
 There is no GPU path, no higher-order differentiation and no mixed
 precision; single-sequence execution is bit-deterministic.
@@ -20,7 +22,7 @@ import contextlib
 
 import numpy as np
 
-from .errors import DimensionError, InputError, NumericError, UsageError
+from .errors import DimensionError, InputError, UsageError
 
 _grad_enabled = True
 
@@ -72,9 +74,6 @@ class Tensor:
 
     def item(self):
         return float(self.data.reshape(-1)[0])
-
-    def detach(self):
-        return Tensor(self.data.copy())
 
     def zero_grad(self):
         self.grad = None
@@ -171,11 +170,6 @@ def _make(data, parents, backward):
         out._parents = tuple(parents)
         out._backward = backward
     return out
-
-
-def assert_finite(arr, what):
-    if not np.all(np.isfinite(arr)):
-        raise NumericError(f"non-finite values in {what}")
 
 
 def _unbroadcast(g, shape):
@@ -287,6 +281,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 # -- convolution ----------------------------------------------------------------
 
+# Largest number of im2col elements gathered at once (~1 MB of float32, so a
+# block's columns stay in L2). A convolution runs over batch blocks of at most
+# this many column elements; one whose columns fit in a single block
+# accumulates in float64, where the tight oracle tolerances bind.
+_BLOCK = 1 << 18
+
 
 def _im2col(xp, kh, kw, stride, out_h, out_w):
     """(N,C,Hp,Wp) -> contiguous (C,kh,kw,N,out_h,out_w) window copy."""
@@ -300,16 +300,22 @@ def _im2col(xp, kh, kw, stride, out_h, out_w):
     return np.ascontiguousarray(windows)
 
 
-def _col2im(cols, n, c, hp, wp, stride):
-    """Adjoint of _im2col: scatter-add columns, returning an (N,C,Hp,Wp) view."""
+def _col2im(cols, acc, stride):
+    """Adjoint of _im2col: scatter-add (C,kh,kw,N,out_h,out_w) columns into
+    the (N,C,Hp,Wp) accumulator ``acc`` in place."""
     _, kh, kw, _, out_h, out_w = cols.shape
-    acc = np.zeros((c, n, hp, wp), dtype=cols.dtype)
     for i in range(kh):
         for j in range(kw):
             acc[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride] += cols[
                 :, i, j
-            ]
-    return acc.transpose(1, 0, 2, 3)
+            ].transpose(1, 0, 2, 3)
+
+
+def _gemm(a, b, wide):
+    """a @ b as float32, accumulated in float64 when ``wide``."""
+    if wide:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.float32)
+    return a @ b
 
 
 def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -335,32 +341,43 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
         xp[:, :, padding : padding + h, padding : padding + w] = x.data
     else:
         xp = np.ascontiguousarray(x.data)
-    cols = _im2col(xp, kh, kw, stride, out_h, out_w)
-    # one large sgemm: (K, C*kh*kw) @ (C*kh*kw, N*L); float64 accumulation is
-    # kept for small problems, where the tight oracle tolerances bind
-    small = cols.size <= (1 << 18)
-    cols2 = cols.reshape(c * kh * kw, n * out_h * out_w)
-    w2 = weight.data.reshape(k, c * kh * kw)
-    if small:
-        out = (w2.astype(np.float64) @ cols2.astype(np.float64)).astype(np.float32)
-    else:
-        out = w2 @ cols2
-    out = out.reshape(k, n, out_h, out_w).transpose(1, 0, 2, 3)
+    rows = c * kh * kw
+    per_sample = rows * out_h * out_w
+    step = max(1, _BLOCK // per_sample)
+    blocks = [(s, min(s + step, n)) for s in range(0, n, step)]
+    small = n * per_sample <= _BLOCK
+    w2 = weight.data.reshape(k, rows)
+
+    # one GEMM per block: (K, C*kh*kw) @ (C*kh*kw, nb*out_h*out_w). Its rows
+    # land unpermuted in a channel-major buffer, returned as an NCHW view:
+    # per-channel ops downstream (batch norm) then sweep one contiguous slab
+    # per channel.
+    out = np.empty((k, n, out_h, out_w), dtype=np.float32)
+    for s0, s1 in blocks:
+        cols = _im2col(xp[s0:s1], kh, kw, stride, out_h, out_w).reshape(rows, -1)
+        out[:, s0:s1] = _gemm(w2, cols, small).reshape(k, s1 - s0, out_h, out_w)
+    out = out.transpose(1, 0, 2, 3)
+
+    # the padded input is what dw re-gathers its columns from; dx needs only w2
+    saved = xp if weight.requires_grad else None
 
     def backward(g):
-        g2 = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(k, n * out_h * out_w)
-        if weight.requires_grad:
-            if small:
-                dw = (g2.astype(np.float64) @ cols2.T.astype(np.float64)).astype(np.float32)
-            else:
-                dw = g2 @ cols2.T
+        want_dw = saved is not None and weight.requires_grad
+        dw = None
+        dxp = np.zeros((n, c, hp, wp), dtype=np.float32) if x.requires_grad else None
+        for s0, s1 in blocks:
+            g2 = np.ascontiguousarray(g[s0:s1].transpose(1, 0, 2, 3)).reshape(k, -1)
+            if want_dw:
+                cols = _im2col(saved[s0:s1], kh, kw, stride, out_h, out_w).reshape(rows, -1)
+                part = _gemm(g2, cols.T, small)
+                dw = part if dw is None else dw + part
+            if dxp is not None:
+                dcols = (w2.T @ g2).reshape(c, kh, kw, s1 - s0, out_h, out_w)
+                _col2im(dcols, dxp[s0:s1], stride)
+        if want_dw:
             weight._accumulate(dw.reshape(weight.data.shape))
-        if x.requires_grad:
-            dcols = (w2.T @ g2).reshape(c, kh, kw, n, out_h, out_w)
-            dxp = _col2im(dcols, n, c, hp, wp, stride)
-            if padding:
-                dxp = dxp[:, :, padding : padding + h, padding : padding + w]
-            x._accumulate(dxp)
+        if dxp is not None:
+            x._accumulate(dxp[:, :, padding : padding + h, padding : padding + w])
 
     return _make(out, (x, weight), backward)
 

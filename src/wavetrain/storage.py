@@ -15,13 +15,14 @@ model's forward bit for bit.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import fields
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ConfigError, DimensionError, FormatError, UnsupportedBaseError
 from .model import Model, ModelConfig, build_model
 
 MAGIC = b"WWRN"
@@ -45,14 +46,20 @@ def _config_from_text(text: str) -> ModelConfig:
         key = key.strip()
         raw = raw.strip()
         if key in ("depth", "width", "num_classes", "input_size"):
-            kwargs[key] = int(raw)
+            try:
+                kwargs[key] = int(raw)
+            except ValueError:
+                raise FormatError(f"model-config key {key!r} is not an integer: {raw!r}") from None
         elif key == "wavelet_base":
             kwargs[key] = None if raw == "none" else raw
         elif key in ("wap_position", "pooling_variant"):
             kwargs[key] = raw
         else:
             raise FormatError(f"unknown model-config key {key!r} in checkpoint")
-    return ModelConfig(**kwargs)
+    try:
+        return ModelConfig(**kwargs)
+    except ConfigError as exc:
+        raise FormatError(f"invalid model config in checkpoint: {exc}") from exc
 
 
 def save_checkpoint(model: Model, path) -> None:
@@ -93,6 +100,13 @@ class _Reader:
     def u32(self, what):
         return struct.unpack("<I", self.take(4, what))[0]
 
+    def text(self, n, what):
+        start = self.pos
+        try:
+            return self.take(n, what).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{what} is not UTF-8", offset=start + exc.start) from None
+
 
 def load_checkpoint(path) -> Model:
     try:
@@ -121,24 +135,29 @@ def load_checkpoint(path) -> Model:
     if version != VERSION:
         raise FormatError(f"unsupported checkpoint version {version}", offset=4)
     config_len = r.u32("config length")
-    cfg = _config_from_text(r.take(config_len, "config block").decode("utf-8"))
+    cfg = _config_from_text(r.text(config_len, "config block"))
 
     count = r.u32("record count")
     items = []
     for _ in range(count):
         name_len = r.u32("name length")
-        name = r.take(name_len, "name").decode("utf-8")
+        name = r.text(name_len, "name")
         rank = r.u32("rank")
         dims = struct.unpack(f"<{rank}I", r.take(4 * rank, "dims"))
-        size = int(np.prod(dims)) if rank else 1
+        size = math.prod(dims)  # a Python int: huge dims fail as truncation, not overflow
         payload = r.take(4 * size, f"payload of {name}")
         arr = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
         items.append((name, arr))
     if r.pos != len(r.blob):
         raise FormatError("trailing bytes after last record", offset=r.pos)
 
-    model = build_model(cfg, seed=0)
-    model.load_state_arrays(items)
+    # the file passed its CRC, so a model it cannot describe is a format
+    # error of the file, not a configuration error of the caller
+    try:
+        model = build_model(cfg, seed=0)
+        model.load_state_arrays(items)
+    except (ConfigError, DimensionError, UnsupportedBaseError) as exc:
+        raise FormatError(f"checkpoint does not describe a valid model: {exc}") from exc
     return model
 
 

@@ -1,4 +1,6 @@
+import ctypes
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from wavetrain import autodiff as ad
 from wavetrain.autodiff import SGDMomentum, Tensor
 from wavetrain.errors import DimensionError, InputError, UsageError
+from wavetrain.model import ModelConfig, build_model
 
 from conftest import central_differences, relative_errors
 
@@ -27,6 +30,28 @@ def conv2d_oracle(x, w, stride, padding):
                     patch = xp[b, :, i * stride : i * stride + kh, j * stride : j * stride + kw]
                     out[b, o, i, j] = (patch * w[o]).sum()
     return out
+
+
+def conv2d_oracle_adjoint(x, w, g, stride, padding):
+    """Adjoint of conv2d_oracle in x and in w, float64: the nested loop that
+    sends each output cotangent back through the patch and kernel it read."""
+    x = np.asarray(x, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
+    n, c, h, wd = x.shape
+    k, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for b in range(n):
+        for o in range(k):
+            for i in range(g.shape[2]):
+                for j in range(g.shape[3]):
+                    rows = slice(i * stride, i * stride + kh)
+                    cols = slice(j * stride, j * stride + kw)
+                    dxp[b, :, rows, cols] += g[b, o, i, j] * w[o]
+                    dw[o] += g[b, o, i, j] * xp[b, :, rows, cols]
+    return dxp[:, :, padding : padding + h, padding : padding + wd], dw
 
 
 class TestConv2d:
@@ -66,6 +91,32 @@ class TestConv2d:
         rhs = a * ad.conv2d(Tensor(x), w, 1, 1).data + b * ad.conv2d(Tensor(y), w, 1, 1).data
         assert np.abs(lhs - rhs).max() < 1e-5
 
+    # (N, C, H, K, kernel, stride, padding): at least three batch blocks of
+    # ad._BLOCK im2col elements, the last one ragged
+    @pytest.mark.parametrize("n,c,h,k,ksize,stride,padding", [
+        (7, 16, 24, 2, 3, 1, 1),
+        (7, 16, 48, 2, 3, 2, 1),
+        (15, 64, 24, 2, 1, 1, 0),
+        (19, 128, 32, 2, 1, 2, 0),
+    ])
+    def test_multi_block_matches_oracle(self, rng, n, c, h, k, ksize, stride, padding):
+        out_h = (h + 2 * padding - ksize) // stride + 1
+        per_sample = c * ksize * ksize * out_h * out_h
+        step = ad._BLOCK // per_sample
+        assert n > 2 * step and n % step
+        x = rng.standard_normal((n, c, h, h)).astype(np.float32)
+        w = (rng.standard_normal((k, c, ksize, ksize)) / np.sqrt(c * ksize * ksize)).astype(
+            np.float32
+        )
+        g = rng.standard_normal((n, k, out_h, out_h)).astype(np.float32)
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        out = ad.conv2d(xt, wt, stride=stride, padding=padding)
+        ad.mul(out, Tensor(g)).sum().backward()
+        assert np.abs(out.data - conv2d_oracle(x, w, stride, padding)).max() < 1e-5
+        dx, dw = conv2d_oracle_adjoint(x, w, g, stride, padding)
+        assert relative_errors(xt.grad, dx).max() < 1e-3
+        assert relative_errors(wt.grad, dw).max() < 1e-3
+
     def test_kernel_too_large(self):
         with pytest.raises(DimensionError):
             ad.conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 3, 3))), 1, 0)
@@ -73,6 +124,49 @@ class TestConv2d:
     def test_channel_mismatch(self):
         with pytest.raises(DimensionError):
             ad.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))), 1, 0)
+
+
+def _has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+class TestConvMemory:
+    def test_frozen_weight_keeps_no_column_matrix(self, rng):
+        x = Tensor(rng.standard_normal((16, 16, 32, 32)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((16, 16, 3, 3)).astype(np.float32))
+        im2col_bytes = 16 * 16 * 9 * 32 * 32 * 4
+        tracemalloc.start()
+        try:
+            ad.conv2d(x, w, stride=1, padding=1).sum().backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.grad is not None
+        assert peak < im2col_bytes
+
+    @pytest.mark.skipif(not _has_mallopt(), reason="needs glibc mallopt")
+    def test_input_gradient_passes_do_not_fault_in_memory(self, rng):
+        import resource
+
+        model = build_model(ModelConfig(depth=1, width=1, num_classes=2), seed=0)
+        for p in model.params.values():
+            p.requires_grad = False
+        x = rng.random((32, 3, 32, 32)).astype(np.float32)
+        y = rng.integers(0, 2, size=32)
+
+        def input_gradient_pass():
+            t = Tensor(x, requires_grad=True)
+            ad.softmax_cross_entropy(model.forward(t, training=False), y).backward()
+
+        for _ in range(2):
+            input_gradient_pass()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(5):
+            input_gradient_pass()
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
 
 class TestSimpleOps:

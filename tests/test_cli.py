@@ -1,10 +1,14 @@
 import os
+import struct
+import zlib
 
 import numpy as np
 import pytest
 
 from wavetrain.cli import main
 from wavetrain.config import parse_config_text
+from wavetrain.model import ModelConfig, build_model
+from wavetrain.storage import save_checkpoint
 
 FAST = [
     "--set", "data.n_train=64",
@@ -187,3 +191,14 @@ class TestErrors:
         finally:
             os.environ.pop("WAVETRAIN_DATA", None)
         assert rc == 3
+
+    def test_crc_valid_checkpoint_with_bad_config_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(build_model(ModelConfig(depth=1, width=1, num_classes=2), seed=0), path)
+        body = path.read_bytes()[:-4].replace(b"depth=1\n", b"depth=x\n")
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        rc = main(["eval", "--checkpoint", str(path), "--out-dir", str(tmp_path / "o")] + FAST)
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "error[format]" in err
+        assert "Traceback" not in err

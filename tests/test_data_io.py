@@ -1,4 +1,7 @@
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -155,12 +158,29 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(self._model(), path)
         blob = bytearray(path.read_bytes())
-        import struct, zlib
-
         struct.pack_into("<I", blob, 4, 99)
         body = bytes(blob[:-4])
         path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
         with pytest.raises(FormatError, match="version"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("old,new,match", [
+        (b"depth=1\n", b"depth=x\n", "not an integer"),
+        (b"depth=1\n", b"depth=\xff\n", "config block is not UTF-8"),
+        (b"depth=1\n", b"depth=0\n", "invalid model config"),
+        (b"input_size=32\n", b"input_size=34\n", "does not describe"),  # odd map at the pool
+        (b"num_classes=2\n", b"num_classes=3\n", "shape mismatch"),     # DimensionError
+        (b"stem.weight", b"stem.weigh\xff", "name is not UTF-8"),
+        (b"stem.weight", b"stem.weighz", "unknown parameter"),           # ConfigError
+    ])
+    def test_crc_valid_malformed_content_is_format_error(self, tmp_path, old, new, match):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(self._model(), path)
+        body = path.read_bytes()[:-4]
+        assert body.count(old) == 1 and len(old) == len(new)
+        body = body.replace(old, new)
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(FormatError, match=match):
             load_checkpoint(path)
 
     def test_truncation_detected(self, tmp_path):
