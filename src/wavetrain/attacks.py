@@ -124,7 +124,7 @@ def _per_sample_loss(logits, y, loss_kind, kappa):
     return -np.maximum(margin, -kappa)
 
 
-def _finish(model, x0, x_adv, y, grad_calls):
+def _finish(model, x_adv, y, grad_calls):
     success = _predictions(model, x_adv) != y
     return AttackResult(
         x_adv=x_adv,
@@ -141,7 +141,7 @@ def fgsm(model, x, y, cfg: AttackConfig, seed: int = 0) -> AttackResult:
     grad, _ = _input_grad(model, x, y, "cross_entropy", cfg.kappa)
     cand = x + np.float32(cfg.epsilon) * np.sign(grad, dtype=np.float32)
     x_adv = np.minimum(np.maximum(cand, np.float32(0.0)), np.float32(1.0))
-    return _finish(model, x, x_adv, y, grad_calls=1)
+    return _finish(model, x_adv, y, grad_calls=1)
 
 
 def _iterated_signed_ascent(model, x, y, cfg, seed, momentum):
@@ -150,7 +150,7 @@ def _iterated_signed_ascent(model, x, y, cfg, seed, momentum):
     y = _validate_labels(y, x.shape[0])
     if cfg.epsilon == 0.0:
         # zero budget: every iterate projects back onto x
-        return _finish(model, x, x.copy(), y, grad_calls=0)
+        return _finish(model, x.copy(), y, grad_calls=0)
     rng = np.random.default_rng(seed)
     eps = np.float32(cfg.epsilon)
     alpha = np.float32(cfg.step_size)
@@ -183,7 +183,7 @@ def _iterated_signed_ascent(model, x, y, cfg, seed, momentum):
         better = final_loss > best_loss
         best_loss = np.where(better, final_loss, best_loss)
         best_x[better] = x_adv[better]
-    return _finish(model, x, best_x, y, grad_calls)
+    return _finish(model, best_x, y, grad_calls)
 
 
 def pgd(model, x, y, cfg: AttackConfig, seed: int = 0) -> AttackResult:

@@ -15,8 +15,9 @@ import sys
 
 import numpy as np
 
-from . import autodiff as ad
-from .attacks import AttackConfig, NesConfig, cw_pgd, fgsm, logits_oracle, mim, nes_attack, pgd
+from .attacks import (
+    AttackConfig, NesConfig, _predictions, cw_pgd, fgsm, logits_oracle, mim, nes_attack, pgd,
+)
 from .autodiff import Tensor
 from .config import RunConfig, load_config
 from .data import data_root, load_cifar10, split_train_val, synthetic_dataset
@@ -181,7 +182,7 @@ def cmd_attack(cfg: RunConfig, out_dir: str, args) -> int:
         res = nes_attack(logits_oracle(model), val.images, val.labels, ncfg,
                          seed=cfg["seed"])
         robust = float(np.mean(
-            model_predictions(model, res.x_adv) == val.labels))
+            _predictions(model, res.x_adv) == val.labels))
         rows = [(kind, ncfg.epsilon, clean, robust, float(res.success.mean()),
                  float(res.queries.mean()))]
         header = ("kind", "epsilon", "clean_acc", "robust_acc", "success_rate",
@@ -198,11 +199,6 @@ def cmd_attack(cfg: RunConfig, out_dir: str, args) -> int:
     write_csv(os.path.join(out_dir, "attack.csv"), "attack", header, rows)
     print(f"{kind}: clean {clean:.4f} robust {rows[0][3]:.4f}")
     return 0
-
-
-def model_predictions(model, images):
-    with ad.no_grad():
-        return model.forward(Tensor(images), training=False).data.argmax(axis=1)
 
 
 def cmd_heatmap(cfg: RunConfig, out_dir: str, args) -> int:
@@ -235,7 +231,7 @@ def cmd_gradcam(cfg: RunConfig, out_dir: str, args) -> int:
     image = val.images[index]
     class_id = cfg["gradcam.class_id"]
     if class_id < 0:
-        class_id = int(model_predictions(model, image[None])[0])
+        class_id = int(_predictions(model, image[None])[0])
     cam = gradcam(model, image, class_id)
     write_pgm(os.path.join(out_dir, "gradcam.pgm"), cam)
     csv_rows = [(i, j, cam[i, j]) for i in range(cam.shape[0]) for j in range(cam.shape[1])]

@@ -227,12 +227,6 @@ class Model:
             raise ConfigError(f"state is missing entries: {sorted(missing)[:3]}...")
         return self
 
-    def clone(self):
-        twin = Model(self.cfg)
-        twin.initialize(seed=0)
-        twin.load_state_arrays((n, a.copy()) for n, a in self.state_arrays())
-        return twin
-
 
 def expected_param_count(cfg: ModelConfig) -> int:
     """Closed-form parameter count implied by the config."""
@@ -257,7 +251,3 @@ def expected_param_count(cfg: ModelConfig) -> int:
 def build_model(cfg: ModelConfig, seed: int) -> Model:
     """Construct and deterministically initialize a model."""
     return Model(cfg).initialize(seed)
-
-
-def forward(model: Model, x: Tensor, training: bool = False) -> Tensor:
-    return model.forward(x, training=training)

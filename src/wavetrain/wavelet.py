@@ -154,30 +154,55 @@ def _validate(fb: FilterBank):
                 raise ValueError(f"{fb.name}: PR identity fails at shift {2 * k}")
 
 
-# -- 1-D periodic analysis/synthesis cores (numpy, float64 accumulation) -------
+# -- 1-D periodic analysis/synthesis cores (polyphase, float64 accumulation) --
+#
+# Both cores work on strided slices of the signal, one tap at a time: tap n of
+# the analysis filter reads the phase ``a[n::2]`` (plus its wrapped tail), and
+# tap j of the synthesis adds into the output phase ``out[j % 2::2]`` shifted
+# circularly by ``j // 2``. Zero taps are skipped. Taps are added in increasing
+# index order into a float64 buffer that starts at zero, each term being an
+# ``np.float64`` coefficient times a slice; only element-wise numpy ops run, so
+# the rounding depends neither on buffer alignment nor on a BLAS path.
 
 
 def _correlate_down(a, f, axis):
-    """y[k] = sum_n f[n] a[(2k+n) mod L] along ``axis``; halves that axis."""
+    """y[k] = sum_n f[n] a[(2k+n) mod L] along ``axis``; halves that axis.
+
+    Tap n (reduced mod L, so filters longer than the signal wrap) adds
+    ``f[n] * a[n::2]`` to the first outputs and the wrapped tail
+    ``f[n] * a[n % 2::2]`` to the rest.
+    """
     a = np.moveaxis(a, axis, -1)
     length = a.shape[-1]
     half = length // 2
-    idx = (2 * np.arange(half)[:, None] + np.arange(len(f))[None, :]) % length
-    out = a[..., idx] @ f
+    out = np.zeros(a.shape[:-1] + (half,), dtype=np.float64)
+    for n, c in enumerate(f):
+        if c == 0.0:
+            continue
+        c, r = np.float64(c), n % length
+        m = (length - r + 1) // 2  # outputs whose taps stay inside the signal
+        out[..., :m] += c * a[..., r::2]
+        out[..., m:] += c * a[..., r % 2 : 2 * (half - m) : 2]
     return np.moveaxis(out, -1, axis)
 
 
 def _up_convolve(a, f, axis):
     """Adjoint of _correlate_down with the same filter: zero-upsample along
-    ``axis`` then circularly convolve."""
+    ``axis`` then circularly convolve, i.e. out[(2k+j) mod L] += f[j] a[k].
+
+    Tap j adds ``f[j] * a`` into the output phase ``out[j % 2::2]``, rotated
+    by ``j // 2`` through two slices; no upsampled copy is built.
+    """
     a = np.moveaxis(a, axis, -1)
     half = a.shape[-1]
-    up = np.zeros(a.shape[:-1] + (2 * half,), dtype=np.float64)
-    up[..., ::2] = a
-    out = np.zeros_like(up)
+    out = np.zeros(a.shape[:-1] + (2 * half,), dtype=np.float64)
     for j, c in enumerate(f):
-        if c != 0.0:
-            out += c * np.roll(up, j, axis=-1)
+        if c == 0.0:
+            continue
+        c, r = np.float64(c), j % (2 * half)
+        phase, s = out[..., r % 2 :: 2], r // 2
+        phase[..., s:] += c * a[..., : half - s]
+        phase[..., :s] += c * a[..., half - s :]
     return np.moveaxis(out, -1, axis)
 
 
@@ -257,6 +282,20 @@ def idwt2d(s: SubbandSet, fb: FilterBank) -> Tensor:
     return ad._make(out.astype(np.float32), (ll, lh, hl, hh), backward)
 
 
+def _separable_pool(x: Tensor, f) -> Tensor:
+    """Filter-and-downsample with ``f`` along width then height; the
+    backward is the adjoint, height first."""
+    _check_even_spatial(x)
+    out = _correlate_down(_correlate_down(x.data, f, -1), f, -2)
+
+    def backward(grad):
+        if x.requires_grad:
+            d = _up_convolve(_up_convolve(grad, f, -2), f, -1)
+            x._accumulate(d.astype(np.float32))
+
+    return ad._make(out.astype(np.float32), (x,), backward)
+
+
 def wavelet_average_pool(x: Tensor, fb: FilterBank) -> Tensor:
     """Average of the four one-level subbands: 0.25*(ll+lh+hl+hh).
 
@@ -265,25 +304,17 @@ def wavelet_average_pool(x: Tensor, fb: FilterBank) -> Tensor:
     separable filtering with (lo+hi)/2 along each axis, which is what runs
     here; ``dwt2d`` plus explicit averaging gives the same map.
     """
-    _check_even_spatial(x)
-    g = 0.5 * (fb.lo_a + fb.hi_a)
-    out = _correlate_down(_correlate_down(x.data, g, -1), g, -2)
-
-    def backward(grad):
-        if x.requires_grad:
-            d = _up_convolve(_up_convolve(grad, g, -2), g, -1)
-            x._accumulate(d.astype(np.float32))
-
-    return ad._make(out.astype(np.float32), (x,), backward)
+    return _separable_pool(x, 0.5 * (fb.lo_a + fb.hi_a))
 
 
 def wavelet_low_pass_pool(x: Tensor, fb: FilterBank, scale_half: bool = False) -> Tensor:
     """Approximation-only pooling: keep ll, discard the detail subbands.
 
-    ``scale_half`` multiplies by 0.5 to match the averaged variant's
-    magnitude; off by default.
+    Only the lowpass filter runs, so the result equals ``dwt2d(x, fb).ll``
+    without computing the three detail subbands. ``scale_half`` multiplies by
+    0.5 to match the averaged variant's magnitude; off by default.
     """
-    ll = dwt2d(x, fb).ll
+    ll = _separable_pool(x, fb.lo_a)
     return ll * 0.5 if scale_half else ll
 
 

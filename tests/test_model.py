@@ -4,7 +4,7 @@ import pytest
 from wavetrain import autodiff as ad
 from wavetrain.autodiff import Tensor
 from wavetrain.errors import ConfigError, DimensionError
-from wavetrain.model import ModelConfig, build_model, expected_param_count, forward
+from wavetrain.model import ModelConfig, build_model, expected_param_count
 
 
 

@@ -8,6 +8,8 @@ from wavetrain.autodiff import Tensor
 from wavetrain.errors import DimensionError, UnsupportedBaseError
 from wavetrain.wavelet import (
     SUPPORTED_BASES,
+    _correlate_down,
+    _up_convolve,
     dwt2d,
     filter_bank,
     idwt2d,
@@ -30,6 +32,17 @@ def filt_down_oracle(x, f, axis):
     for k in range(length // 2):
         for n, c in enumerate(f):
             out[..., k] += c * x[..., (2 * k + n) % length]
+    return np.moveaxis(out, -1, axis)
+
+
+def up_conv_oracle(g, f, axis):
+    """Nested-loop adjoint of filt_down_oracle, taps in increasing order."""
+    g = np.moveaxis(np.asarray(g, dtype=np.float64), axis, -1)
+    half = g.shape[-1]
+    out = np.zeros(g.shape[:-1] + (2 * half,))
+    for j, c in enumerate(f):
+        for k in range(half):
+            out[..., (2 * k + j) % (2 * half)] += c * g[..., k]
     return np.moveaxis(out, -1, axis)
 
 
@@ -95,6 +108,86 @@ class TestFilterBank:
                 if 0 <= n + 2 * k < length
             )
             assert abs(acc - (2.0 if k == 0 else 0.0)) < 1e-10
+
+
+def _bank_filters(fb):
+    return [fb.lo_a, fb.hi_a, fb.lo_s, fb.hi_s, 0.5 * (fb.lo_a + fb.hi_a)]
+
+
+class TestPolyphaseCores:
+    """The strided-slice cores against the nested-loop oracles. On float64
+    input both sides add the same products in the same tap order, so the
+    forward is compared bit for bit."""
+
+    @pytest.mark.parametrize("axis", [-1, -2])
+    @pytest.mark.parametrize(
+        "name,length",
+        [(n, 2) for n in SUPPORTED_BASES]
+        + [(n, 6) for n in SUPPORTED_BASES]
+        + [("coif4", 4), ("db5", 4)],
+    )
+    def test_forward_matches_oracle(self, rng, name, length, axis):
+        # L=6 has an odd half-length; coif4 (24 taps) and db5 (10 taps) at
+        # L=2 and L=4 wrap around the signal more than once
+        x = rng.standard_normal((2, 3, length, length))
+        for f in _bank_filters(filter_bank(name)):
+            np.testing.assert_array_equal(
+                _correlate_down(x, f, axis), filt_down_oracle(x, f, axis)
+            )
+
+    @pytest.mark.parametrize("axis", [-1, -2])
+    @pytest.mark.parametrize("length", [2, 4, 6, 8, 16])
+    @pytest.mark.parametrize("name", SUPPORTED_BASES)
+    def test_backward_is_adjoint(self, rng, name, length, axis):
+        shape = (2, 3, length, length)
+        down = list(shape)
+        down[axis] //= 2
+        x = rng.standard_normal(shape)
+        y = rng.standard_normal(down)
+        for f in _bank_filters(filter_bank(name)):
+            lhs = float((_correlate_down(x, f, axis) * y).sum())
+            rhs = float((x * _up_convolve(y, f, axis)).sum())
+            assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
+
+    @pytest.mark.parametrize("shape", [(64, 16, 32, 32), (32, 64, 8, 8)])
+    def test_haar_pool_bit_identical_to_oracle(self, rng, shape):
+        # the two shapes the models pool: after the stem and after the last relu
+        fb = filter_bank("haar")
+        f = 0.5 * (fb.lo_a + fb.hi_a)
+        x = rng.standard_normal(shape).astype(np.float32)
+        g = rng.standard_normal(shape[:2] + (shape[2] // 2, shape[3] // 2)).astype(np.float32)
+
+        t = Tensor(x, requires_grad=True)
+        out = wavelet_average_pool(t, fb)
+        out._backward(g)
+
+        want_fwd = filt_down_oracle(filt_down_oracle(x, f, -1), f, -2).astype(np.float32)
+        want_bwd = up_conv_oracle(up_conv_oracle(g, f, -2), f, -1).astype(np.float32)
+        np.testing.assert_array_equal(out.data, want_fwd)
+        np.testing.assert_array_equal(t.grad, want_bwd)
+
+    @pytest.mark.parametrize("name", ["haar", "coif4"])
+    def test_pool_bytes_independent_of_buffer_alignment(self, rng, name):
+        fb = filter_bank(name)
+        shape, down = (4, 3, 16, 16), (4, 3, 8, 8)
+        x = rng.standard_normal(shape).astype(np.float32)
+        g = rng.standard_normal(down).astype(np.float32)
+
+        def offset_copy(a):
+            # a view one float32 element into a larger buffer
+            view = np.empty(a.size + 1, dtype=np.float32)[1:].reshape(a.shape)
+            view[...] = a
+            return view
+
+        def run(xin, gin):
+            t = Tensor(xin, requires_grad=True)
+            out = wavelet_average_pool(t, fb)
+            out._backward(gin)
+            return out.data.tobytes(), t.grad.tobytes()
+
+        x_off, g_off = offset_copy(x), offset_copy(g)
+        assert x_off.ctypes.data % 8 != 0
+        assert run(x_off, g_off) == run(x, g)
 
 
 class TestDwt2d:
