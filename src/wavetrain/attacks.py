@@ -75,10 +75,11 @@ def _box_then_ball(cand, x0, eps):
     return cand
 
 
-def _predictions(model, x):
+def eval_logits(model, x) -> np.ndarray:
+    """Logits of one eval-mode forward pass with no tape: the single way the
+    package asks a model for predictions without gradients."""
     with ad.no_grad():
-        logits = model.forward(Tensor(x), training=False)
-    return logits.data.argmax(axis=1)
+        return model.forward(Tensor(x), training=False).data
 
 
 def _frozen_params(model):
@@ -125,7 +126,7 @@ def _per_sample_loss(logits, y, loss_kind, kappa):
 
 
 def _finish(model, x_adv, y, grad_calls):
-    success = _predictions(model, x_adv) != y
+    success = eval_logits(model, x_adv).argmax(axis=1) != y
     return AttackResult(
         x_adv=x_adv,
         success=success,
@@ -165,7 +166,6 @@ def _iterated_signed_ascent(model, x, y, cfg, seed, momentum):
         else:
             x_adv = x.copy()
         g_acc = np.zeros_like(x) if momentum is not None else None
-        logits = None
         for _ in range(cfg.steps):
             grad, _ = _input_grad(model, x_adv, y, cfg.loss_kind, cfg.kappa)
             grad_calls += 1
@@ -177,9 +177,7 @@ def _iterated_signed_ascent(model, x, y, cfg, seed, momentum):
             else:
                 direction = np.sign(grad, dtype=np.float32)
             x_adv = _box_then_ball(x_adv + alpha * direction, x, eps)
-        with ad.no_grad():
-            logits = model.forward(Tensor(x_adv), training=False).data
-        final_loss = _per_sample_loss(logits, y, cfg.loss_kind, cfg.kappa)
+        final_loss = _per_sample_loss(eval_logits(model, x_adv), y, cfg.loss_kind, cfg.kappa)
         better = final_loss > best_loss
         best_loss = np.where(better, final_loss, best_loss)
         best_x[better] = x_adv[better]
@@ -227,8 +225,7 @@ def logits_oracle(model) -> Callable[[np.ndarray], np.ndarray]:
     """Wrap a model as a logits-only query interface (no gradients exposed)."""
 
     def oracle(batch):
-        with ad.no_grad():
-            return model.forward(Tensor(batch), training=False).data
+        return eval_logits(model, batch)
 
     return oracle
 
@@ -279,9 +276,3 @@ def nes_attack(oracle, x, y, cfg: NesConfig, seed: int = 0) -> AttackResult:
         x_adv[i] = cur
     return AttackResult(x_adv=x_adv, success=success, queries=queries, grad_calls=0)
 
-
-def nes_gradient_estimate(loss_fn, x, sigma, k, rng) -> np.ndarray:
-    """Plain antithetic estimator (exposed for calibration/diagnostics)."""
-    u = rng.standard_normal((k,) + np.shape(x)).astype(np.float64)
-    diffs = np.array([loss_fn(x + sigma * ui) - loss_fn(x - sigma * ui) for ui in u])
-    return np.tensordot(diffs / (2.0 * sigma * k), u, axes=(0, 0))

@@ -91,6 +91,30 @@ SCHEMA = {
     "theorem.grid_points": ("int", 1 << 16),
 }
 
+# Allowed interval of a numeric key, checked as the value is parsed. Every
+# other int and float key lies in [0,inf), or in the tighter range that
+# ModelConfig, TrainConfig, AttackConfig or NesConfig enforce with a
+# ConfigError. Each upper end is open, so NaN and +-inf fall outside them all.
+RANGES = {
+    "data.num_classes": "[2,inf)",
+    "data.n_train": "[1,inf)",
+    "data.n_val": "[1,inf)",
+    "train.lr_initial": "(0,inf)",
+    "train.momentum": "[0,1)",
+    "nes.fd_eta": "(0,inf)",
+    "heatmap.eps_f": "(0,inf)",
+    "heatmap.samples_per_cell": "[1,inf)",
+    "gradcam.class_id": "[-1,inf)",
+    "theorem.grid_points": "[1,inf)",
+}
+
+
+def _check_range(key, value):
+    spec = RANGES.get(key, "[0,inf)")
+    lo, hi = (float(v) for v in spec[1:-1].split(","))
+    if not ((lo <= value if spec[0] == "[" else lo < value) and value < hi):
+        raise ConfigError(f"{key}={value!r} lies outside {spec}")
+
 
 @dataclass
 class RunConfig:
@@ -142,6 +166,8 @@ def _parse_pairs(pairs):
             raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}") from None
+        if tag in ("int", "float"):
+            _check_range(key, parsed[key])
     return parsed
 
 

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .attacks import AttackConfig, pgd
+from .attacks import AttackConfig, eval_logits, pgd
 from .autodiff import Tensor
 from .data import Dataset
 from .errors import DimensionError, InputError, ResolutionError
@@ -36,9 +36,7 @@ def accuracy(model, dataset: Dataset, attack: Optional[AttackConfig] = None,
         yb = dataset.labels[start : start + batch_size]
         if attack is not None:
             xb = attack_fn(model, xb, yb, attack, seed=seed + start).x_adv
-        with ad.no_grad():
-            preds = model.forward(Tensor(xb), training=False).data.argmax(axis=1)
-        correct += int((preds == yb).sum())
+        correct += int((eval_logits(model, xb).argmax(axis=1) == yb).sum())
     return correct / len(dataset)
 
 
@@ -100,8 +98,7 @@ def fourier_heat_map(model, dataset: Dataset, eps_f: float = 4.0,
                              replace=False)
             signs = rng.choice([-1.0, 1.0], size=(len(idx), channels)).astype(np.float32)
             xb = dataset.images[idx] + signs[:, :, None, None] * basis[None, None]
-            with ad.no_grad():
-                preds = model.forward(Tensor(xb), training=False).data.argmax(axis=1)
+            preds = eval_logits(model, xb).argmax(axis=1)
             grid[i, j] = float((preds != dataset.labels[idx]).mean())
     return HeatMapGrid(grid, eps_f=eps_f, samples_per_cell=samples_per_cell)
 

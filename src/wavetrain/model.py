@@ -193,10 +193,6 @@ class Model:
     def parameter_count(self):
         return sum(p.data.size for p in self.params.values())
 
-    def zero_grad(self):
-        for p in self.params.values():
-            p.grad = None
-
     def state_arrays(self):
         """Ordered (name, array) pairs covering parameters then buffers."""
         for name, p in self.params.items():

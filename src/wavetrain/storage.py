@@ -19,6 +19,7 @@ import math
 import struct
 import zlib
 from dataclasses import fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -40,22 +41,22 @@ def _config_to_text(cfg: ModelConfig) -> str:
 
 
 def _config_from_text(text: str) -> ModelConfig:
+    hints = get_type_hints(ModelConfig)
+    types = {f.name: hints[f.name] for f in fields(ModelConfig)}
     kwargs = {}
     for line in text.strip().splitlines():
         key, _, raw = line.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key in ("depth", "width", "num_classes", "input_size"):
+        if key not in types:
+            raise FormatError(f"unknown model-config key {key!r} in checkpoint")
+        if types[key] is int:
             try:
                 kwargs[key] = int(raw)
             except ValueError:
                 raise FormatError(f"model-config key {key!r} is not an integer: {raw!r}") from None
-        elif key == "wavelet_base":
-            kwargs[key] = None if raw == "none" else raw
-        elif key in ("wap_position", "pooling_variant"):
-            kwargs[key] = raw
         else:
-            raise FormatError(f"unknown model-config key {key!r} in checkpoint")
+            kwargs[key] = None if raw == "none" else raw
     try:
         return ModelConfig(**kwargs)
     except ConfigError as exc:

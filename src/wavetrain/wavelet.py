@@ -307,41 +307,13 @@ def wavelet_average_pool(x: Tensor, fb: FilterBank) -> Tensor:
     return _separable_pool(x, 0.5 * (fb.lo_a + fb.hi_a))
 
 
-def wavelet_low_pass_pool(x: Tensor, fb: FilterBank, scale_half: bool = False) -> Tensor:
+def wavelet_low_pass_pool(x: Tensor, fb: FilterBank) -> Tensor:
     """Approximation-only pooling: keep ll, discard the detail subbands.
 
     Only the lowpass filter runs, so the result equals ``dwt2d(x, fb).ll``
-    without computing the three detail subbands. ``scale_half`` multiplies by
-    0.5 to match the averaged variant's magnitude; off by default.
+    without computing the three detail subbands.
     """
-    ll = _separable_pool(x, fb.lo_a)
-    return ll * 0.5 if scale_half else ll
-
-
-def multilevel_consistency_check(x: Tensor, fb: FilterBank, levels: int, tol: float = 1e-5) -> bool:
-    """Verify the resolution ladder: at every level the decomposition of the
-    current approximation reconstructs it exactly and a repeated decomposition
-    is bit-identical (nested approximation spaces, deterministic recursion)."""
-    if levels < 1:
-        raise DimensionError("levels must be >= 1")
-    h, w = x.data.shape[2:] if x.data.ndim == 4 else (0, 0)
-    if x.data.ndim != 4 or h % (1 << levels) or w % (1 << levels):
-        raise DimensionError(
-            f"spatial dims must be divisible by 2^{levels}, got {x.data.shape}"
-        )
-    cur = Tensor(x.data.copy())
-    for _ in range(levels):
-        s = dwt2d(cur, fb)
-        again = dwt2d(cur, fb)
-        for a, b in ((s.ll, again.ll), (s.lh, again.lh), (s.hl, again.hl), (s.hh, again.hh)):
-            if not np.array_equal(a.data, b.data):
-                return False
-        recon = idwt2d(s, fb)
-        atol = tol * max(1.0, float(np.abs(cur.data).max()))
-        if np.abs(recon.data - cur.data).max() > atol:
-            return False
-        cur = s.ll
-    return True
+    return _separable_pool(x, fb.lo_a)
 
 
 def wap_lipschitz_estimate(fb: FilterBank, spatial: int = 16, iters: int = 60, seed: int = 0) -> float:

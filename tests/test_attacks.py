@@ -12,7 +12,6 @@ from wavetrain.attacks import (
     logits_oracle,
     mim,
     nes_attack,
-    nes_gradient_estimate,
     pgd,
 )
 from wavetrain.autodiff import Tensor
@@ -208,21 +207,6 @@ class TestCwPgd:
 
 
 class TestNes:
-    def test_gradient_estimate_aligns_with_linear_gradient(self):
-        dim = 64
-        rng = np.random.default_rng(0)
-        w = rng.standard_normal(dim)
-        w /= np.linalg.norm(w)
-
-        estimates = [
-            nes_gradient_estimate(lambda v: float(w @ v), np.zeros(dim), 0.1, 50,
-                                  np.random.default_rng(trial))
-            for trial in range(20)
-        ]
-        mean_est = np.mean(estimates, axis=0)
-        cosine = mean_est @ w / np.linalg.norm(mean_est)
-        assert cosine > 0.9
-
     def test_epsilon_zero_fails_with_unchanged_input(self, toy, batch):
         x, _ = batch
         y = toy.forward(Tensor(x)).data.argmax(axis=1)  # correctly classified

@@ -139,26 +139,34 @@ class TestChecks:
 
     def test_check_theorems(self, tmp_path):
         out = tmp_path / "th"
-        rc = main(["check", "theorems", "--out-dir", str(out),
-                   "--set", "theorem.grid_points=16384"])
+        rc = main(["check", "theorems", "--out-dir", str(out)])
         assert rc == 0
         header, rows = read_csv(out / "theorem_check.csv")
         kinds = [r[0] for r in rows]
         assert "decay_slope" in kinds and "modulus_halving_first" in kinds
+        slopes = [(r[1], float(r[2])) for r in rows if r[0] == "decay_slope"]
+        assert slopes == [(base, alpha) for base in ("haar", "db5", "sym4")
+                          for alpha in (0.3, 0.5, 0.7, 1.0)]
 
 
 class TestSweeps:
-    def test_sweep_bases_schema(self, tmp_path):
+    @pytest.mark.parametrize("target", ["bases", "positions", "gap"])
+    def test_sweep_bases_schema(self, tmp_path, target):
+        column, variants = {
+            "bases": ("base", ["haar", "db5", "sym4", "coif4", "bior3.1", "rbio2.2"]),
+            "positions": ("position", ["after_first_conv", "before_final_relu",
+                                       "after_final_relu", "disabled"]),
+            "gap": ("variant", ["adversarial", "natural", "delta"]),
+        }[target]
         out = tmp_path / "sb"
-        rc = main(["sweep", "bases", "--out-dir", str(out),
+        rc = main(["sweep", target, "--out-dir", str(out),
                    "--set", "train.epochs=0",
                    "--set", "data.n_train=16", "--set", "data.n_val=16",
                    "--set", "attack.steps=1"])
         assert rc == 0
-        header, rows = read_csv(out / "sweep_bases.csv")
-        assert header == ["base", "clean", "fgsm", "pgd", "mim", "cw"]
-        assert sorted(r[0] for r in rows) == sorted(
-            ["haar", "db5", "sym4", "coif4", "bior3.1", "rbio2.2"])
+        header, rows = read_csv(out / f"sweep_{target}.csv")
+        assert header == [column, "clean", "fgsm", "pgd", "mim", "cw"]
+        assert [r[0] for r in rows] == variants
 
     def test_sweep_ablation_paired_rows_deterministic(self, tmp_path):
         args = ["sweep", "ablation",
@@ -174,7 +182,35 @@ class TestSweeps:
         assert [r[0] for r in rows] == ["with_wavelet", "without_wavelet", "delta"]
 
 
+BAD_VALUES = [
+    "check theorems --set theorem.grid_points=-5",
+    "train --set seed=-1",
+    "heatmap --set heatmap.rows=-1",
+    "eval --set data.n_val=-2",
+    "heatmap --set heatmap.samples_per_cell=0",
+    "attack --set attack.step_size=nan",
+    "attack --epsilon nan",
+    "heatmap --set heatmap.eps_f=0",
+    "gradcam --set gradcam.class_id=7",
+    "eval --set data.n_val=0",
+    "train --set data.num_classes=1",
+    "train --set train.lr_initial=nan",
+]
+
+
 class TestErrors:
+    @pytest.mark.parametrize("command", BAD_VALUES)
+    def test_bad_config_value_exit_2(self, trained_dir, tmp_path, capsys, command):
+        words = command.split()
+        argv = words[:1] + FAST + words[1:] + ["--out-dir", str(tmp_path / "o")]
+        if argv[0] in ("eval", "attack", "heatmap", "gradcam"):
+            argv += ["--checkpoint", str(trained_dir / "model.ckpt")]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "error[config]" in err
+        assert "Traceback" not in err
+
     def test_unknown_config_key_exit_2(self, tmp_path):
         rc = main(["check", "wavelet", "--out-dir", str(tmp_path / "x"),
                    "--set", "bogus.key=1"])

@@ -4,13 +4,18 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavetrain.autodiff import Tensor
 from wavetrain.config import RunConfig, load_config, parse_config_text
 from wavetrain.data import load_cifar10, split_train_val, synthetic_dataset
 from wavetrain.errors import ConfigError, FormatError, InputError
-from wavetrain.model import ModelConfig, build_model
-from wavetrain.storage import load_checkpoint, save_checkpoint, write_csv, write_pgm
+from wavetrain.model import POOLING_VARIANTS, WAP_POSITIONS, ModelConfig, build_model
+from wavetrain.storage import (
+    _config_from_text, _config_to_text, load_checkpoint, save_checkpoint, write_csv, write_pgm,
+)
+from wavetrain.wavelet import SUPPORTED_BASES
 
 
 def make_cifar_blob(labels, fill=None, rng=None):
@@ -190,6 +195,45 @@ class TestCheckpoint:
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+
+MODEL_KEYS = ("depth", "width", "num_classes", "wavelet_base", "wap_position",
+              "pooling_variant", "input_size")
+config_values = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.sampled_from(("none", "haar", "disabled", "wap", "lpf", "after_first_conv", "1.5", "")),
+    st.text(max_size=8),
+)
+config_lines = st.tuples(st.one_of(st.sampled_from(MODEL_KEYS), st.text(max_size=8)),
+                         config_values).map(lambda kv: f"{kv[0]}={kv[1]}")
+
+
+@st.composite
+def model_configs(draw):
+    position = draw(st.sampled_from(WAP_POSITIONS))
+    bases = SUPPORTED_BASES + ((None,) if position == "disabled" else ())
+    return ModelConfig(
+        depth=draw(st.integers(1, 1000)), width=draw(st.integers(1, 1000)),
+        num_classes=draw(st.integers(2, 1000)), wavelet_base=draw(st.sampled_from(bases)),
+        wap_position=position, pooling_variant=draw(st.sampled_from(POOLING_VARIANTS)),
+        input_size=draw(st.integers(-(2 ** 40), 2 ** 40)),
+    )
+
+
+class TestCheckpointConfigText:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(config_lines, max_size=10).map("\n".join) | st.text(max_size=60))
+    def test_arbitrary_text_gives_config_or_format_error(self, text):
+        try:
+            cfg = _config_from_text(text)
+        except FormatError:
+            return
+        assert isinstance(cfg, ModelConfig)
+
+    @settings(max_examples=200, deadline=None)
+    @given(model_configs())
+    def test_round_trip(self, cfg):
+        assert _config_from_text(_config_to_text(cfg)) == cfg
 
 
 class TestPgmCsv:

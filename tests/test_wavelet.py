@@ -13,7 +13,6 @@ from wavetrain.wavelet import (
     dwt2d,
     filter_bank,
     idwt2d,
-    multilevel_consistency_check,
     wap_lipschitz_estimate,
     wavelet_average_pool,
     wavelet_low_pass_pool,
@@ -327,19 +326,39 @@ class TestLowPassPool:
             wavelet_low_pass_pool(Tensor(x), fb).data, dwt2d(Tensor(x), fb).ll.data
         )
 
-    def test_scale_flag_halves(self, rng):
-        fb = filter_bank("haar")
-        x = rng.standard_normal((1, 1, 4, 4)).astype(np.float32)
-        full = wavelet_low_pass_pool(Tensor(x), fb, scale_half=False).data
-        half = wavelet_low_pass_pool(Tensor(x), fb, scale_half=True).data
-        assert np.allclose(half, 0.5 * full)
-
     @pytest.mark.parametrize("name", ["haar", "db5", "sym4", "coif4"])
     def test_norm_not_expanded_for_orthogonal(self, rng, name):
         fb = filter_bank(name)
         x = rng.standard_normal((1, 1, 16, 16)).astype(np.float32)
         out = wavelet_low_pass_pool(Tensor(x), fb)
         assert np.linalg.norm(out.data) <= np.linalg.norm(x) * (1 + 1e-4)
+
+
+def multilevel_consistency_check(x, fb, levels, tol=1e-5):
+    """Oracle for the resolution ladder of ``dwt2d``/``idwt2d``: at every
+    level the decomposition of the current approximation reconstructs it
+    exactly and a repeated decomposition is bit-identical (nested
+    approximation spaces, deterministic recursion)."""
+    if levels < 1:
+        raise DimensionError("levels must be >= 1")
+    h, w = x.data.shape[2:] if x.data.ndim == 4 else (0, 0)
+    if x.data.ndim != 4 or h % (1 << levels) or w % (1 << levels):
+        raise DimensionError(
+            f"spatial dims must be divisible by 2^{levels}, got {x.data.shape}"
+        )
+    cur = Tensor(x.data.copy())
+    for _ in range(levels):
+        s = dwt2d(cur, fb)
+        again = dwt2d(cur, fb)
+        for a, b in ((s.ll, again.ll), (s.lh, again.lh), (s.hl, again.hl), (s.hh, again.hh)):
+            if not np.array_equal(a.data, b.data):
+                return False
+        recon = idwt2d(s, fb)
+        atol = tol * max(1.0, float(np.abs(cur.data).max()))
+        if np.abs(recon.data - cur.data).max() > atol:
+            return False
+        cur = s.ll
+    return True
 
 
 class TestMultilevelConsistency:
