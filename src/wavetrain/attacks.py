@@ -13,7 +13,7 @@ Attacks always query the model in eval mode, so they are pure functions of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -107,57 +107,42 @@ def _input_grad(model, x, y, loss_kind, kappa):
             p.requires_grad = flag
     if not np.all(np.isfinite(t.grad)):
         raise NumericError("non-finite input gradient during attack")
-    return t.grad, logits.data
+    return t.grad
 
 
-def _per_sample_loss(logits, y, loss_kind, kappa):
-    """Per-sample ascent objective (higher = stronger attack), float64."""
-    z = logits.astype(np.float64)
-    n = len(y)
-    if loss_kind == "cross_entropy":
-        z = z - z.max(axis=1, keepdims=True)
-        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-        return -logp[np.arange(n), y]
-    z_true = z[np.arange(n), y]
-    masked = z.copy()
-    masked[np.arange(n), y] = -np.inf
-    margin = z_true - masked.max(axis=1)
-    return -np.maximum(margin, -kappa)
-
-
-def _finish(model, x_adv, y, grad_calls):
-    success = eval_logits(model, x_adv).argmax(axis=1) != y
+def _finish(logits, x_adv, y, grad_calls):
     return AttackResult(
         x_adv=x_adv,
-        success=success,
+        success=logits.argmax(axis=1) != y,
         queries=np.zeros(len(y), dtype=np.int64),
         grad_calls=grad_calls,
     )
 
 
 def fgsm(model, x, y, cfg: AttackConfig, seed: int = 0) -> AttackResult:
-    """Single signed-gradient step of size epsilon on the cross-entropy loss."""
-    x = np.asarray(x, dtype=np.float32)
-    y = _validate_labels(y, x.shape[0])
-    grad, _ = _input_grad(model, x, y, "cross_entropy", cfg.kappa)
-    cand = x + np.float32(cfg.epsilon) * np.sign(grad, dtype=np.float32)
-    x_adv = np.minimum(np.maximum(cand, np.float32(0.0)), np.float32(1.0))
-    return _finish(model, x_adv, y, grad_calls=1)
+    """Single signed-gradient step of size epsilon on the cross-entropy loss:
+    PGD with one step, no random start and no restarts."""
+    one_step = replace(cfg, steps=1, step_size=cfg.epsilon, random_init=False, restarts=1,
+                       loss_kind="cross_entropy")
+    return _iterated_signed_ascent(model, x, y, one_step, seed, momentum=None)
 
 
 def _iterated_signed_ascent(model, x, y, cfg, seed, momentum):
-    """Shared PGD/MIM machinery; momentum=None gives plain PGD steps."""
+    """Shared FGSM/PGD/MIM machinery; momentum=None gives plain PGD steps.
+
+    The eval forward that scores each restart's final iterate also gives the
+    returned ``success``, so no forward runs twice on the same batch.
+    """
     x = np.asarray(x, dtype=np.float32)
     y = _validate_labels(y, x.shape[0])
     if cfg.epsilon == 0.0:
         # zero budget: every iterate projects back onto x
-        return _finish(model, x.copy(), y, grad_calls=0)
+        return _finish(eval_logits(model, x), x.copy(), y, grad_calls=0)
     rng = np.random.default_rng(seed)
     eps = np.float32(cfg.epsilon)
     alpha = np.float32(cfg.step_size)
 
-    best_x = x.copy()
-    best_loss = np.full(x.shape[0], -np.inf)
+    best_loss = best_x = best_logits = None
     grad_calls = 0
     for _ in range(cfg.restarts):
         if cfg.random_init:
@@ -167,7 +152,7 @@ def _iterated_signed_ascent(model, x, y, cfg, seed, momentum):
             x_adv = x.copy()
         g_acc = np.zeros_like(x) if momentum is not None else None
         for _ in range(cfg.steps):
-            grad, _ = _input_grad(model, x_adv, y, cfg.loss_kind, cfg.kappa)
+            grad = _input_grad(model, x_adv, y, cfg.loss_kind, cfg.kappa)
             grad_calls += 1
             if momentum is not None:
                 norms = np.abs(grad).sum(axis=tuple(range(1, grad.ndim)), keepdims=True)
@@ -177,11 +162,20 @@ def _iterated_signed_ascent(model, x, y, cfg, seed, momentum):
             else:
                 direction = np.sign(grad, dtype=np.float32)
             x_adv = _box_then_ball(x_adv + alpha * direction, x, eps)
-        final_loss = _per_sample_loss(eval_logits(model, x_adv), y, cfg.loss_kind, cfg.kappa)
+        # per-sample ascent objective of the final iterate (higher = stronger)
+        logits = eval_logits(model, x_adv)
+        if cfg.loss_kind == "cross_entropy":
+            final_loss = ad.cross_entropy_rows(logits, y)[0]
+        else:
+            final_loss = -np.maximum(ad.margin_rows(logits, y)[0], -cfg.kappa)
+        if best_loss is None:
+            best_loss, best_x, best_logits = final_loss, x_adv, logits
+            continue
         better = final_loss > best_loss
         best_loss = np.where(better, final_loss, best_loss)
         best_x[better] = x_adv[better]
-    return _finish(model, best_x, y, grad_calls)
+        best_logits[better] = logits[better]
+    return _finish(best_logits, best_x, y, grad_calls)
 
 
 def pgd(model, x, y, cfg: AttackConfig, seed: int = 0) -> AttackResult:
@@ -230,13 +224,6 @@ def logits_oracle(model) -> Callable[[np.ndarray], np.ndarray]:
     return oracle
 
 
-def _nes_loss(logits, label):
-    z = logits.astype(np.float64)
-    z = z - z.max(axis=1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    return -logp[:, label]
-
-
 def nes_attack(oracle, x, y, cfg: NesConfig, seed: int = 0) -> AttackResult:
     """Antithetic Gaussian gradient estimation + signed ascent, per sample.
 
@@ -260,10 +247,11 @@ def nes_attack(oracle, x, y, cfg: NesConfig, seed: int = 0) -> AttackResult:
             x_adv[i] = xi
             continue
         cur = xi.copy()
+        label = np.full(k, y[i])
         while queries[i] + 2 * k <= cfg.max_queries:
             u = rng.standard_normal((k,) + xi.shape).astype(np.float32)
-            plus = _nes_loss(oracle(cur[None] + sigma * u), y[i])
-            minus = _nes_loss(oracle(cur[None] - sigma * u), y[i])
+            plus = ad.cross_entropy_rows(oracle(cur[None] + sigma * u), label)[0]
+            minus = ad.cross_entropy_rows(oracle(cur[None] - sigma * u), label)[0]
             queries[i] += 2 * k
             ghat = np.tensordot((plus - minus) / (2.0 * sigma * k), u, axes=(0, 0))
             cur = _box_then_ball(

@@ -407,19 +407,11 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 
 
-def batch_norm(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    running_mean: np.ndarray,
-    running_var: np.ndarray,
-    training: bool,
-    momentum: float = BN_MOMENTUM,
-    eps: float = BN_EPS,
-) -> Tensor:
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
+               running_var: np.ndarray, training: bool) -> Tensor:
     """Per-channel batch norm over NCHW. Eval mode reads running statistics
     only; training mode uses batch statistics and updates the running buffers
-    in place (biased variance, EMA with the given momentum)."""
+    in place (biased variance, EMA with momentum BN_MOMENTUM)."""
     if x.data.ndim != 4:
         raise DimensionError("batch_norm expects x[N,C,H,W]")
     c = x.data.shape[1]
@@ -431,15 +423,15 @@ def batch_norm(
     if training:
         mean = x.data.mean(axis=(0, 2, 3), dtype=np.float64)
         var = x.data.var(axis=(0, 2, 3), dtype=np.float64)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean.astype(running_mean.dtype)
-        running_var *= 1.0 - momentum
-        running_var += momentum * var.astype(running_var.dtype)
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mean.astype(running_mean.dtype)
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var.astype(running_var.dtype)
     else:
         mean = running_mean.astype(np.float64)
         var = running_var.astype(np.float64)
 
-    inv_std = (1.0 / np.sqrt(var + eps)).astype(np.float32)[None, :, None, None]
+    inv_std = (1.0 / np.sqrt(var + BN_EPS)).astype(np.float32)[None, :, None, None]
     mean32 = mean.astype(np.float32)[None, :, None, None]
     gam = gamma.data[None, :, None, None]
     if training:
@@ -478,10 +470,30 @@ def batch_norm(
 # -- losses ----------------------------------------------------------------------
 
 
-def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean over the batch of -log softmax(logits)[label], max-stabilised."""
+def cross_entropy_rows(logits, labels):
+    """Per-row -log softmax(z)[label] and the softmax itself, with z the
+    logits in float64, max-stabilised."""
+    z = np.asarray(logits, dtype=np.float64)
+    z = z - z.max(axis=1, keepdims=True)
+    ez = np.exp(z)
+    denom = ez.sum(axis=1, keepdims=True)
+    return np.log(denom[:, 0]) - z[np.arange(len(labels)), labels], ez / denom
+
+
+def margin_rows(logits, labels):
+    """Per-row margin z_y - max_{c != y} z_c in float64, and the strongest
+    other class."""
+    z = np.asarray(logits, dtype=np.float64)
+    rows = np.arange(len(labels))
+    masked = z.copy()
+    masked[rows, labels] = -np.inf
+    best_other = masked.argmax(axis=1)
+    return z[rows, labels] - masked[rows, best_other], best_other
+
+
+def _check_labels(logits, labels, what):
     if logits.data.ndim != 2:
-        raise DimensionError("softmax_cross_entropy expects logits[N,C]")
+        raise DimensionError(f"{what} expects logits[N,C]")
     labels = np.asarray(labels)
     n, c = logits.data.shape
     if labels.shape != (n,):
@@ -489,15 +501,15 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     if labels.min() < 0 or labels.max() >= c:
         raise InputError(f"labels must lie in [0,{c}), got range "
                          f"[{labels.min()},{labels.max()}]")
-    labels = labels.astype(np.int64)
+    return labels.astype(np.int64)
 
-    z = logits.data.astype(np.float64)
-    z = z - z.max(axis=1, keepdims=True)
-    ez = np.exp(z)
-    denom = ez.sum(axis=1, keepdims=True)
-    logp = z - np.log(denom)
-    loss = np.float32(-logp[np.arange(n), labels].mean())
-    probs = ez / denom
+
+def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Mean over the batch of -log softmax(logits)[label], max-stabilised."""
+    labels = _check_labels(logits, labels, "softmax_cross_entropy")
+    n = len(labels)
+    rows, probs = cross_entropy_rows(logits.data, labels)
+    loss = np.float32(rows.mean())
 
     def backward(g):
         if logits.requires_grad:
@@ -515,28 +527,15 @@ def cw_margin_loss(logits: Tensor, labels, kappa: float = 0.0) -> Tensor:
     negation. The backward rule routes gradient to the true-class logit and
     the strongest competing logit for samples not yet clipped at -kappa.
     """
-    if logits.data.ndim != 2:
-        raise DimensionError("cw_margin_loss expects logits[N,C]")
-    labels = np.asarray(labels)
-    n, c = logits.data.shape
-    if labels.shape != (n,):
-        raise InputError(f"labels must have shape ({n},), got {labels.shape}")
-    if labels.min() < 0 or labels.max() >= c:
-        raise InputError("labels out of range")
-    labels = labels.astype(np.int64)
-
-    z = logits.data.astype(np.float64)
-    z_true = z[np.arange(n), labels]
-    masked = z.copy()
-    masked[np.arange(n), labels] = -np.inf
-    best_other = masked.argmax(axis=1)
-    margin = z_true - masked[np.arange(n), best_other]
+    labels = _check_labels(logits, labels, "cw_margin_loss")
+    n = len(labels)
+    margin, best_other = margin_rows(logits.data, labels)
     clipped = margin <= -kappa
     loss = np.float32(np.maximum(margin, -kappa).mean())
 
     def backward(g):
         if logits.requires_grad:
-            d = np.zeros_like(z)
+            d = np.zeros(logits.data.shape)
             live = ~clipped
             rows = np.arange(n)[live]
             d[rows, labels[live]] += 1.0

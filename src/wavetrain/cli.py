@@ -80,6 +80,16 @@ def _load_datasets(cfg: RunConfig):
     raise ConfigError(f"unknown data.source {cfg['data.source']!r}")
 
 
+def _checkpoint_and_val(cfg: RunConfig, args):
+    """The --checkpoint model and the validation set, with equal class counts."""
+    model = load_checkpoint(args.checkpoint)
+    _, val = _load_datasets(cfg)
+    if val.num_classes != model.cfg.num_classes:
+        raise ConfigError(f"the data has {val.num_classes} classes (data.num_classes) but "
+                          f"the checkpoint has {model.cfg.num_classes}")
+    return model, val
+
+
 def _model_config(cfg: RunConfig, num_classes: int) -> ModelConfig:
     return ModelConfig(
         depth=cfg["model.depth"],
@@ -156,8 +166,7 @@ def cmd_train(cfg: RunConfig, out_dir: str, args) -> int:
 
 
 def cmd_eval(cfg: RunConfig, out_dir: str, args) -> int:
-    model = load_checkpoint(args.checkpoint)
-    _, val = _load_datasets(cfg)
+    model, val = _checkpoint_and_val(cfg, args)
     clean = accuracy(model, val)
     write_csv(os.path.join(out_dir, "eval.csv"), "eval",
               ("metric", "value"), [("clean_acc", clean)])
@@ -166,8 +175,7 @@ def cmd_eval(cfg: RunConfig, out_dir: str, args) -> int:
 
 
 def cmd_attack(cfg: RunConfig, out_dir: str, args) -> int:
-    model = load_checkpoint(args.checkpoint)
-    _, val = _load_datasets(cfg)
+    model, val = _checkpoint_and_val(cfg, args)
     kind = cfg["attack.kind"]
     clean = accuracy(model, val)
     if kind == "nes":
@@ -198,10 +206,12 @@ def cmd_attack(cfg: RunConfig, out_dir: str, args) -> int:
 
 
 def cmd_heatmap(cfg: RunConfig, out_dir: str, args) -> int:
-    model = load_checkpoint(args.checkpoint)
-    _, val = _load_datasets(cfg)
-    rows = cfg["heatmap.rows"] or None
-    cols = cfg["heatmap.cols"] or None
+    model, val = _checkpoint_and_val(cfg, args)
+    h, w = val.images.shape[2:]
+    rows = cfg["heatmap.rows"] or h // 2 + 1
+    cols = cfg["heatmap.cols"] or w
+    if rows > h // 2 + 1 or cols > w:
+        raise ConfigError(f"heatmap grid {rows}x{cols} exceeds the {h}x{w} image half-spectrum")
     grid = fourier_heat_map(model, val, eps_f=cfg["heatmap.eps_f"],
                             samples_per_cell=cfg["heatmap.samples_per_cell"],
                             seed=cfg["seed"], rows=rows, cols=cols)
@@ -219,8 +229,7 @@ def cmd_heatmap(cfg: RunConfig, out_dir: str, args) -> int:
 
 
 def cmd_gradcam(cfg: RunConfig, out_dir: str, args) -> int:
-    model = load_checkpoint(args.checkpoint)
-    _, val = _load_datasets(cfg)
+    model, val = _checkpoint_and_val(cfg, args)
     index = cfg["gradcam.index"]
     if index >= len(val):
         raise ConfigError(f"gradcam.index {index} out of range")

@@ -29,14 +29,15 @@ from .wavelet import FilterBank, filter_bank
 def accuracy(model, dataset: Dataset, attack: Optional[AttackConfig] = None,
              attack_fn=pgd, seed: int = 0, batch_size: int = 256) -> float:
     """Fraction of samples whose (attacked or clean) prediction matches the
-    label."""
+    label; under attack, the share the attack's ``success`` leaves unflipped."""
     correct = 0
     for start in range(0, len(dataset), batch_size):
         xb = dataset.images[start : start + batch_size]
         yb = dataset.labels[start : start + batch_size]
-        if attack is not None:
-            xb = attack_fn(model, xb, yb, attack, seed=seed + start).x_adv
-        correct += int((eval_logits(model, xb).argmax(axis=1) == yb).sum())
+        if attack is None:
+            correct += int((eval_logits(model, xb).argmax(axis=1) == yb).sum())
+        else:
+            correct += int((~attack_fn(model, xb, yb, attack, seed=seed + start).success).sum())
     return correct / len(dataset)
 
 

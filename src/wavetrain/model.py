@@ -53,26 +53,22 @@ class ModelConfig:
         return (STEM_CHANNELS * self.width, 32 * self.width, 64 * self.width)
 
 
-def _trace_spatial(cfg: ModelConfig) -> dict:
+def _check_spatial(cfg: ModelConfig):
     """Follow spatial sizes through the network; reject odd sizes at the
-    wavelet insertion point."""
+    wavelet insertion point and inputs too small for the downsampling."""
     size = cfg.input_size
-    sizes = {"stem": size}
     if cfg.wap_position == "after_first_conv":
         if size % 2:
             raise ConfigError(f"odd spatial size {size} at the wavelet stage")
         size //= 2
     for stride in GROUP_STRIDES:
         size = (size + 2 - 3) // stride + 1  # 3x3 conv, pad 1
-    sizes["after_groups"] = size
     if cfg.wap_position in ("before_final_relu", "after_final_relu"):
         if size % 2:
             raise ConfigError(f"odd spatial size {size} at the wavelet stage")
         size //= 2
     if size < 1:
         raise ConfigError("input too small for this depth of downsampling")
-    sizes["pool_kernel"] = size
-    return sizes
 
 
 class Model:
@@ -85,7 +81,16 @@ class Model:
         self.fb: Optional[FilterBank] = (
             filter_bank(cfg.wavelet_base) if cfg.wap_position != "disabled" else None
         )
-        self._sizes = _trace_spatial(cfg)
+        _check_spatial(cfg)
+        # (prefix, in channels, out channels, stride, has projection) per block
+        self._blocks = []
+        cin = STEM_CHANNELS
+        for gi, (cout, stride) in enumerate(zip(cfg.group_channels(), GROUP_STRIDES)):
+            for bi in range(cfg.depth):
+                block_in, block_stride = (cin, stride) if bi == 0 else (cout, 1)
+                self._blocks.append((f"g{gi}.b{bi}", block_in, cout, block_stride,
+                                    block_stride != 1 or block_in != cout))
+            cin = cout
 
     # -- construction -------------------------------------------------------
 
@@ -109,19 +114,14 @@ class Model:
         rng = np.random.default_rng(seed)
         cfg = self.cfg
         self._conv_init(rng, "stem.weight", STEM_CHANNELS, 3, 3)
-        cin = STEM_CHANNELS
-        for gi, (cout, stride) in enumerate(zip(cfg.group_channels(), GROUP_STRIDES)):
-            for bi in range(cfg.depth):
-                prefix = f"g{gi}.b{bi}"
-                block_in = cin if bi == 0 else cout
-                block_stride = stride if bi == 0 else 1
-                self._bn_init(f"{prefix}.bn1", block_in)
-                self._conv_init(rng, f"{prefix}.conv1.weight", cout, block_in, 3)
-                self._bn_init(f"{prefix}.bn2", cout)
-                self._conv_init(rng, f"{prefix}.conv2.weight", cout, cout, 3)
-                if block_stride != 1 or block_in != cout:
-                    self._conv_init(rng, f"{prefix}.proj.weight", cout, block_in, 1)
-            cin = cout
+        for prefix, cin, cout, _, has_proj in self._blocks:
+            self._bn_init(f"{prefix}.bn1", cin)
+            self._conv_init(rng, f"{prefix}.conv1.weight", cout, cin, 3)
+            self._bn_init(f"{prefix}.bn2", cout)
+            self._conv_init(rng, f"{prefix}.conv2.weight", cout, cout, 3)
+            if has_proj:
+                self._conv_init(rng, f"{prefix}.proj.weight", cout, cin, 1)
+        cin = cfg.group_channels()[-1]
         self._bn_init("bn_final", cin)
         fan_in = cin
         self._param("fc.weight", rng.standard_normal((cin, cfg.num_classes)) * np.sqrt(2.0 / fan_in))
@@ -163,14 +163,8 @@ class Model:
         h = ad.conv2d(x, self.params["stem.weight"], stride=1, padding=1)
         if cfg.wap_position == "after_first_conv":
             h = self._wavelet_stage(h)
-        cin = STEM_CHANNELS
-        for gi, (cout, stride) in enumerate(zip(cfg.group_channels(), GROUP_STRIDES)):
-            for bi in range(cfg.depth):
-                block_in = cin if bi == 0 else cout
-                block_stride = stride if bi == 0 else 1
-                has_proj = block_stride != 1 or block_in != cout
-                h = self._block(f"g{gi}.b{bi}", h, block_stride, training, has_proj)
-            cin = cout
+        for prefix, _, _, stride, has_proj in self._blocks:
+            h = self._block(prefix, h, stride, training, has_proj)
         h = self._bn("bn_final", h, training)
         if cfg.wap_position == "before_final_relu":
             h = self._wavelet_stage(h)

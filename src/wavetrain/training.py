@@ -22,6 +22,8 @@ from .errors import ConfigError, NumericError, UsageError
 from .evaluation import accuracy
 from .model import Model
 
+LR_DECAY = 0.1   # learning-rate factor at each milestone
+
 
 def default_train_attack() -> AttackConfig:
     # 10 iterations at 2/255 with random init; epsilon 0.031
@@ -35,7 +37,6 @@ class TrainConfig:
     batch_size: int = 128
     lr_initial: float = 0.1
     lr_milestones: tuple = ()
-    lr_decay: float = 0.1
     momentum: float = 0.9
     weight_decay: float = 5e-4
     train_attack: AttackConfig = field(default_factory=default_train_attack)
@@ -77,11 +78,11 @@ class TrainHistory:
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:
-    """lr_initial decayed once per milestone already passed."""
+    """lr_initial decayed by LR_DECAY once per milestone already passed."""
     if epoch < 0:
         raise ConfigError("epoch must be >= 0")
     passed = sum(1 for m in cfg.lr_milestones if m <= epoch)
-    return cfg.lr_initial * (cfg.lr_decay ** passed)
+    return cfg.lr_initial * (LR_DECAY ** passed)
 
 
 def gradient_norm(model: Model) -> float:

@@ -12,34 +12,18 @@ def rng():
     return np.random.default_rng(1234)
 
 
-def relative_errors(a, b, floor_frac=0.01):
-    """Elementwise |a-b| / max(|a|, |b|, floor), floor = floor_frac * |b|_inf.
+@pytest.fixture(scope="module")
+def boundary_wrn():
+    """A depth-1 width-1 two-class WRN and 24 synthetic samples, with the
+    class-1 bias shifted so that half of the samples fall on each side of the
+    decision boundary: a budget of 1e-3 then flips some predictions and
+    leaves others."""
+    from wavetrain.attacks import eval_logits
+    from wavetrain.data import synthetic_dataset
+    from wavetrain.model import ModelConfig, build_model
 
-    The floor keeps near-zero entries from blowing up the ratio while still
-    flagging any error on an entry of significant magnitude.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    floor = floor_frac * max(np.abs(b).max(), 1e-30)
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
-    return np.abs(a - b) / denom
-
-
-def central_differences(f, x, h=1e-3, dtype=np.float32):
-    """Central finite differences of a scalar-valued f.
-
-    dtype=float32 probes the float32 forward itself; dtype=float64 is for
-    independent float64 oracle forwards.
-    """
-    x = np.asarray(x, dtype=dtype).copy()
-    grad = np.zeros(x.shape, dtype=np.float64)
-    flat = x.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + dtype(h)
-        fp = f(x)
-        flat[i] = orig - dtype(h)
-        fm = f(x)
-        flat[i] = orig
-        grad.reshape(-1)[i] = (fp - fm) / (2.0 * h)
-    return grad
+    model = build_model(ModelConfig(depth=1, width=1, num_classes=2), seed=0)
+    ds = synthetic_dataset(2, 24, seed=2)
+    z = eval_logits(model, ds.images)
+    model.params["fc.bias"].data[1] -= np.median(z[:, 1] - z[:, 0])
+    return model, ds

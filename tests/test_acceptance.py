@@ -33,7 +33,7 @@ from wavetrain.wavelet import (
     wavelet_average_pool,
 )
 
-from conftest import central_differences, relative_errors
+from gradcheck import central_differences, relative_errors
 from test_evaluation import HighFreqEnergyModel
 from test_wavelet import dwt2d_oracle
 

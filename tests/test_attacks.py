@@ -8,6 +8,7 @@ from wavetrain.attacks import (
     AttackConfig,
     NesConfig,
     cw_pgd,
+    eval_logits,
     fgsm,
     logits_oracle,
     mim,
@@ -15,6 +16,7 @@ from wavetrain.attacks import (
     pgd,
 )
 from wavetrain.autodiff import Tensor
+from wavetrain.cli import WHITE_BOX
 from wavetrain.errors import ConfigError
 
 
@@ -58,6 +60,7 @@ class TestFgsm:
         x, y = batch
         res = fgsm(toy, x, y, AttackConfig(epsilon=0.0))
         assert np.array_equal(res.x_adv, x)
+        assert res.grad_calls == 0  # one-step PGD: a zero budget needs no gradient
 
     def test_logistic_closed_form_sign_pattern(self, toy, batch):
         x, y = batch
@@ -206,6 +209,22 @@ class TestCwPgd:
         assert np.array_equal(a.x_adv, b.x_adv)
 
 
+class TestSuccess:
+    @pytest.mark.parametrize("restarts", [1, 3])
+    @pytest.mark.parametrize("kind", list(WHITE_BOX))
+    def test_success_is_misprediction_on_x_adv(self, boundary_wrn, kind, restarts):
+        # success comes from the restart-scoring forward, selected per row;
+        # it must equal a fresh forward on the returned batch
+        model, ds = boundary_wrn
+        x, y = ds.images[:8], ds.labels[:8]
+        cfg = AttackConfig(epsilon=1e-3, step_size=5e-4, steps=2, restarts=restarts,
+                           loss_kind="cw_margin" if kind == "cw" else "cross_entropy")
+        res = WHITE_BOX[kind](model, x, y, cfg, seed=3)
+        fresh = eval_logits(model, res.x_adv).argmax(axis=1) != y
+        assert 0 < fresh.sum() < len(y)
+        assert np.array_equal(res.success, fresh)
+
+
 class TestNes:
     def test_epsilon_zero_fails_with_unchanged_input(self, toy, batch):
         x, _ = batch
@@ -258,7 +277,6 @@ def test_ball_and_box_invariants_property(kind, eps, steps, random_init, seed):
         cfg = AttackConfig(epsilon=eps, step_size=eps / 2 if eps else 0.01,
                            steps=steps, random_init=random_init,
                            loss_kind=loss_kind)
-        fn = {"fgsm": fgsm, "pgd": pgd, "mim": mim, "cw": cw_pgd}[kind]
-        res = fn(model, x, y, cfg, seed=seed)
+        res = WHITE_BOX[kind](model, x, y, cfg, seed=seed)
     assert np.abs(res.x_adv - x).max() <= eps + 1e-6
     assert res.x_adv.min() >= 0.0 and res.x_adv.max() <= 1.0

@@ -10,7 +10,7 @@ from wavetrain.autodiff import SGDMomentum, Tensor
 from wavetrain.errors import DimensionError, InputError, UsageError
 from wavetrain.model import ModelConfig, build_model
 
-from conftest import central_differences, relative_errors
+from gradcheck import central_differences, relative_errors
 
 
 def conv2d_oracle(x, w, stride, padding):

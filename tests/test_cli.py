@@ -186,6 +186,7 @@ BAD_VALUES = [
     "check theorems --set theorem.grid_points=-5",
     "train --set seed=-1",
     "heatmap --set heatmap.rows=-1",
+    "heatmap --set heatmap.rows=40",
     "eval --set data.n_val=-2",
     "heatmap --set heatmap.samples_per_cell=0",
     "attack --set attack.step_size=nan",
@@ -195,6 +196,11 @@ BAD_VALUES = [
     "eval --set data.n_val=0",
     "train --set data.num_classes=1",
     "train --set train.lr_initial=nan",
+    # the checkpoint fixture has 2 classes
+    "eval --set data.num_classes=3",
+    "attack --set data.num_classes=3",
+    "heatmap --set data.num_classes=3",
+    "gradcam --set data.num_classes=3",
 ]
 
 

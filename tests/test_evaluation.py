@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wavetrain import autodiff as ad
-from wavetrain.attacks import AttackConfig
+from wavetrain.attacks import AttackConfig, eval_logits, pgd
 from wavetrain.autodiff import Tensor
 from wavetrain.data import Dataset, synthetic_dataset
 from wavetrain.errors import InputError, ResolutionError
@@ -109,6 +109,40 @@ class TestAccuracy:
         clean = accuracy(model, ds)
         attacked = accuracy(model, ds, attack=AttackConfig(epsilon=0.0, steps=2))
         assert attacked == clean
+
+    def test_attacked_accuracy_equals_fresh_forward_on_x_adv(self, boundary_wrn):
+        model, ds = boundary_wrn
+        batches = []
+
+        def recording_pgd(model, xb, yb, cfg, seed=0):
+            res = pgd(model, xb, yb, cfg, seed=seed)
+            batches.append((res.x_adv, yb))
+            return res
+
+        acc = accuracy(model, ds, attack=AttackConfig(epsilon=1e-3, step_size=5e-4, steps=2),
+                       attack_fn=recording_pgd, batch_size=10)
+        fresh = sum(int((eval_logits(model, xa).argmax(axis=1) == yb).sum())
+                    for xa, yb in batches)
+        assert 0 < acc < 1
+        assert acc == fresh / len(ds)
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_attacked_batch_costs_one_forward_per_step_plus_one(self, boundary_wrn, steps,
+                                                                 monkeypatch):
+        # k gradient passes, then one forward that scores the final iterate
+        # and gives both success and the prediction accuracy counts
+        model, ds = boundary_wrn
+        calls = []
+        forward = model.forward
+
+        def counting_forward(*args, **kwargs):
+            calls.append(1)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(model, "forward", counting_forward)
+        accuracy(model, ds, attack=AttackConfig(epsilon=1e-3, step_size=5e-4, steps=steps),
+                 batch_size=len(ds))
+        assert len(calls) == steps + 1
 
 
 class TestFourierHeatMap:

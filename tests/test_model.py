@@ -106,11 +106,20 @@ class TestBuild:
         ("after_first_conv", 4),
         ("disabled", 8),
     ])
-    def test_pool_kernel_from_traced_sizes(self, position, expected):
+    def test_pool_kernel_from_traced_sizes(self, position, expected, monkeypatch):
         cfg = small_cfg(wap_position=position,
                         wavelet_base=None if position == "disabled" else "haar")
         model = build_model(cfg, seed=0)
-        assert model._sizes["pool_kernel"] == expected
+        kernels = []
+        pool = ad.avg_pool2d
+
+        def recording_pool(x, kernel):
+            kernels.append(kernel)
+            return pool(x, kernel)
+
+        monkeypatch.setattr(ad, "avg_pool2d", recording_pool)
+        model.forward(Tensor(np.zeros((1, 3, 32, 32), dtype=np.float32)))
+        assert kernels == [expected]
 
     def test_wap_feature_map_is_4x4_before_avg_pool(self, rng):
         model = build_model(small_cfg(), seed=0)

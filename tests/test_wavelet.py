@@ -18,7 +18,7 @@ from wavetrain.wavelet import (
     wavelet_low_pass_pool,
 )
 
-from conftest import central_differences, relative_errors
+from gradcheck import central_differences, relative_errors
 
 SQRT2 = np.sqrt(2.0)
 
