@@ -10,7 +10,10 @@ convolution whose columns fit in one block accumulate in float64 before
 rounding back to float32, which keeps finite-difference gradient checks
 stable. Larger convolutions stream their im2col columns through batch blocks
 of at most ``_BLOCK`` elements with float32 BLAS, so no full column matrix is
-ever built or kept on the tape.
+ever built or kept on the tape. The convolution's input gradient is one
+float32 GEMM per block over the output gradient laid out on the stride-phase
+grids of the padded input, followed by one contiguous shifted add per kernel
+tap (kn2row; Anderson et al. 2017, arXiv:1709.03395) - no scatter.
 
 There is no GPU path, no higher-order differentiation and no mixed
 precision; single-sequence execution is bit-deterministic.
@@ -284,7 +287,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # Largest number of im2col elements gathered at once (~1 MB of float32, so a
 # block's columns stay in L2). A convolution runs over batch blocks of at most
 # this many column elements; one whose columns fit in a single block
-# accumulates in float64, where the tight oracle tolerances bind.
+# accumulates its forward and weight gradient in float64, where the tight
+# oracle tolerances bind. The input gradient walks the same blocks: its tap
+# GEMM output spans each sample's stride-phase grids instead of its outputs,
+# hq*wq / (out_h*out_w) times a block's columns (2.25x for a padded 3x3 conv
+# on a 4x4 map).
 _BLOCK = 1 << 18
 
 
@@ -298,17 +305,6 @@ def _im2col(xp, kh, kw, stride, out_h, out_w):
         strides=(sc, sh, sw, sn, sh * stride, sw * stride),
     )
     return np.ascontiguousarray(windows)
-
-
-def _col2im(cols, acc, stride):
-    """Adjoint of _im2col: scatter-add (C,kh,kw,N,out_h,out_w) columns into
-    the (N,C,Hp,Wp) accumulator ``acc`` in place."""
-    _, kh, kw, _, out_h, out_w = cols.shape
-    for i in range(kh):
-        for j in range(kw):
-            acc[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride] += cols[
-                :, i, j
-            ].transpose(1, 0, 2, 3)
 
 
 def _gemm(a, b, wide):
@@ -358,26 +354,58 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
         out[:, s0:s1] = _gemm(w2, cols, small).reshape(k, s1 - s0, out_h, out_w)
     out = out.transpose(1, 0, 2, 3)
 
-    # the padded input is what dw re-gathers its columns from; dx needs only w2
+    # the padded input is what dw re-gathers its columns from; dx needs only
+    # the weight
     saved = xp if weight.requires_grad else None
+
+    # dx (kn2row): output (oy, ox) of tap (i, j) reads padded input
+    # (oy*s + i, ox*s + j), i.e. cell (oy + i//s, ox + j//s) of stride phase
+    # (i%s, j%s). With g laid out on each sample's (hq, wq) phase grid, one
+    # GEMM gives every tap's contribution, and tap (i, j) adds as one
+    # contiguous run into its phase's flat channel-major block accumulator,
+    # shifted by (i//s)*wq + j//s. Real cells never cross a grid row, so the
+    # zero columns outside the (out_h, out_w) corner are all that shift into
+    # the next row, channel or the tail.
+    hq, wq = -(-hp // stride), -(-wp // stride)
+    tail = (kh - 1) // stride * wq + (kw - 1) // stride
+    ph, pw = min(kh, stride), min(kw, stride)  # the phases some tap reaches
 
     def backward(g):
         want_dw = saved is not None and weight.requires_grad
         dw = None
-        dxp = np.zeros((n, c, hp, wp), dtype=np.float32) if x.requires_grad else None
+        if x.requires_grad:
+            dx = np.zeros((n, c, h, w), dtype=np.float32)
+            wt = weight.data.transpose(2, 3, 1, 0).reshape(kh * kw * c, k)
         for s0, s1 in blocks:
-            g2 = np.ascontiguousarray(g[s0:s1].transpose(1, 0, 2, 3)).reshape(k, -1)
             if want_dw:
+                g2 = np.ascontiguousarray(g[s0:s1].transpose(1, 0, 2, 3)).reshape(k, -1)
                 cols = _im2col(saved[s0:s1], kh, kw, stride, out_h, out_w).reshape(rows, -1)
                 part = _gemm(g2, cols.T, small)
                 dw = part if dw is None else dw + part
-            if dxp is not None:
-                dcols = (w2.T @ g2).reshape(c, kh, kw, s1 - s0, out_h, out_w)
-                _col2im(dcols, dxp[s0:s1], stride)
+            if x.requires_grad:
+                nb = s1 - s0
+                gp = np.zeros((k, nb, hq, wq), dtype=np.float32)
+                gp[:, :, :out_h, :out_w] = g[s0:s1].transpose(1, 0, 2, 3)
+                d = (wt @ gp.reshape(k, -1)).reshape(kh, kw, -1)
+                span = d.shape[-1]
+                phases = np.zeros((ph, pw, span + tail), dtype=np.float32)
+                for i in range(kh):  # taps in increasing (i, j) order
+                    for j in range(kw):
+                        off = i // stride * wq + j // stride
+                        phases[i % stride, j % stride, off : off + span] += d[i, j]
+                grids = phases[:, :, :span].reshape(ph, pw, c, nb, hq, wq)
+                # input row y sits in phase (y + padding) % s, cell (y + padding) // s
+                for a in range(ph):
+                    for b in range(pw):
+                        ya, xb = (a - padding) % stride, (b - padding) % stride
+                        dst = dx[s0:s1, :, ya::stride, xb::stride]
+                        qa, qb = (ya + padding) // stride, (xb + padding) // stride
+                        src = grids[a, b, :, :, qa : qa + dst.shape[2], qb : qb + dst.shape[3]]
+                        dst[...] = src.transpose(1, 0, 2, 3)
         if want_dw:
             weight._accumulate(dw.reshape(weight.data.shape))
-        if dxp is not None:
-            x._accumulate(dxp[:, :, padding : padding + h, padding : padding + w])
+        if x.requires_grad:
+            x._accumulate(dx)
 
     return _make(out, (x, weight), backward)
 

@@ -67,7 +67,12 @@ def _load_datasets(cfg: RunConfig):
     """Returns (train, val) per the data.* settings."""
     if cfg["data.source"] == "synthetic":
         total = cfg["data.n_train"] + cfg["data.n_val"]
-        full = synthetic_dataset(cfg["data.num_classes"], total, seed=cfg["seed"])
+        try:
+            full = synthetic_dataset(cfg["data.num_classes"], total, seed=cfg["seed"])
+        except (ValueError, MemoryError) as exc:
+            # numpy rejects a size it cannot index or the OS cannot allocate
+            raise ConfigError(f"data.n_train + data.n_val = {total} samples do not fit "
+                              f"in memory: {exc}") from None
         train = full.subset(np.arange(cfg["data.n_train"]))
         val = full.subset(np.arange(cfg["data.n_train"], total))
         return train, val
@@ -186,7 +191,8 @@ def cmd_attack(cfg: RunConfig, out_dir: str, args) -> int:
         )
         res = nes_attack(logits_oracle(model), val.images, val.labels, ncfg,
                          seed=cfg["seed"])
-        robust = float(np.mean(eval_logits(model, res.x_adv).argmax(axis=1) == val.labels))
+        # each success[i] is the oracle's prediction on the x_adv[i] returned
+        robust = float(np.mean(~res.success))
         rows = [(kind, ncfg.epsilon, clean, robust, float(res.success.mean()),
                  float(res.queries.mean()))]
         header = ("kind", "epsilon", "clean_acc", "robust_acc", "success_rate",

@@ -188,7 +188,11 @@ def load_config(path=None, overrides=()) -> RunConfig:
     """Parse an optional config file, then apply key=value overrides."""
     if path is not None:
         with open(path, "r", encoding="utf-8") as f:
-            cfg = parse_config_text(f.read())
+            try:
+                text = f.read()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+        cfg = parse_config_text(text)
     else:
         cfg = RunConfig()
     if overrides:

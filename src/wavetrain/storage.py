@@ -146,8 +146,12 @@ def load_checkpoint(path) -> Model:
         rank = r.u32("rank")
         dims = struct.unpack(f"<{rank}I", r.take(4 * rank, "dims"))
         size = math.prod(dims)  # a Python int: huge dims fail as truncation, not overflow
+        start = r.pos
         payload = r.take(4 * size, f"payload of {name}")
-        arr = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+        try:
+            arr = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+        except ValueError as exc:  # a rank numpy cannot represent
+            raise FormatError(f"record {name!r}: {exc}", offset=start) from None
         items.append((name, arr))
     if r.pos != len(r.blob):
         raise FormatError("trailing bytes after last record", offset=r.pos)

@@ -54,6 +54,97 @@ def conv2d_oracle_adjoint(x, w, g, stride, padding):
     return dxp[:, :, padding : padding + h, padding : padding + wd], dw
 
 
+def col2im_input_grad(w, g, stride, padding, h, wd):
+    """The scatter adjoint conv2d's input gradient replaced: per batch block of
+    ad._BLOCK im2col elements, one float32 GEMM gives the columns' gradient
+    W2^T g, and _col2im adds tap (i, j) of it into the strided window of the
+    padded input, taps in increasing (i, j) order."""
+    n, k, oh, ow = g.shape
+    _, c, kh, kw = w.shape
+    rows = c * kh * kw
+    step = max(1, ad._BLOCK // (rows * oh * ow))
+    w2 = w.reshape(k, rows)
+    dxp = np.zeros((n, c, h + 2 * padding, wd + 2 * padding), dtype=np.float32)
+    for s0 in range(0, n, step):
+        s1 = min(s0 + step, n)
+        g2 = np.ascontiguousarray(g[s0:s1].transpose(1, 0, 2, 3)).reshape(k, -1)
+        dcols = (w2.T @ g2).reshape(c, kh, kw, s1 - s0, oh, ow)
+        _col2im(dcols, dxp[s0:s1], stride)
+    return dxp[:, :, padding : padding + h, padding : padding + wd]
+
+
+def _col2im(cols, acc, stride):
+    """Adjoint of the im2col window gather: scatter-add (C,kh,kw,N,out_h,out_w)
+    columns into the (N,C,Hp,Wp) accumulator ``acc`` in place."""
+    _, kh, kw, _, out_h, out_w = cols.shape
+    for i in range(kh):
+        for j in range(kw):
+            acc[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride] += cols[
+                :, i, j
+            ].transpose(1, 0, 2, 3)
+
+
+def model_conv_shapes(monkeypatch, cfg):
+    """((C, H, W), weight shape, stride, padding) of every conv2d the model runs."""
+    shapes = set()
+    conv2d = ad.conv2d
+
+    def record(x, w, stride=1, padding=0):
+        shapes.add((x.shape[1:], w.shape, stride, padding))
+        return conv2d(x, w, stride, padding)
+
+    with monkeypatch.context() as m:
+        m.setattr(ad, "conv2d", record)
+        build_model(cfg, seed=0).forward(Tensor(np.zeros((1, 3, 32, 32))), training=False)
+    return sorted(shapes)
+
+
+BATCHES = (1, 3, 8, 25, 32, 64)
+
+
+def assert_input_grad_matches_col2im(rng, n, cin_hw, wshape, stride, padding):
+    x = rng.standard_normal((n,) + tuple(cin_hw)).astype(np.float32)
+    w = (rng.standard_normal(wshape) / np.sqrt(np.prod(wshape[1:]))).astype(np.float32)
+    want = None
+    for trainable in (False, True):
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=trainable)
+        out = ad.conv2d(xt, wt, stride=stride, padding=padding)
+        if want is None:
+            g = rng.standard_normal(out.shape).astype(np.float32)
+            want = col2im_input_grad(w, g, stride, padding, *cin_hw[1:])
+        ad.mul(out, Tensor(g)).sum().backward()
+        assert xt.grad.shape == want.shape
+        assert xt.grad.tobytes() == np.ascontiguousarray(want).tobytes(), (n, trainable)
+
+
+class TestConvInputGradBytes:
+    """conv2d's phase/shift input gradient equals the col2im scatter bit for bit."""
+
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("position", ["after_first_conv", "before_final_relu",
+                                          "after_final_relu"])
+    def test_model_shapes(self, rng, monkeypatch, position, width):
+        cfg = ModelConfig(depth=1, width=width, num_classes=2, wap_position=position)
+        for cin_hw, wshape, stride, padding in model_conv_shapes(monkeypatch, cfg):
+            for n in BATCHES:
+                assert_input_grad_matches_col2im(rng, n, cin_hw, wshape, stride, padding)
+
+    # (C, H, W), weight shape, stride, padding: stride 3, 2x2 and 3x1
+    # kernels, odd and non-square maps, kernels below and above the stride
+    @pytest.mark.parametrize("cin_hw,wshape,stride,padding", [
+        ((3, 7, 7), (4, 3, 3, 3), 3, 1),
+        ((4, 13, 13), (3, 4, 3, 3), 3, 0),
+        ((2, 5, 5), (3, 2, 1, 1), 3, 0),
+        ((5, 9, 11), (6, 5, 2, 2), 1, 0),
+        ((5, 9, 9), (6, 5, 2, 2), 2, 1),
+        ((3, 7, 9), (4, 3, 3, 3), 2, 1),
+        ((3, 8, 8), (4, 3, 3, 1), 1, 0),
+    ])
+    def test_odd_shapes(self, rng, cin_hw, wshape, stride, padding):
+        for n in BATCHES:
+            assert_input_grad_matches_col2im(rng, n, cin_hw, wshape, stride, padding)
+
+
 class TestConv2d:
     def test_scalar_product(self):
         x = Tensor(np.full((1, 1, 1, 1), 3.0))

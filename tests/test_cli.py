@@ -5,6 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
+from wavetrain import cli
 from wavetrain.cli import main
 from wavetrain.config import parse_config_text
 from wavetrain.model import ModelConfig, build_model
@@ -88,10 +89,15 @@ class TestEvalAndAttack:
                    "--set", "attack.kind=nes",
                    "--set", "nes.max_queries=40",
                    "--set", "nes.samples_per_step=5",
-                   "--set", "data.n_train=64", "--set", "data.n_val=8"])
+                   "--set", "data.n_train=64", "--set", "data.n_val=5"])
         assert rc == 0
         header, rows = read_csv(out / "attack.csv")
         assert float(rows[0][header.index("mean_queries")]) <= 40
+        # an odd row count, so the two rates cannot both be 1/2; the CSV
+        # keeps 8 significant digits
+        robust = float(rows[0][header.index("robust_acc")])
+        success = float(rows[0][header.index("success_rate")])
+        assert robust == pytest.approx(1.0 - success, abs=1e-7)
 
     def test_missing_checkpoint_is_format_error(self, tmp_path):
         rc = main(["eval", "--checkpoint", str(tmp_path / "nope.ckpt"),
@@ -201,6 +207,9 @@ BAD_VALUES = [
     "attack --set data.num_classes=3",
     "heatmap --set data.num_classes=3",
     "gradcam --set data.num_classes=3",
+    # numpy rejects these sizes before allocating anything
+    "train --set data.n_train=99999999999999999999999",
+    "eval --set data.n_val=9223372036854775807",
 ]
 
 
@@ -216,6 +225,24 @@ class TestErrors:
         assert rc == 2
         assert "error[config]" in err
         assert "Traceback" not in err
+
+    def test_non_utf8_config_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"seed=1\n\xff\n")
+        rc = main(["train", "--config", str(path), "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "error[config]" in err
+
+    def test_unallocatable_data_size_exit_2(self, tmp_path, capsys, monkeypatch):
+        def refuse(num_classes, n, seed):
+            raise MemoryError(f"Unable to allocate {n} samples")
+
+        monkeypatch.setattr(cli, "synthetic_dataset", refuse)
+        rc = main(["train", "--out-dir", str(tmp_path / "o"), "--set", "data.n_train=4000000000"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "error[config]" in err and "data.n_train" in err
 
     def test_unknown_config_key_exit_2(self, tmp_path):
         rc = main(["check", "wavelet", "--out-dir", str(tmp_path / "x"),

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavetrain.autodiff import Tensor
-from wavetrain.config import RunConfig, load_config, parse_config_text
+from wavetrain.config import SCHEMA, RunConfig, load_config, parse_config_text
 from wavetrain.data import load_cifar10, split_train_val, synthetic_dataset
 from wavetrain.errors import ConfigError, FormatError, InputError
 from wavetrain.model import POOLING_VARIANTS, WAP_POSITIONS, ModelConfig, build_model
@@ -177,6 +177,10 @@ class TestCheckpoint:
         (b"num_classes=2\n", b"num_classes=3\n", "shape mismatch"),     # DimensionError
         (b"stem.weight", b"stem.weigh\xff", "name is not UTF-8"),
         (b"stem.weight", b"stem.weighz", "unknown parameter"),           # ConfigError
+        # rank 70 with a zero dim: an empty payload numpy cannot reshape
+        pytest.param(b"stem.weight" + struct.pack("<5I", 4, 16, 3, 3, 3),
+                     b"stem.weight" + struct.pack("<5I", 70, 16, 0, 3, 3),
+                     "record 'stem.weight'", id="rank-70-empty-payload"),
     ])
     def test_crc_valid_malformed_content_is_format_error(self, tmp_path, old, new, match):
         path = tmp_path / "model.ckpt"
@@ -234,6 +238,76 @@ class TestCheckpointConfigText:
     @given(model_configs())
     def test_round_trip(self, cfg):
         assert _config_from_text(_config_to_text(cfg)) == cfg
+
+
+run_config_lines = st.tuples(
+    st.one_of(st.sampled_from(sorted(SCHEMA)), st.text(max_size=8)),
+    st.one_of(st.integers(-(2 ** 70), 2 ** 70).map(str),
+              st.floats(allow_nan=True, allow_infinity=True).map(repr),
+              st.sampled_from(("none", "true", "false", "1,2", "[3, 5]", "", "nan", "-inf")),
+              st.text(max_size=12)),
+).map(lambda kv: f"{kv[0]}={kv[1]}")
+
+
+@st.composite
+def cifar_blobs(draw):
+    """Whole records with arbitrary label and pixel bytes, or any byte string."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=2 * 3073 + 3))
+    labels = draw(st.lists(st.integers(0, 255), min_size=1, max_size=3))
+    pixels = draw(st.binary(min_size=3072, max_size=3072))
+    return b"".join(bytes([lab]) + pixels for lab in labels)
+
+
+def _checkpoint_blob(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "model.ckpt"
+    save_checkpoint(build_model(ModelConfig(depth=1, width=1, num_classes=2), seed=0), path)
+    return path.read_bytes()
+
+
+class TestReaderFuzz:
+    """Readers of outside input raise only their documented error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(run_config_lines, max_size=8).map("\n".join) | st.text(max_size=80))
+    def test_config_text_raises_only_config_error(self, text):
+        try:
+            cfg = parse_config_text(text)
+        except ConfigError:
+            return
+        assert isinstance(cfg, RunConfig)
+
+    @settings(max_examples=100, deadline=None)
+    @given(blob=cifar_blobs())
+    def test_cifar_bytes_raise_only_format_error(self, tmp_path_factory, blob):
+        path = tmp_path_factory.mktemp("cifar") / "batch.bin"
+        path.write_bytes(blob)
+        try:
+            ds = load_cifar10(path)
+        except FormatError:
+            return
+        assert len(ds) * 3073 == len(blob)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_edited_checkpoint_raises_only_format_error(self, tmp_path_factory, data):
+        blob = bytearray(_checkpoint_blob(tmp_path_factory))
+        # most bytes are float payload, so half the edits land in the header
+        position = st.integers(0, len(blob) - 5) | st.integers(0, 200)
+        for at, value in data.draw(st.lists(st.tuples(position, st.integers(0, 255)),
+                                            min_size=1, max_size=4)):
+            blob[at] = value
+        if data.draw(st.booleans()):
+            del blob[data.draw(st.integers(0, len(blob) - 4)):-4]
+        if data.draw(st.booleans()):  # a valid CRC sends the edit on to the parser
+            blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
+        path = tmp_path_factory.mktemp("ckpt") / "edited.ckpt"
+        path.write_bytes(bytes(blob))
+        try:
+            model = load_checkpoint(path)
+        except FormatError:
+            return
+        assert model.params
 
 
 class TestPgmCsv:
