@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .attacks import (
     AttackConfig, NesConfig, cw_pgd, eval_logits, fgsm, logits_oracle, mim, nes_attack, pgd,
 )
 from .autodiff import Tensor
-from .config import RunConfig, load_config
+from .config import SCHEMA, RunConfig, load_config
 from .data import data_root, load_cifar10, split_train_val, synthetic_dataset
 from .errors import (
     ConfigError,
@@ -95,47 +96,26 @@ def _checkpoint_and_val(cfg: RunConfig, args):
     return model, val
 
 
+def _build(cls, cfg: RunConfig, prefix: str, **given):
+    """A ``cls`` with every field that has a ``prefix + name`` key in SCHEMA
+    taken from ``cfg``; ``given`` supplies the others it needs."""
+    keyed = {f.name: cfg[prefix + f.name] for f in fields(cls) if prefix + f.name in SCHEMA}
+    return cls(**keyed, **given)
+
+
 def _model_config(cfg: RunConfig, num_classes: int) -> ModelConfig:
-    return ModelConfig(
-        depth=cfg["model.depth"],
-        width=cfg["model.width"],
-        num_classes=num_classes,
-        wavelet_base=cfg["model.wavelet_base"],
-        wap_position=cfg["model.wap_position"],
-        pooling_variant=cfg["model.pooling_variant"],
-    )
+    return _build(ModelConfig, cfg, "model.", num_classes=num_classes)
 
 
 def _train_config(cfg: RunConfig) -> TrainConfig:
-    return TrainConfig(
-        epochs=cfg["train.epochs"],
-        batch_size=cfg["train.batch_size"],
-        lr_initial=cfg["train.lr_initial"],
-        lr_milestones=cfg["train.lr_milestones"],
-        momentum=cfg["train.momentum"],
-        weight_decay=cfg["train.weight_decay"],
-        early_stop_patience=cfg["train.early_stop_patience"],
-        train_attack=AttackConfig(
-            epsilon=cfg["train.attack_epsilon"],
-            step_size=cfg["train.attack_step_size"],
-            steps=cfg["train.attack_steps"],
-            random_init=cfg["train.attack_epsilon"] > 0,
-        ),
-        seed=cfg["seed"],
-    )
+    attack = _build(AttackConfig, cfg, "train.attack_",
+                    random_init=cfg["train.attack_epsilon"] > 0)
+    return _build(TrainConfig, cfg, "train.", train_attack=attack, seed=cfg["seed"])
 
 
 def _attack_config(cfg: RunConfig, kind: str) -> AttackConfig:
-    return AttackConfig(
-        epsilon=cfg["attack.epsilon"],
-        step_size=cfg["attack.step_size"],
-        steps=cfg["attack.steps"],
-        random_init=cfg["attack.random_init"],
-        restarts=cfg["attack.restarts"],
-        decay=cfg["attack.decay"],
-        loss_kind="cw_margin" if kind == "cw" else "cross_entropy",
-        kappa=cfg["attack.kappa"],
-    )
+    loss_kind = "cw_margin" if kind == "cw" else "cross_entropy"
+    return _build(AttackConfig, cfg, "attack.", loss_kind=loss_kind)
 
 
 def _eval_attacks(model, val, cfg: RunConfig) -> tuple:
@@ -180,27 +160,25 @@ def cmd_eval(cfg: RunConfig, out_dir: str, args) -> int:
 
 
 def cmd_attack(cfg: RunConfig, out_dir: str, args) -> int:
-    model, val = _checkpoint_and_val(cfg, args)
     kind = cfg["attack.kind"]
+    if kind == "nes":
+        acfg = _build(NesConfig, cfg, "nes.")
+    elif kind in WHITE_BOX:
+        acfg = _attack_config(cfg, kind)
+    else:
+        raise ConfigError(f"unknown attack.kind {kind!r}")
+    model, val = _checkpoint_and_val(cfg, args)
     clean = accuracy(model, val)
     if kind == "nes":
-        ncfg = NesConfig(
-            epsilon=cfg["nes.epsilon"], fd_eta=cfg["nes.fd_eta"], lr=cfg["nes.lr"],
-            max_queries=cfg["nes.max_queries"],
-            samples_per_step=cfg["nes.samples_per_step"],
-        )
-        res = nes_attack(logits_oracle(model), val.images, val.labels, ncfg,
+        res = nes_attack(logits_oracle(model), val.images, val.labels, acfg,
                          seed=cfg["seed"])
         # each success[i] is the oracle's prediction on the x_adv[i] returned
         robust = float(np.mean(~res.success))
-        rows = [(kind, ncfg.epsilon, clean, robust, float(res.success.mean()),
+        rows = [(kind, acfg.epsilon, clean, robust, float(res.success.mean()),
                  float(res.queries.mean()))]
         header = ("kind", "epsilon", "clean_acc", "robust_acc", "success_rate",
                   "mean_queries")
     else:
-        if kind not in WHITE_BOX:
-            raise ConfigError(f"unknown attack.kind {kind!r}")
-        acfg = _attack_config(cfg, kind)
         robust = accuracy(model, val, attack=acfg, attack_fn=WHITE_BOX[kind],
                           seed=cfg["seed"])
         rows = [(kind, acfg.epsilon, clean, robust, 1.0 - robust, 0.0)]

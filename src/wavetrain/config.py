@@ -3,14 +3,20 @@
 Files hold one ``key=value`` per line ('#' starts a comment); command-line
 overrides use the same syntax. Unknown keys are rejected, and every run
 writes its fully resolved configuration next to its outputs so the exact
-settings can be re-parsed and re-run.
+settings can be re-parsed and re-run. The model, train, attack and NES keys
+are generated from the fields of the library config objects, so each of
+those settings has one type and one default.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional, get_type_hints
 
+from .attacks import AttackConfig, NesConfig
 from .errors import ConfigError
+from .model import ModelConfig
+from .training import TrainConfig
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
@@ -46,7 +52,22 @@ _PARSERS = {
     "int_list": _parse_int_list,
 }
 
-# key -> (type tag, default)
+_TAGS = {int: "int", float: "float", bool: "bool", str: "str", Optional[str]: "opt_str",
+         tuple: "int_list"}
+
+
+def _section(prefix, default, names):
+    """SCHEMA rows ``prefix + name -> (type tag, default)`` for the named fields
+    of the config object ``default``: the tag from the field's annotation, the
+    default from the object."""
+    hints = get_type_hints(type(default))
+    return {prefix + name: (_TAGS[hints[name]], getattr(default, name)) for name in names}
+
+
+_TRAIN = TrainConfig(epochs=5)
+
+# key -> (type tag, default). The model.*, train.*, attack.* and nes.* keys are
+# fields of the library config objects; the objects below are the CLI defaults.
 SCHEMA = {
     "seed": ("int", 0),
     "data.source": ("str", "synthetic"),          # synthetic | cifar10
@@ -54,34 +75,17 @@ SCHEMA = {
     "data.num_classes": ("int", 2),
     "data.n_train": ("int", 2000),
     "data.n_val": ("int", 500),
-    "model.depth": ("int", 1),
-    "model.width": ("int", 1),
-    "model.wavelet_base": ("opt_str", "haar"),
-    "model.wap_position": ("str", "after_final_relu"),
-    "model.pooling_variant": ("str", "wap"),
-    "train.epochs": ("int", 5),
-    "train.batch_size": ("int", 128),
-    "train.lr_initial": ("float", 0.1),
-    "train.lr_milestones": ("int_list", ()),
-    "train.momentum": ("float", 0.9),
-    "train.weight_decay": ("float", 5e-4),
-    "train.early_stop_patience": ("int", 0),
-    "train.attack_epsilon": ("float", 0.031),
-    "train.attack_steps": ("int", 10),
-    "train.attack_step_size": ("float", 2.0 / 255.0),
+    **_section("model.", ModelConfig(depth=1, width=1),
+               ("depth", "width", "wavelet_base", "wap_position", "pooling_variant")),
+    **_section("train.", _TRAIN, ("epochs", "batch_size", "lr_initial", "lr_milestones",
+                                  "momentum", "weight_decay", "early_stop_patience")),
+    **_section("train.attack_", _TRAIN.train_attack, ("epsilon", "steps", "step_size")),
     "attack.kind": ("str", "pgd"),                # fgsm | pgd | mim | cw | nes
-    "attack.epsilon": ("float", 0.031),
-    "attack.step_size": ("float", 2.0 / 255.0),
-    "attack.steps": ("int", 20),
-    "attack.random_init": ("bool", True),
-    "attack.restarts": ("int", 1),
-    "attack.decay": ("float", 1.0),
-    "attack.kappa": ("float", 0.0),
-    "nes.epsilon": ("float", 0.05),
-    "nes.fd_eta": ("float", 2.55 / 255.0),
-    "nes.lr": ("float", 2.55 / 255.0),
-    "nes.max_queries": ("int", 10000),
-    "nes.samples_per_step": ("int", 25),
+    **_section("attack.", AttackConfig(epsilon=0.031), ("epsilon", "step_size", "steps",
+                                                        "random_init", "restarts", "decay",
+                                                        "kappa")),
+    **_section("nes.", NesConfig(), ("epsilon", "fd_eta", "lr", "max_queries",
+                                     "samples_per_step")),
     "heatmap.eps_f": ("float", 4.0),
     "heatmap.samples_per_cell": ("int", 32),
     "heatmap.rows": ("int", 0),                   # 0 = full half-spectrum

@@ -241,12 +241,8 @@ def theorem_decay_check(base: str, alpha: float, scales: Sequence[float],
 class LocalRegularityResult:
     passed: bool
     max_ratio: float
-    median_ratio: float
     ratios_by_refinement: list         # per refinement: (max, median)
-    modulus_deltas: list
-    modulus_values: list
     modulus_halving_ratios: list       # M(d/2)/M(d), theory: 2**-alpha
-    fitted_c: float
     log_refined_max_ratio: float       # Theorem-3.4 style ratio, reported only
 
     def __bool__(self):
@@ -299,16 +295,11 @@ def theorem_local_regularity_check(base: str, alpha: float, x0: float = 0.5,
     halving = [values[i + 1] / values[i] for i in range(len(values) - 1)]
     target = 2.0 ** -alpha
     halving_ok = all(abs(r - target) <= halving_tolerance * target for r in halving)
-    fitted_c = max(v / d ** alpha for v, d in zip(values, deltas))
 
     return LocalRegularityResult(
         passed=bounded and halving_ok,
         max_ratio=per_refinement[0][0],
-        median_ratio=per_refinement[0][1],
         ratios_by_refinement=per_refinement,
-        modulus_deltas=deltas,
-        modulus_values=values,
         modulus_halving_ratios=halving,
-        fitted_c=fitted_c,
         log_refined_max_ratio=log_refined,
     )

@@ -24,10 +24,11 @@ from typing import get_type_hints
 import numpy as np
 
 from .errors import ConfigError, DimensionError, FormatError, UnsupportedBaseError
-from .model import Model, ModelConfig, build_model
+from .model import GROUP_STRIDES, Model, ModelConfig, build_model, expected_param_count
 
 MAGIC = b"WWRN"
 VERSION = 1
+_RECORDS_PER_BLOCK = 10  # two batch norms of two parameters and two buffers, two convs
 
 
 def _config_to_text(cfg: ModelConfig) -> str:
@@ -155,6 +156,17 @@ def load_checkpoint(path) -> Model:
         items.append((name, arr))
     if r.pos != len(r.blob):
         raise FormatError("trailing bytes after last record", offset=r.pos)
+
+    # bound the config by the records before building anything that grows
+    # with its depth or width
+    blocks = len(GROUP_STRIDES) * cfg.depth
+    if blocks * _RECORDS_PER_BLOCK > count:
+        raise FormatError(f"config names {blocks} residual blocks but the file holds "
+                          f"only {count} records")
+    params, held = expected_param_count(cfg), sum(arr.size for _, arr in items)
+    if params > held:
+        raise FormatError(f"config implies {params} parameters but the records hold "
+                          f"only {held} values")
 
     # the file passed its CRC, so a model it cannot describe is a format
     # error of the file, not a configuration error of the caller

@@ -230,32 +230,28 @@ def _check_even_spatial(x):
         raise DimensionError(f"spatial dims must be even and >= 2, got {h}x{w}")
 
 
+def _separable(x: Tensor, fh, fw) -> Tensor:
+    """Filter-and-downsample with ``fw`` along width then ``fh`` along height;
+    the backward is the adjoint, height first."""
+    _check_even_spatial(x)
+    out = _correlate_down(_correlate_down(x.data, fw, -1), fh, -2)
+
+    def backward(grad):
+        if x.requires_grad:
+            d = _up_convolve(_up_convolve(grad, fh, -2), fw, -1)
+            x._accumulate(d.astype(np.float32))
+
+    return ad._make(out.astype(np.float32), (x,), backward)
+
+
 def dwt2d(x: Tensor, fb: FilterBank) -> SubbandSet:
     """One-level separable 2-D DWT with periodic extension; differentiable."""
-    _check_even_spatial(x)
     lo, hi = fb.lo_a, fb.hi_a
-    lw = _correlate_down(x.data, lo, -1)
-    hw = _correlate_down(x.data, hi, -1)
-    bands = {
-        "ll": _correlate_down(lw, lo, -2).astype(np.float32),
-        "hl": _correlate_down(lw, hi, -2).astype(np.float32),
-        "lh": _correlate_down(hw, lo, -2).astype(np.float32),
-        "hh": _correlate_down(hw, hi, -2).astype(np.float32),
-    }
-
-    def _band(name, fh, fw):
-        def backward(g):
-            if x.requires_grad:
-                d = _up_convolve(_up_convolve(g, fh, -2), fw, -1)
-                x._accumulate(d.astype(np.float32))
-
-        return ad._make(bands[name], (x,), backward)
-
     return SubbandSet(
-        ll=_band("ll", lo, lo),
-        lh=_band("lh", lo, hi),
-        hl=_band("hl", hi, lo),
-        hh=_band("hh", hi, hi),
+        ll=_separable(x, lo, lo),
+        lh=_separable(x, lo, hi),
+        hl=_separable(x, hi, lo),
+        hh=_separable(x, hi, hi),
     )
 
 
@@ -282,20 +278,6 @@ def idwt2d(s: SubbandSet, fb: FilterBank) -> Tensor:
     return ad._make(out.astype(np.float32), (ll, lh, hl, hh), backward)
 
 
-def _separable_pool(x: Tensor, f) -> Tensor:
-    """Filter-and-downsample with ``f`` along width then height; the
-    backward is the adjoint, height first."""
-    _check_even_spatial(x)
-    out = _correlate_down(_correlate_down(x.data, f, -1), f, -2)
-
-    def backward(grad):
-        if x.requires_grad:
-            d = _up_convolve(_up_convolve(grad, f, -2), f, -1)
-            x._accumulate(d.astype(np.float32))
-
-    return ad._make(out.astype(np.float32), (x,), backward)
-
-
 def wavelet_average_pool(x: Tensor, fb: FilterBank) -> Tensor:
     """Average of the four one-level subbands: 0.25*(ll+lh+hl+hh).
 
@@ -304,7 +286,8 @@ def wavelet_average_pool(x: Tensor, fb: FilterBank) -> Tensor:
     separable filtering with (lo+hi)/2 along each axis, which is what runs
     here; ``dwt2d`` plus explicit averaging gives the same map.
     """
-    return _separable_pool(x, 0.5 * (fb.lo_a + fb.hi_a))
+    f = 0.5 * (fb.lo_a + fb.hi_a)
+    return _separable(x, f, f)
 
 
 def wavelet_low_pass_pool(x: Tensor, fb: FilterBank) -> Tensor:
@@ -313,7 +296,7 @@ def wavelet_low_pass_pool(x: Tensor, fb: FilterBank) -> Tensor:
     Only the lowpass filter runs, so the result equals ``dwt2d(x, fb).ll``
     without computing the three detail subbands.
     """
-    return _separable_pool(x, fb.lo_a)
+    return _separable(x, fb.lo_a, fb.lo_a)
 
 
 def wap_lipschitz_estimate(fb: FilterBank, spatial: int = 16, iters: int = 60, seed: int = 0) -> float:

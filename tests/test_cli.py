@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from wavetrain import cli
+from wavetrain.attacks import AttackConfig, NesConfig
 from wavetrain.cli import main
-from wavetrain.config import parse_config_text
+from wavetrain.config import SCHEMA, RunConfig, load_config, parse_config_text
 from wavetrain.model import ModelConfig, build_model
 from wavetrain.storage import save_checkpoint
+from wavetrain.training import TrainConfig
 
 FAST = [
     "--set", "data.n_train=64",
@@ -188,6 +190,59 @@ class TestSweeps:
         assert [r[0] for r in rows] == ["with_wavelet", "without_wavelet", "delta"]
 
 
+# the keys that are fields of a library config object
+FIELD_KEYS = [k for k in SCHEMA
+              if k.split(".")[0] in ("model", "train", "attack", "nes") and k != "attack.kind"]
+STR_VALUES = {"model.wavelet_base": "db5", "model.wap_position": "before_final_relu",
+              "model.pooling_variant": "lpf"}
+
+
+def _distinct_value(key):
+    """An in-range value for ``key`` that differs from its default."""
+    tag, default = SCHEMA[key]
+    if tag == "int":
+        return str(default + 1)
+    if tag == "float":
+        return repr(default / 2 + 0.01)
+    if tag == "bool":
+        return "false" if default else "true"
+    if tag == "int_list":
+        return "1,3"
+    return STR_VALUES[key]
+
+
+def _built_fields(cfg, key):
+    """(object, field) pairs the CLI builders fill from ``key``."""
+    section, _, name = key.partition(".")
+    if key.startswith("train.attack_"):
+        return [(cli._train_config(cfg).train_attack, name[len("attack_"):])]
+    if section == "model":
+        return [(cli._model_config(cfg, 2), name)]
+    if section == "train":
+        return [(cli._train_config(cfg), name)]
+    if section == "attack":
+        return [(cli._attack_config(cfg, kind), name) for kind in ("pgd", "cw")]
+    return [(cli._build(NesConfig, cfg, "nes."), name)]
+
+
+class TestConfigWiring:
+    @pytest.mark.parametrize("key", FIELD_KEYS)
+    def test_every_key_reaches_its_field(self, key):
+        cfg = load_config(None, [f"{key}={_distinct_value(key)}"])
+        assert cfg[key] != SCHEMA[key][1]
+        for obj, name in _built_fields(cfg, key):
+            assert getattr(obj, name) == cfg[key]
+
+    def test_default_run_config_builds_default_objects(self):
+        cfg = RunConfig()
+        assert cli._model_config(cfg, 2) == ModelConfig(depth=1, width=1, num_classes=2)
+        assert cli._train_config(cfg) == TrainConfig(epochs=5)
+        assert cli._attack_config(cfg, "pgd") == AttackConfig(epsilon=0.031)
+        assert cli._attack_config(cfg, "cw") == AttackConfig(epsilon=0.031,
+                                                             loss_kind="cw_margin")
+        assert cli._build(NesConfig, cfg, "nes.") == NesConfig()
+
+
 BAD_VALUES = [
     "check theorems --set theorem.grid_points=-5",
     "train --set seed=-1",
@@ -225,6 +280,18 @@ class TestErrors:
         assert rc == 2
         assert "error[config]" in err
         assert "Traceback" not in err
+
+    def test_unknown_attack_kind_rejected_before_any_work(self, trained_dir, tmp_path,
+                                                          capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluated the model before checking attack.kind")
+
+        monkeypatch.setattr(cli, "accuracy", refuse)
+        rc = main(["attack", "--checkpoint", str(trained_dir / "model.ckpt"),
+                   "--out-dir", str(tmp_path / "o"), "--set", "attack.kind=foo"] + FAST)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "error[config]" in err and "attack.kind" in err
 
     def test_non_utf8_config_file_exit_2(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"

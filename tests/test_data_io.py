@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wavetrain import storage
 from wavetrain.autodiff import Tensor
 from wavetrain.config import SCHEMA, RunConfig, load_config, parse_config_text
 from wavetrain.data import load_cifar10, split_train_val, synthetic_dataset
@@ -189,6 +190,31 @@ class TestCheckpoint:
         assert body.count(old) == 1 and len(old) == len(new)
         body = body.replace(old, new)
         path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(FormatError, match=match):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key,value,match", [
+        (b"width", b"9", "parameters"),
+        (b"depth", b"300", "records"),
+    ])
+    def test_relabelled_size_rejected_before_build(self, tmp_path, monkeypatch, key, value,
+                                                   match):
+        """A CRC-valid file whose config names a larger model than its records
+        hold fails before any model of that size is built."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(self._model(), path)
+        body = path.read_bytes()[:-4]
+        (config_len,) = struct.unpack_from("<I", body, 8)
+        config = body[12:12 + config_len]
+        assert config.count(key + b"=1\n") == 1
+        config = config.replace(key + b"=1\n", key + b"=" + value + b"\n")
+        body = body[:8] + struct.pack("<I", len(config)) + config + body[12 + config_len:]
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+        def refuse(cfg, seed):
+            raise AssertionError(f"built a model for {cfg} before bounding it")
+
+        monkeypatch.setattr(storage, "build_model", refuse)
         with pytest.raises(FormatError, match=match):
             load_checkpoint(path)
 
