@@ -83,14 +83,17 @@ class Tensor:
 
     # -- autograd ------------------------------------------------------------
 
-    def _accumulate(self, g):
+    def _accumulate(self, g, fresh=False):
+        """Add ``g`` into ``grad``. A ``fresh`` float32 array, built by the
+        caller and referenced nowhere else, becomes the first gradient as is;
+        any other array is copied, since it may be a view of another buffer."""
         g = _f32(g)
         if g.shape != self.data.shape:
             raise DimensionError(
                 f"gradient shape {g.shape} does not match tensor shape {self.data.shape}"
             )
         if self.grad is None:
-            self.grad = g.copy()
+            self.grad = g if fresh else g.copy()
         else:
             self.grad += g
 
@@ -230,7 +233,7 @@ def relu(x: Tensor) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x._accumulate(g * (x.data > 0))
+            x._accumulate(g * (x.data > 0), fresh=True)
 
     return _make(data, (x,), backward)
 
@@ -347,11 +350,16 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     # one GEMM per block: (K, C*kh*kw) @ (C*kh*kw, nb*out_h*out_w). Its rows
     # land unpermuted in a channel-major buffer, returned as an NCHW view:
     # per-channel ops downstream (batch norm) then sweep one contiguous slab
-    # per channel.
+    # per channel. A float32 block GEMM writes straight into its (K, nb*oh*ow)
+    # window of that buffer.
     out = np.empty((k, n, out_h, out_w), dtype=np.float32)
     for s0, s1 in blocks:
         cols = _im2col(xp[s0:s1], kh, kw, stride, out_h, out_w).reshape(rows, -1)
-        out[:, s0:s1] = _gemm(w2, cols, small).reshape(k, s1 - s0, out_h, out_w)
+        dst = out[:, s0:s1].reshape(k, -1)  # a view: each channel's rows are contiguous
+        if small:
+            dst[...] = _gemm(w2, cols, True)
+        else:
+            np.matmul(w2, cols, out=dst)
     out = out.transpose(1, 0, 2, 3)
 
     # the padded input is what dw re-gathers its columns from; dx needs only
@@ -405,7 +413,7 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
         if want_dw:
             weight._accumulate(dw.reshape(weight.data.shape))
         if x.requires_grad:
-            x._accumulate(dx)
+            x._accumulate(dx, fresh=True)
 
     return _make(out, (x, weight), backward)
 
@@ -470,11 +478,13 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
         scale = gam * inv_std
         shift = beta.data[None, :, None, None] - mean32 * scale
         xhat = None
-        out = x.data * scale + shift
+        out = x.data * scale
+        out += shift
 
     def backward(g):
-        xh = xhat if xhat is not None else (x.data - mean32) * inv_std
         if gamma.requires_grad:
+            # eval mode builds x-hat only here, for gamma's gradient
+            xh = xhat if xhat is not None else (x.data - mean32) * inv_std
             gamma._accumulate(
                 (g * xh).sum(axis=(0, 2, 3), dtype=np.float64).astype(np.float32)
             )
@@ -485,12 +495,12 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
                 m = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
                 gx = g * gam
                 s1 = gx.sum(axis=(0, 2, 3), dtype=np.float64, keepdims=True)
-                s2 = (gx * xh).sum(axis=(0, 2, 3), dtype=np.float64, keepdims=True)
+                s2 = (gx * xhat).sum(axis=(0, 2, 3), dtype=np.float64, keepdims=True)
                 dx = inv_std * (gx - (s1 / m).astype(np.float32)
-                                - xh * (s2 / m).astype(np.float32))
+                                - xhat * (s2 / m).astype(np.float32))
             else:
                 dx = g * (gam * inv_std)
-            x._accumulate(dx)
+            x._accumulate(dx, fresh=True)
 
     return _make(out, (x, gamma, beta), backward)
 

@@ -165,45 +165,55 @@ def _validate(fb: FilterBank):
 # the rounding depends neither on buffer alignment nor on a BLAS path.
 
 
+def _along(axis, start=None, stop=None, step=None):
+    """Index that slices the (negative) ``axis`` and keeps every other axis,
+    so the cores filter an axis where it lies, with no transposed views."""
+    return (..., slice(start, stop, step)) + (slice(None),) * (-1 - axis)
+
+
 def _correlate_down(a, f, axis):
-    """y[k] = sum_n f[n] a[(2k+n) mod L] along ``axis``; halves that axis.
+    """y[k] = sum_n f[n] a[(2k+n) mod L] along the negative ``axis``; halves
+    that axis.
 
     Tap n (reduced mod L, so filters longer than the signal wrap) adds
     ``f[n] * a[n::2]`` to the first outputs and the wrapped tail
     ``f[n] * a[n % 2::2]`` to the rest.
     """
-    a = np.moveaxis(a, axis, -1)
-    length = a.shape[-1]
+    length = a.shape[axis]
     half = length // 2
-    out = np.zeros(a.shape[:-1] + (half,), dtype=np.float64)
+    shape = list(a.shape)
+    shape[axis] = half
+    out = np.zeros(shape, dtype=np.float64)
     for n, c in enumerate(f):
         if c == 0.0:
             continue
         c, r = np.float64(c), n % length
         m = (length - r + 1) // 2  # outputs whose taps stay inside the signal
-        out[..., :m] += c * a[..., r::2]
-        out[..., m:] += c * a[..., r % 2 : 2 * (half - m) : 2]
-    return np.moveaxis(out, -1, axis)
+        out[_along(axis, None, m)] += c * a[_along(axis, r, None, 2)]
+        out[_along(axis, m)] += c * a[_along(axis, r % 2, 2 * (half - m), 2)]
+    return out
 
 
 def _up_convolve(a, f, axis):
     """Adjoint of _correlate_down with the same filter: zero-upsample along
-    ``axis`` then circularly convolve, i.e. out[(2k+j) mod L] += f[j] a[k].
+    the negative ``axis`` then circularly convolve, i.e.
+    out[(2k+j) mod L] += f[j] a[k].
 
     Tap j adds ``f[j] * a`` into the output phase ``out[j % 2::2]``, rotated
     by ``j // 2`` through two slices; no upsampled copy is built.
     """
-    a = np.moveaxis(a, axis, -1)
-    half = a.shape[-1]
-    out = np.zeros(a.shape[:-1] + (2 * half,), dtype=np.float64)
+    half = a.shape[axis]
+    shape = list(a.shape)
+    shape[axis] = 2 * half
+    out = np.zeros(shape, dtype=np.float64)
     for j, c in enumerate(f):
         if c == 0.0:
             continue
         c, r = np.float64(c), j % (2 * half)
-        phase, s = out[..., r % 2 :: 2], r // 2
-        phase[..., s:] += c * a[..., : half - s]
-        phase[..., :s] += c * a[..., half - s :]
-    return np.moveaxis(out, -1, axis)
+        phase, s = out[_along(axis, r % 2, None, 2)], r // 2
+        phase[_along(axis, s)] += c * a[_along(axis, None, half - s)]
+        phase[_along(axis, None, s)] += c * a[_along(axis, half - s)]
+    return out
 
 
 @dataclass
@@ -235,13 +245,18 @@ def _separable(x: Tensor, fh, fw) -> Tensor:
     the backward is the adjoint, height first."""
     _check_even_spatial(x)
     out = _correlate_down(_correlate_down(x.data, fw, -1), fh, -2)
+    # the float32 result is stored with height as the fastest axis, the order
+    # the pooled map has always had: reductions over it downstream (batch
+    # statistics, norms, Parseval sums) then add in the same order, bit for bit
+    res = np.empty(out.shape[:-2] + out.shape[:-3:-1], dtype=np.float32).swapaxes(-1, -2)
+    res[...] = out
 
     def backward(grad):
         if x.requires_grad:
             d = _up_convolve(_up_convolve(grad, fh, -2), fw, -1)
-            x._accumulate(d.astype(np.float32))
+            x._accumulate(d.astype(np.float32), fresh=True)
 
-    return ad._make(out.astype(np.float32), (x,), backward)
+    return ad._make(res, (x,), backward)
 
 
 def dwt2d(x: Tensor, fb: FilterBank) -> SubbandSet:
@@ -267,13 +282,13 @@ def idwt2d(s: SubbandSet, fb: FilterBank) -> Tensor:
         gw_lo = _correlate_down(g, lo, -1)
         gw_hi = _correlate_down(g, hi, -1)
         if ll.requires_grad:
-            ll._accumulate(_correlate_down(gw_lo, lo, -2).astype(np.float32))
+            ll._accumulate(_correlate_down(gw_lo, lo, -2).astype(np.float32), fresh=True)
         if hl.requires_grad:
-            hl._accumulate(_correlate_down(gw_lo, hi, -2).astype(np.float32))
+            hl._accumulate(_correlate_down(gw_lo, hi, -2).astype(np.float32), fresh=True)
         if lh.requires_grad:
-            lh._accumulate(_correlate_down(gw_hi, lo, -2).astype(np.float32))
+            lh._accumulate(_correlate_down(gw_hi, lo, -2).astype(np.float32), fresh=True)
         if hh.requires_grad:
-            hh._accumulate(_correlate_down(gw_hi, hi, -2).astype(np.float32))
+            hh._accumulate(_correlate_down(gw_hi, hi, -2).astype(np.float32), fresh=True)
 
     return ad._make(out.astype(np.float32), (ll, lh, hl, hh), backward)
 

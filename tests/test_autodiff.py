@@ -145,6 +145,51 @@ class TestConvInputGradBytes:
             assert_input_grad_matches_col2im(rng, n, cin_hw, wshape, stride, padding)
 
 
+def conv2d_copy_path(x, w, stride, padding):
+    """The forward conv2d replaced: per batch block, the GEMM into a
+    temporary (float64-accumulated when the columns fit in one block), then a
+    copy into the channel-major output, returned as its NCHW view."""
+    n, c, h, wd = x.shape
+    k, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (wd + 2 * padding - kw) // stride + 1
+    rows = c * kh * kw
+    step = max(1, ad._BLOCK // (rows * oh * ow))
+    small = n * rows * oh * ow <= ad._BLOCK
+    w2 = w.reshape(k, rows)
+    out = np.empty((k, n, oh, ow), dtype=np.float32)
+    for s0 in range(0, n, step):
+        s1 = min(s0 + step, n)
+        cols = ad._im2col(xp[s0:s1], kh, kw, stride, oh, ow).reshape(rows, -1)
+        if small:
+            prod = (w2.astype(np.float64) @ cols.astype(np.float64)).astype(np.float32)
+        else:
+            prod = w2 @ cols
+        out[:, s0:s1] = prod.reshape(k, s1 - s0, oh, ow)
+    return out.transpose(1, 0, 2, 3)
+
+
+class TestConvForwardBytes:
+    """conv2d's forward, GEMMs written straight into the channel-major
+    output, equals the copy path bit for bit, layout included."""
+
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("position", ["after_first_conv", "before_final_relu",
+                                          "after_final_relu"])
+    def test_model_shapes(self, rng, monkeypatch, position, width):
+        cfg = ModelConfig(depth=1, width=width, num_classes=2, wap_position=position)
+        for cin_hw, wshape, stride, padding in model_conv_shapes(monkeypatch, cfg):
+            for n in (1, 8, 32, 64):
+                x = rng.standard_normal((n,) + tuple(cin_hw)).astype(np.float32)
+                w = (rng.standard_normal(wshape) / np.sqrt(np.prod(wshape[1:]))).astype(
+                    np.float32)
+                got = ad.conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding).data
+                want = conv2d_copy_path(x, w, stride, padding)
+                assert got.strides == want.strides, (cin_hw, wshape, n)
+                assert got.tobytes() == want.tobytes(), (cin_hw, wshape, n)
+
+
 class TestConv2d:
     def test_scalar_product(self):
         x = Tensor(np.full((1, 1, 1, 1), 3.0))
@@ -371,6 +416,85 @@ class TestBackward:
             assert relative_errors(p.grad, fd).max() < 1e-3
 
 
+def _copying_accumulate(self, g, fresh=False):
+    """Reference accumulation: every first gradient is copied."""
+    g = np.asarray(g, dtype=np.float32)
+    if self.grad is None:
+        self.grad = g.copy()
+    else:
+        self.grad += g
+
+
+class TestGradientHandOver:
+    """Ops hand freshly built gradients to ``_accumulate`` without a copy;
+    the acceptance model (haar pooling after the stem conv) must still get
+    private, correctly summed gradients."""
+
+    def _setup(self, trainable):
+        model = build_model(ModelConfig(depth=1, width=1, num_classes=2,
+                                        wap_position="after_first_conv"), seed=0)
+        for p in model.params.values():
+            p.requires_grad = trainable
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((8, 3, 32, 32)).astype(np.float32), requires_grad=True)
+        return model, x, rng.integers(0, 2, size=8)
+
+    def _backward(self, trainable):
+        model, x, y = self._setup(trainable)
+        loss = ad.softmax_cross_entropy(model.forward(x, training=trainable), y)
+        loss.backward()
+        return loss
+
+    @pytest.mark.parametrize("trainable", [False, True])
+    def test_no_two_gradients_share_memory(self, trainable):
+        loss = self._backward(trainable)
+        grads = [t.grad for t in ad._topo_order(loss) if t.grad is not None]
+        assert len(grads) > 20
+        for i, a in enumerate(grads):
+            for b in grads[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("trainable", [False, True])
+    def test_grads_equal_copying_accumulation(self, monkeypatch, trainable):
+        # the stem's pooled map feeds both bn1 and the residual shortcut, so
+        # it sums a handed-over batch-norm gradient and a copied add gradient
+        loss = self._backward(trainable)
+        nodes = ad._topo_order(loss)
+        consumers = {}
+        for node in nodes:
+            for p in node._parents:
+                consumers[id(p)] = consumers.get(id(p), 0) + 1
+        assert max(consumers.values()) >= 2
+        monkeypatch.setattr(Tensor, "_accumulate", _copying_accumulate)
+        ref = ad._topo_order(self._backward(trainable))
+        assert len(ref) == len(nodes)
+        for got, want in zip(nodes, ref):
+            assert (got.grad is None) == (want.grad is None)
+            if got.grad is not None:
+                assert got.grad.tobytes() == want.grad.tobytes()
+
+    def test_tensor_used_twice_gets_summed_gradient(self, rng):
+        x = rng.standard_normal((2, 3, 4, 4)).astype(np.float32)
+        g = rng.standard_normal(x.shape).astype(np.float32)
+        t = Tensor(x, requires_grad=True)
+        ad.add(t, t)._backward(g)
+        assert np.array_equal(t.grad, g + g)
+        # a handed-over relu gradient plus a copied add gradient
+        t = Tensor(x, requires_grad=True)
+        ad.mul(ad.add(ad.relu(t), t), Tensor(g)).sum().backward()
+        assert np.array_equal(t.grad, g * (x > 0) + g)
+
+    @pytest.mark.parametrize("trainable", [False, True])
+    def test_second_backward_accumulates(self, trainable):
+        model, x, y = self._setup(trainable)
+        tensors = [x] + (list(model.params.values()) if trainable else [])
+        ad.softmax_cross_entropy(model.forward(x, training=False), y).backward()
+        first = [t.grad.copy() for t in tensors]
+        ad.softmax_cross_entropy(model.forward(x, training=False), y).backward()
+        for t, g in zip(tensors, first):
+            assert np.array_equal(t.grad, g + g)
+
+
 class TestGradientChecksAllPrimitives:
     """Reverse-mode vs central finite differences (h=1e-3, float32 forward)."""
 
@@ -488,6 +612,43 @@ class TestBatchNorm:
         assert relative_errors(gt.grad, fd_g).max() < 1e-3
         fd_b = central_differences(lambda v: oracle(x0, g64, v), beta0, dtype=np.float64)
         assert relative_errors(bt.grad, fd_b).max() < 1e-3
+
+
+    @pytest.mark.parametrize("trainable", [False, True])
+    def test_eval_mode_bytes_match_formula(self, rng, trainable):
+        # eval mode: out = x*scale + shift with the running statistics
+        # folded in; dx = g * (gamma*inv_std), dgamma = sum(g * xhat),
+        # dbeta = sum(g), both summed in float64
+        x = rng.standard_normal((16, 4, 8, 8)).astype(np.float32)
+        gamma = (rng.standard_normal(4) * 0.3 + 1.0).astype(np.float32)
+        beta = rng.standard_normal(4).astype(np.float32)
+        rmean = rng.standard_normal(4).astype(np.float32)
+        rvar = (rng.random(4) + 0.5).astype(np.float32)
+        g = rng.standard_normal(x.shape).astype(np.float32)
+
+        inv_std = (1.0 / np.sqrt(rvar.astype(np.float64) + ad.BN_EPS)).astype(
+            np.float32)[None, :, None, None]
+        mean32 = rmean.astype(np.float32)[None, :, None, None]
+        gam = gamma[None, :, None, None]
+        scale = gam * inv_std
+        want_out = x * scale + (beta[None, :, None, None] - mean32 * scale)
+        xhat = (x - mean32) * inv_std
+        want_dx = g * (gam * inv_std)
+        want_dgamma = (g * xhat).sum(axis=(0, 2, 3), dtype=np.float64).astype(np.float32)
+        want_dbeta = g.sum(axis=(0, 2, 3), dtype=np.float64).astype(np.float32)
+
+        xt = Tensor(x, requires_grad=True)
+        gt = Tensor(gamma, requires_grad=trainable)
+        bt = Tensor(beta, requires_grad=trainable)
+        out = ad.batch_norm(xt, gt, bt, rmean.copy(), rvar.copy(), training=False)
+        out._backward(g)
+        assert out.data.tobytes() == want_out.tobytes()
+        assert xt.grad.tobytes() == want_dx.tobytes()
+        if trainable:
+            assert gt.grad.tobytes() == want_dgamma.tobytes()
+            assert bt.grad.tobytes() == want_dbeta.tobytes()
+        else:
+            assert gt.grad is None and bt.grad is None
 
 
 class TestDeterminism:

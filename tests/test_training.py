@@ -133,6 +133,19 @@ class TestAdversarialTrain:
         for name in twin.params:
             assert np.array_equal(trained.params[name].data, twin.params[name].data), name
 
+    def test_zero_epsilon_runs_no_attack_and_reports_clean_as_robust(self, monkeypatch):
+        def no_attack(*args, **kwargs):
+            raise AssertionError("a zero-budget epoch called the attack")
+
+        monkeypatch.setattr("wavetrain.training.pgd", no_attack)
+        data = synthetic_dataset(2, 128, seed=2)
+        train, val = split_train_val(data)
+        cfg = tiny_train_cfg(
+            epochs=3, train_attack=AttackConfig(epsilon=0.0, steps=1, random_init=False))
+        _, history = adversarial_train(tiny_model(seed=9), train, val, cfg)
+        assert history.epochs_completed() == 3
+        assert history.robust_val_acc == history.clean_val_acc
+
     def test_best_checkpoint_attains_max_robust_accuracy(self):
         data = synthetic_dataset(2, 128, seed=4)
         train, val = split_train_val(data)

@@ -57,6 +57,38 @@ def dwt2d_oracle(img, fb):
     }
 
 
+def correlate_down_moveaxis(a, f, axis):
+    """The analysis core the in-place slicing replaced: the same taps on a
+    view with the filtered axis moved last, returned moved back."""
+    a = np.moveaxis(a, axis, -1)
+    length = a.shape[-1]
+    half = length // 2
+    out = np.zeros(a.shape[:-1] + (half,), dtype=np.float64)
+    for n, c in enumerate(f):
+        if c == 0.0:
+            continue
+        c, r = np.float64(c), n % length
+        m = (length - r + 1) // 2
+        out[..., :m] += c * a[..., r::2]
+        out[..., m:] += c * a[..., r % 2 : 2 * (half - m) : 2]
+    return np.moveaxis(out, -1, axis)
+
+
+def up_convolve_moveaxis(a, f, axis):
+    """The synthesis core the in-place slicing replaced."""
+    a = np.moveaxis(a, axis, -1)
+    half = a.shape[-1]
+    out = np.zeros(a.shape[:-1] + (2 * half,), dtype=np.float64)
+    for j, c in enumerate(f):
+        if c == 0.0:
+            continue
+        c, r = np.float64(c), j % (2 * half)
+        phase, s = out[..., r % 2 :: 2], r // 2
+        phase[..., s:] += c * a[..., : half - s]
+        phase[..., :s] += c * a[..., half - s :]
+    return np.moveaxis(out, -1, axis)
+
+
 class TestFilterBank:
     def test_haar_lowpass(self):
         fb = filter_bank("haar")
@@ -187,6 +219,53 @@ class TestPolyphaseCores:
         x_off, g_off = offset_copy(x), offset_copy(g)
         assert x_off.ctypes.data % 8 != 0
         assert run(x_off, g_off) == run(x, g)
+
+
+class TestCoreBytes:
+    """The in-place cores against the moveaxis cores they replaced: same
+    taps, same order, same float64 accumulation, so the same bytes, and the
+    pooled map keeps its memory layout."""
+
+    SHAPES = [(64, 16, 32, 32), (3, 5, 8, 8), (1, 1, 2, 2)]
+
+    @staticmethod
+    def _inputs(rng, shape):
+        x = rng.standard_normal(shape).astype(np.float32)
+        # the conv output's layout: an NCHW view of a channel-major buffer
+        cnhw = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+        return x, cnhw, x.astype(np.float64)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("name", SUPPORTED_BASES)
+    def test_cores_match_moveaxis_cores(self, rng, name, shape):
+        fb = filter_bank(name)
+        for x in self._inputs(rng, shape):
+            for axis in (-1, -2):
+                down = list(shape)
+                down[axis] //= 2
+                g = rng.standard_normal(down)
+                for f in (fb.lo_a, fb.hi_a, fb.lo_s, 0.5 * (fb.lo_a + fb.hi_a)):
+                    np.testing.assert_array_equal(
+                        _correlate_down(x, f, axis), correlate_down_moveaxis(x, f, axis))
+                    np.testing.assert_array_equal(
+                        _up_convolve(g, f, axis), up_convolve_moveaxis(g, f, axis))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("name", SUPPORTED_BASES)
+    def test_pool_matches_moveaxis_pipeline(self, rng, name, shape):
+        fb = filter_bank(name)
+        f = 0.5 * (fb.lo_a + fb.hi_a)
+        g = rng.standard_normal(shape[:2] + (shape[2] // 2, shape[3] // 2)).astype(np.float32)
+        want_bwd = up_convolve_moveaxis(up_convolve_moveaxis(g, f, -2), f, -1).astype(np.float32)
+        for x in self._inputs(rng, shape)[:2]:
+            want = correlate_down_moveaxis(correlate_down_moveaxis(x, f, -1), f, -2).astype(
+                np.float32)
+            t = Tensor(x, requires_grad=True)
+            out = wavelet_average_pool(t, fb)
+            out._backward(g)
+            assert out.data.strides == want.strides
+            assert out.data.tobytes() == want.tobytes()
+            assert t.grad.tobytes() == want_bwd.tobytes()
 
 
 class TestDwt2d:
