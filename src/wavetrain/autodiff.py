@@ -64,22 +64,11 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def item(self):
         return float(self.data.reshape(-1)[0])
-
-    def zero_grad(self):
-        self.grad = None
 
     # -- autograd ------------------------------------------------------------
 
@@ -131,22 +120,8 @@ class Tensor:
     def __neg__(self):
         return _affine(self, -1.0, 0.0)
 
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, _affine(other, -1.0, 0.0))
-        return _affine(self, 1.0, -float(other))
-
-    def __rsub__(self, other):
-        return _affine(self, -1.0, float(other))
-
     def sum(self):
         return sum_all(self)
-
-    def mean(self):
-        return _affine(sum_all(self), 1.0 / self.data.size, 0.0)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
 
 
 def _topo_order(root):

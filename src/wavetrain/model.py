@@ -6,13 +6,15 @@ wavelet pooling stage, global average pooling, and a fully connected
 classifier. On 32x32 inputs the feature map entering the pooling stage is
 8x8; with wavelet pooling enabled it is halved to 4x4 so the average pool
 runs with kernel 4. The wavelet-disabled twin pools the 8x8 map directly
-(kernel 8), which keeps every parameter name and shape identical between
-the two variants - only the pooling stage differs.
+(kernel 8). Every parameter and buffer name and shape comes from one table,
+``state_layout``, which reads neither the pooling position nor the base, so
+the two variants share one state layout - only the pooling stage differs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Optional
 
 import numpy as np
@@ -71,8 +73,74 @@ def _check_spatial(cfg: ModelConfig):
         raise ConfigError("input too small for this depth of downsampling")
 
 
+def _blocks(cfg: ModelConfig):
+    """Yield (prefix, in channels, out channels, stride, has projection) for
+    each residual block, in forward order."""
+    cin = STEM_CHANNELS
+    for gi, (cout, stride) in enumerate(zip(cfg.group_channels(), GROUP_STRIDES)):
+        for bi in range(cfg.depth):
+            block_in, block_stride = (cin, stride) if bi == 0 else (cout, 1)
+            yield (f"g{gi}.b{bi}", block_in, cout, block_stride,
+                   block_stride != 1 or block_in != cout)
+        cin = cout
+
+
+def state_layout(cfg: ModelConfig):
+    """Yield (name, shape, fan_in) for every parameter, then for every batch
+    norm running statistic as ``buffer:<name>``, in checkpoint order.
+
+    ``fan_in`` is set for the weights drawn He-normal (std sqrt(2/fan_in);
+    He et al. 2015) and None for the rest. The layout is lazy, so a reader
+    that stops at its first difference never walks a config's full depth.
+    """
+    last = cfg.group_channels()[-1]
+    yield "stem.weight", (STEM_CHANNELS, 3, 3, 3), 3 * 9
+    for prefix, cin, cout, _, has_proj in _blocks(cfg):
+        yield f"{prefix}.bn1.gamma", (cin,), None
+        yield f"{prefix}.bn1.beta", (cin,), None
+        yield f"{prefix}.conv1.weight", (cout, cin, 3, 3), cin * 9
+        yield f"{prefix}.bn2.gamma", (cout,), None
+        yield f"{prefix}.bn2.beta", (cout,), None
+        yield f"{prefix}.conv2.weight", (cout, cout, 3, 3), cout * 9
+        if has_proj:
+            yield f"{prefix}.proj.weight", (cout, cin, 1, 1), cin
+    yield "bn_final.gamma", (last,), None
+    yield "bn_final.beta", (last,), None
+    yield "fc.weight", (last, cfg.num_classes), last
+    yield "fc.bias", (cfg.num_classes,), None
+    for prefix, cin, cout, _, _ in _blocks(cfg):
+        for norm, c in ((f"{prefix}.bn1", cin), (f"{prefix}.bn2", cout)):
+            yield f"buffer:{norm}.mean", (c,), None
+            yield f"buffer:{norm}.var", (c,), None
+    yield "buffer:bn_final.mean", (last,), None
+    yield "buffer:bn_final.var", (last,), None
+
+
+def check_state(cfg: ModelConfig, items):
+    """Raise DimensionError at the first (name, array) pair of ``items`` that
+    differs from ``state_layout(cfg)`` in name or shape, or at the first entry
+    one of them has and the other lacks. Costs at most ``len(items)`` + 1
+    layout entries, whatever depth or width the config names."""
+    for i, (got, want) in enumerate(zip_longest(items, state_layout(cfg))):
+        if got is None:
+            raise DimensionError(f"state entry {i} {want[0]!r} is missing")
+        if want is None:
+            raise DimensionError(f"state entry {i} {got[0]!r} is extra")
+        (name, arr), (want_name, shape, _) = got, want
+        if name != want_name:
+            raise DimensionError(f"state entry {i} is {name!r} where the layout has "
+                                 f"{want_name!r}")
+        if arr.shape != shape:
+            raise DimensionError(f"state entry {i} {name!r} has shape {arr.shape} where "
+                                 f"the layout has {shape}")
+
+
 class Model:
-    """Named parameter tensors plus the forward graph implied by the config."""
+    """Named parameter tensors plus the forward graph implied by the config.
+
+    Construction allocates the state of ``state_layout``: batch norm gammas
+    and running variances at one, everything else at zero.
+    ``initialize`` draws the He-normal weights."""
 
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
@@ -82,50 +150,21 @@ class Model:
             filter_bank(cfg.wavelet_base) if cfg.wap_position != "disabled" else None
         )
         _check_spatial(cfg)
-        # (prefix, in channels, out channels, stride, has projection) per block
-        self._blocks = []
-        cin = STEM_CHANNELS
-        for gi, (cout, stride) in enumerate(zip(cfg.group_channels(), GROUP_STRIDES)):
-            for bi in range(cfg.depth):
-                block_in, block_stride = (cin, stride) if bi == 0 else (cout, 1)
-                self._blocks.append((f"g{gi}.b{bi}", block_in, cout, block_stride,
-                                    block_stride != 1 or block_in != cout))
-            cin = cout
-
-    # -- construction -------------------------------------------------------
-
-    def _param(self, name, array):
-        t = Tensor(array, requires_grad=True)
-        self.params[name] = t
-        return t
-
-    def _conv_init(self, rng, name, cout, cin, k):
-        fan_in = cin * k * k
-        std = np.sqrt(2.0 / fan_in)
-        self._param(name, rng.standard_normal((cout, cin, k, k)) * std)
-
-    def _bn_init(self, name, c):
-        self._param(f"{name}.gamma", np.ones(c, dtype=np.float32))
-        self._param(f"{name}.beta", np.zeros(c, dtype=np.float32))
-        self.buffers[f"{name}.mean"] = np.zeros(c, dtype=np.float32)
-        self.buffers[f"{name}.var"] = np.ones(c, dtype=np.float32)
+        self._blocks = list(_blocks(cfg))
+        for name, shape, _ in state_layout(cfg):
+            fill = np.ones if name.endswith((".gamma", ".var")) else np.zeros
+            array = fill(shape, dtype=np.float32)
+            if name.startswith("buffer:"):
+                self.buffers[name[len("buffer:"):]] = array
+            else:
+                self.params[name] = Tensor(array, requires_grad=True)
 
     def initialize(self, seed: int):
+        """Draw every He-normal weight from one generator, in layout order."""
         rng = np.random.default_rng(seed)
-        cfg = self.cfg
-        self._conv_init(rng, "stem.weight", STEM_CHANNELS, 3, 3)
-        for prefix, cin, cout, _, has_proj in self._blocks:
-            self._bn_init(f"{prefix}.bn1", cin)
-            self._conv_init(rng, f"{prefix}.conv1.weight", cout, cin, 3)
-            self._bn_init(f"{prefix}.bn2", cout)
-            self._conv_init(rng, f"{prefix}.conv2.weight", cout, cout, 3)
-            if has_proj:
-                self._conv_init(rng, f"{prefix}.proj.weight", cout, cin, 1)
-        cin = cfg.group_channels()[-1]
-        self._bn_init("bn_final", cin)
-        fan_in = cin
-        self._param("fc.weight", rng.standard_normal((cin, cfg.num_classes)) * np.sqrt(2.0 / fan_in))
-        self._param("fc.bias", np.zeros(cfg.num_classes, dtype=np.float32))
+        for name, shape, fan_in in state_layout(self.cfg):
+            if fan_in is not None:
+                self.params[name].data[...] = rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)
         return self
 
     # -- forward ------------------------------------------------------------
@@ -184,9 +223,6 @@ class Model:
 
     # -- bookkeeping ----------------------------------------------------------
 
-    def parameter_count(self):
-        return sum(p.data.size for p in self.params.values())
-
     def state_arrays(self):
         """Ordered (name, array) pairs covering parameters then buffers."""
         for name, p in self.params.items():
@@ -195,47 +231,12 @@ class Model:
             yield f"buffer:{name}", b
 
     def load_state_arrays(self, items):
-        seen = set()
-        for name, arr in items:
-            if name.startswith("buffer:"):
-                key = name[len("buffer:"):]
-                if key not in self.buffers:
-                    raise ConfigError(f"unknown buffer {key!r} in state")
-                if self.buffers[key].shape != arr.shape:
-                    raise DimensionError(f"buffer {key!r} shape mismatch")
-                self.buffers[key][...] = arr
-            else:
-                if name not in self.params:
-                    raise ConfigError(f"unknown parameter {name!r} in state")
-                if self.params[name].data.shape != tuple(arr.shape):
-                    raise DimensionError(f"parameter {name!r} shape mismatch")
-                self.params[name].data[...] = arr
-            seen.add(name)
-        want = {n for n, _ in self.state_arrays()}
-        missing = want - seen
-        if missing:
-            raise ConfigError(f"state is missing entries: {sorted(missing)[:3]}...")
+        """Copy ``items`` into this model's state after ``check_state``."""
+        items = list(items)
+        check_state(self.cfg, items)
+        for (_, src), (_, dst) in zip(items, self.state_arrays()):
+            dst[...] = src
         return self
-
-
-def expected_param_count(cfg: ModelConfig) -> int:
-    """Closed-form parameter count implied by the config."""
-    total = 3 * STEM_CHANNELS * 9
-    cin = STEM_CHANNELS
-    for cout, stride in zip(cfg.group_channels(), GROUP_STRIDES):
-        for bi in range(cfg.depth):
-            block_in = cin if bi == 0 else cout
-            block_stride = stride if bi == 0 else 1
-            total += 2 * block_in                      # bn1
-            total += block_in * cout * 9               # conv1
-            total += 2 * cout                          # bn2
-            total += cout * cout * 9                   # conv2
-            if block_stride != 1 or block_in != cout:  # projection shortcut
-                total += block_in * cout
-        cin = cout
-    total += 2 * cin                                   # bn_final
-    total += cin * cfg.num_classes + cfg.num_classes   # fc
-    return total
 
 
 def build_model(cfg: ModelConfig, seed: int) -> Model:

@@ -8,9 +8,11 @@ Checkpoint layout (little-endian throughout):
                   | float32 payload
     | u32 CRC32 of every preceding byte
 
-Buffers (batch norm running statistics) are stored as records named
-``buffer:<name>`` next to the parameters, so a load reproduces the saved
-model's forward bit for bit.
+The records are exactly the entries of ``model.state_layout`` for the stored
+config, in its order: the parameters, then the batch norm running statistics
+as ``buffer:<name>``, so a load reproduces the saved model's forward bit for
+bit. A load accepts no other record set: a missing, extra, repeated,
+reordered or reshaped record is a FormatError.
 """
 
 from __future__ import annotations
@@ -24,11 +26,10 @@ from typing import get_type_hints
 import numpy as np
 
 from .errors import ConfigError, DimensionError, FormatError, UnsupportedBaseError
-from .model import GROUP_STRIDES, Model, ModelConfig, build_model, expected_param_count
+from .model import Model, ModelConfig, check_state
 
 MAGIC = b"WWRN"
 VERSION = 1
-_RECORDS_PER_BLOCK = 10  # two batch norms of two parameters and two buffers, two convs
 
 
 def _config_to_text(cfg: ModelConfig) -> str:
@@ -157,25 +158,16 @@ def load_checkpoint(path) -> Model:
     if r.pos != len(r.blob):
         raise FormatError("trailing bytes after last record", offset=r.pos)
 
-    # bound the config by the records before building anything that grows
-    # with its depth or width
-    blocks = len(GROUP_STRIDES) * cfg.depth
-    if blocks * _RECORDS_PER_BLOCK > count:
-        raise FormatError(f"config names {blocks} residual blocks but the file holds "
-                          f"only {count} records")
-    params, held = expected_param_count(cfg), sum(arr.size for _, arr in items)
-    if params > held:
-        raise FormatError(f"config implies {params} parameters but the records hold "
-                          f"only {held} values")
-
     # the file passed its CRC, so a model it cannot describe is a format
-    # error of the file, not a configuration error of the caller
+    # error of the file, not a configuration error of the caller; the layout
+    # check runs first and is bounded by the records, so a config naming a
+    # huge model fails before anything of its size is built
     try:
-        model = build_model(cfg, seed=0)
-        model.load_state_arrays(items)
+        check_state(cfg, items)
+        model = Model(cfg)
     except (ConfigError, DimensionError, UnsupportedBaseError) as exc:
         raise FormatError(f"checkpoint does not describe a valid model: {exc}") from exc
-    return model
+    return model.load_state_arrays(items)
 
 
 # -- result emission ----------------------------------------------------------------

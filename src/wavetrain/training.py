@@ -154,6 +154,4 @@ def adversarial_train(model: Model, train_set: Dataset, val_set: Dataset,
             if cfg.early_stop_patience and stale >= cfg.early_stop_patience:
                 break
 
-    best_model = Model(model.cfg).initialize(seed=0)
-    best_model.load_state_arrays(best_state)
-    return best_model, history
+    return Model(model.cfg).load_state_arrays(best_state), history

@@ -271,26 +271,12 @@ def dwt2d(x: Tensor, fb: FilterBank) -> SubbandSet:
 
 
 def idwt2d(s: SubbandSet, fb: FilterBank) -> Tensor:
-    """Upsample-and-filter synthesis; exact inverse of dwt2d."""
+    """Upsample-and-filter synthesis; exact inverse of dwt2d. Used only to
+    check reconstruction, so it records no tape node."""
     lo, hi = fb.lo_s, fb.hi_s
-    ll, lh, hl, hh = s.ll, s.lh, s.hl, s.hh
-    branch_lo = _up_convolve(ll.data, lo, -2) + _up_convolve(hl.data, hi, -2)
-    branch_hi = _up_convolve(lh.data, lo, -2) + _up_convolve(hh.data, hi, -2)
-    out = _up_convolve(branch_lo, lo, -1) + _up_convolve(branch_hi, hi, -1)
-
-    def backward(g):
-        gw_lo = _correlate_down(g, lo, -1)
-        gw_hi = _correlate_down(g, hi, -1)
-        if ll.requires_grad:
-            ll._accumulate(_correlate_down(gw_lo, lo, -2).astype(np.float32), fresh=True)
-        if hl.requires_grad:
-            hl._accumulate(_correlate_down(gw_lo, hi, -2).astype(np.float32), fresh=True)
-        if lh.requires_grad:
-            lh._accumulate(_correlate_down(gw_hi, lo, -2).astype(np.float32), fresh=True)
-        if hh.requires_grad:
-            hh._accumulate(_correlate_down(gw_hi, hi, -2).astype(np.float32), fresh=True)
-
-    return ad._make(out.astype(np.float32), (ll, lh, hl, hh), backward)
+    branch_lo = _up_convolve(s.ll.data, lo, -2) + _up_convolve(s.hl.data, hi, -2)
+    branch_hi = _up_convolve(s.lh.data, lo, -2) + _up_convolve(s.hh.data, hi, -2)
+    return Tensor(_up_convolve(branch_lo, lo, -1) + _up_convolve(branch_hi, hi, -1))
 
 
 def wavelet_average_pool(x: Tensor, fb: FilterBank) -> Tensor:

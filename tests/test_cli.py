@@ -328,6 +328,24 @@ class TestErrors:
             os.environ.pop("WAVETRAIN_DATA", None)
         assert rc == 3
 
+    def test_crc_valid_checkpoint_with_repeated_record_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "repeat.ckpt"
+        save_checkpoint(build_model(ModelConfig(depth=1, width=1, num_classes=2), seed=0), path)
+        body = path.read_bytes()[:-4]
+        (config_len,) = struct.unpack_from("<I", body, 8)
+        at = 12 + config_len
+        (count,) = struct.unpack_from("<I", body, at)
+        # a second, all-zero stem.weight record after the last one
+        body = (body[:at] + struct.pack("<I", count + 1) + body[at + 4:]
+                + struct.pack("<I", 11) + b"stem.weight" + struct.pack("<5I", 4, 16, 3, 3, 3)
+                + bytes(4 * 16 * 3 * 3 * 3))
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        rc = main(["eval", "--checkpoint", str(path), "--out-dir", str(tmp_path / "o")] + FAST)
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "error[format]" in err and "'stem.weight' is extra" in err
+        assert "Traceback" not in err
+
     def test_crc_valid_checkpoint_with_bad_config_exit_3(self, tmp_path, capsys):
         path = tmp_path / "bad.ckpt"
         save_checkpoint(build_model(ModelConfig(depth=1, width=1, num_classes=2), seed=0), path)

@@ -119,6 +119,14 @@ class TestSynthetic:
             synthetic_dataset(1, 10, seed=0)
 
 
+def _record(name, arr):
+    """One checkpoint record, encoded from the documented layout."""
+    encoded = name.encode("utf-8")
+    arr = np.asarray(arr, dtype="<f4")
+    return (struct.pack("<I", len(encoded)) + encoded
+            + struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape) + arr.tobytes())
+
+
 class TestCheckpoint:
     def _model(self):
         return build_model(
@@ -175,9 +183,9 @@ class TestCheckpoint:
         (b"depth=1\n", b"depth=\xff\n", "config block is not UTF-8"),
         (b"depth=1\n", b"depth=0\n", "invalid model config"),
         (b"input_size=32\n", b"input_size=34\n", "does not describe"),  # odd map at the pool
-        (b"num_classes=2\n", b"num_classes=3\n", "shape mismatch"),     # DimensionError
+        (b"num_classes=2\n", b"num_classes=3\n", "'fc.weight' has shape"),  # DimensionError
         (b"stem.weight", b"stem.weigh\xff", "name is not UTF-8"),
-        (b"stem.weight", b"stem.weighz", "unknown parameter"),           # ConfigError
+        (b"stem.weight", b"stem.weighz", "is 'stem.weighz' where the layout has"),
         # rank 70 with a zero dim: an empty payload numpy cannot reshape
         pytest.param(b"stem.weight" + struct.pack("<5I", 4, 16, 3, 3, 3),
                      b"stem.weight" + struct.pack("<5I", 70, 16, 0, 3, 3),
@@ -194,9 +202,9 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("key,value,match", [
-        (b"width", b"9", "parameters"),
-        (b"depth", b"300", "records"),
-    ])
+        (b"width", b"9", "entry 3 'g0.b0.conv1.weight' has shape"),
+        (b"depth", b"300", "entry 7 is 'g1.b0.bn1.gamma'"),
+    ], ids=["width-9-parameters", "depth-300-records"])
     def test_relabelled_size_rejected_before_build(self, tmp_path, monkeypatch, key, value,
                                                    match):
         """A CRC-valid file whose config names a larger model than its records
@@ -211,10 +219,37 @@ class TestCheckpoint:
         body = body[:8] + struct.pack("<I", len(config)) + config + body[12 + config_len:]
         path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
-        def refuse(cfg, seed):
+        def refuse(cfg):
             raise AssertionError(f"built a model for {cfg} before bounding it")
 
-        monkeypatch.setattr(storage, "build_model", refuse)
+        monkeypatch.setattr(storage, "Model", refuse)
+        with pytest.raises(FormatError, match=match):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit,match", [
+        ("repeat", "'stem.weight' is extra"),
+        ("drop", "'buffer:bn_final.var' is missing"),
+    ])
+    def test_record_set_must_equal_the_layout(self, tmp_path, edit, match):
+        """A CRC-valid file that repeats a record, or lacks one, is refused:
+        a repeat must not load with its later copy winning."""
+        model = self._model()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        body = path.read_bytes()[:-4]
+        (config_len,) = struct.unpack_from("<I", body, 8)
+        at = 12 + config_len
+        (count,) = struct.unpack_from("<I", body, at)
+        if edit == "repeat":
+            body += _record("stem.weight", np.zeros((16, 3, 3, 3)))
+            count += 1
+        else:
+            last = _record("buffer:bn_final.var", model.buffers["bn_final.var"])
+            assert body.endswith(last)
+            body = body[:-len(last)]
+            count -= 1
+        body = body[:at] + struct.pack("<I", count) + body[at + 4:]
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
         with pytest.raises(FormatError, match=match):
             load_checkpoint(path)
 

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from wavetrain import autodiff as ad
+from wavetrain import model as model_module
 from wavetrain.autodiff import Tensor
 from wavetrain.errors import ConfigError, DimensionError
-from wavetrain.model import ModelConfig, build_model, expected_param_count
-
+from wavetrain.model import WAP_POSITIONS, ModelConfig, build_model, check_state, state_layout
 
 
 
@@ -74,6 +74,62 @@ def eval_forward_oracle(model, x, labels):
     z = z - z.max(axis=1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     return -logp[np.arange(len(labels)), labels].mean()
+
+
+def initialize_oracle(cfg, seed):
+    """The state as the model drew it before it had a layout table:
+    (name, array) pairs, parameters in draw order, then the buffers."""
+    rng = np.random.default_rng(seed)
+    params, buffers = {}, {}
+
+    def conv(name, cout, cin, k):
+        std = np.sqrt(2.0 / (cin * k * k))
+        params[name] = (rng.standard_normal((cout, cin, k, k)) * std).astype(np.float32)
+
+    def bn(name, c):
+        params[f"{name}.gamma"] = np.ones(c, dtype=np.float32)
+        params[f"{name}.beta"] = np.zeros(c, dtype=np.float32)
+        buffers[f"{name}.mean"] = np.zeros(c, dtype=np.float32)
+        buffers[f"{name}.var"] = np.ones(c, dtype=np.float32)
+
+    conv("stem.weight", 16, 3, 3)
+    cin = 16
+    for gi, (cout, stride) in enumerate(zip(cfg.group_channels(), (1, 2, 2))):
+        for bi in range(cfg.depth):
+            prefix = f"g{gi}.b{bi}"
+            block_in, block_stride = (cin, stride) if bi == 0 else (cout, 1)
+            bn(f"{prefix}.bn1", block_in)
+            conv(f"{prefix}.conv1.weight", cout, block_in, 3)
+            bn(f"{prefix}.bn2", cout)
+            conv(f"{prefix}.conv2.weight", cout, cout, 3)
+            if block_stride != 1 or block_in != cout:
+                conv(f"{prefix}.proj.weight", cout, block_in, 1)
+        cin = cout
+    bn("bn_final", cin)
+    params["fc.weight"] = (rng.standard_normal((cin, cfg.num_classes))
+                           * np.sqrt(2.0 / cin)).astype(np.float32)
+    params["fc.bias"] = np.zeros(cfg.num_classes, dtype=np.float32)
+    return list(params.items()) + [(f"buffer:{n}", a) for n, a in buffers.items()]
+
+
+def param_count_oracle(cfg):
+    """Closed-form parameter count of the wide residual network."""
+    total = 3 * 16 * 9
+    cin = 16
+    for cout, stride in zip(cfg.group_channels(), (1, 2, 2)):
+        for bi in range(cfg.depth):
+            block_in = cin if bi == 0 else cout
+            block_stride = stride if bi == 0 else 1
+            total += 2 * block_in                      # bn1
+            total += block_in * cout * 9               # conv1
+            total += 2 * cout                          # bn2
+            total += cout * cout * 9                   # conv2
+            if block_stride != 1 or block_in != cout:  # projection shortcut
+                total += block_in * cout
+        cin = cout
+    total += 2 * cin                                   # bn_final
+    total += cin * cfg.num_classes + cfg.num_classes   # fc
+    return total
 
 
 class TestConfig:
@@ -145,11 +201,52 @@ class TestBuild:
             not np.array_equal(a.params[n].data, b.params[n].data) for n in a.params
         )
 
-    @pytest.mark.parametrize("depth,width", [(1, 1), (2, 2), (1, 2)])
-    def test_param_count_matches_closed_form(self, depth, width):
-        cfg = small_cfg(depth=depth, width=width)
-        model = build_model(cfg, seed=0)
-        assert model.parameter_count() == expected_param_count(cfg)
+    @pytest.mark.parametrize("seed", [0, 11])
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("position", WAP_POSITIONS)
+    def test_state_matches_oracles(self, position, width, depth, seed):
+        cfg = small_cfg(depth=depth, width=width, wap_position=position,
+                        wavelet_base=None if position == "disabled" else "haar")
+        want = initialize_oracle(cfg, seed)
+        model = build_model(cfg, seed=seed)
+        got = list(model.state_arrays())
+        layout = list(state_layout(cfg))
+        assert [n for n, _ in got] == [n for n, _ in want] == [n for n, _, _ in layout]
+        assert [a.shape for _, a in want] == [shape for _, shape, _ in layout]
+        for (name, a), (_, b) in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+        assert sum(p.data.size for p in model.params.values()) == param_count_oracle(cfg)
+
+    @pytest.mark.parametrize("edit,match", [
+        pytest.param(lambda s: s + s[:1], "entry 39 'stem.weight' is extra", id="repeated"),
+        pytest.param(lambda s: s[:-1], "entry 38 'buffer:bn_final.var' is missing",
+                     id="missing"),
+        pytest.param(lambda s: s[1:2] + s[:1] + s[2:], "entry 0 is 'g0.b0.bn1.gamma' where",
+                     id="reordered"),
+        pytest.param(lambda s: [(n, a.T) for n, a in s], "entry 0 'stem.weight' has shape",
+                     id="reshaped"),
+    ])
+    def test_check_state_rejects_first_difference(self, edit, match):
+        model = build_model(small_cfg(), seed=0)
+        with pytest.raises(DimensionError, match=match):
+            check_state(model.cfg, edit(list(model.state_arrays())))
+
+    def test_check_state_stops_at_first_difference(self, monkeypatch):
+        state = list(build_model(small_cfg(), seed=0).state_arrays())
+        pulled = []
+        layout = model_module.state_layout
+
+        def counting_layout(cfg):
+            for entry in layout(cfg):
+                pulled.append(entry)
+                yield entry
+
+        monkeypatch.setattr(model_module, "state_layout", counting_layout)
+        with pytest.raises(DimensionError, match="entry 7 is 'g1.b0.bn1.gamma'"):
+            check_state(small_cfg(depth=300), state)
+        assert len(pulled) == 8
 
     def test_ablation_twins_share_parameter_space(self):
         enabled = build_model(small_cfg(), seed=7)
