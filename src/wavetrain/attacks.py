@@ -13,6 +13,7 @@ Attacks always query the model in eval mode, so they are pure functions of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -23,6 +24,11 @@ from .autodiff import Tensor
 from .errors import ConfigError, NumericError
 
 LOSS_KINDS = ("cross_entropy", "cw_margin")
+
+
+def _check_epsilon(epsilon):
+    if not (0 <= epsilon < math.inf):
+        raise ConfigError(f"epsilon must be finite and >= 0, got {epsilon!r}")
 
 
 @dataclass
@@ -37,8 +43,7 @@ class AttackConfig:
     kappa: float = 0.0
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ConfigError("epsilon must be >= 0")
+        _check_epsilon(self.epsilon)
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
         if self.restarts < 1:
@@ -207,8 +212,9 @@ class NesConfig:
     samples_per_step: int = 25
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ConfigError("epsilon must be >= 0")
+        _check_epsilon(self.epsilon)
+        if not (0 < self.fd_eta < math.inf):
+            raise ConfigError(f"fd_eta must be finite and > 0, got {self.fd_eta!r}")
         if self.samples_per_step < 1:
             raise ConfigError("samples_per_step must be >= 1")
         if self.max_queries < 2 * self.samples_per_step:

@@ -5,7 +5,8 @@ overrides use the same syntax. Unknown keys are rejected, and every run
 writes its fully resolved configuration next to its outputs so the exact
 settings can be re-parsed and re-run. The model, train, attack and NES keys
 are generated from the fields of the library config objects, so each of
-those settings has one type and one default.
+those settings has one type and one default. The same codec (split_items,
+parse_pairs, to_text) reads and writes the config block of a checkpoint.
 """
 
 from __future__ import annotations
@@ -25,17 +26,12 @@ def _parse_bool(raw):
     try:
         return _BOOL[raw.strip().lower()]
     except KeyError:
-        raise ConfigError(f"expected a boolean, got {raw!r}") from None
+        raise ValueError from None
 
 
 def _parse_int_list(raw):
     raw = raw.strip()
-    if not raw:
-        return ()
-    try:
-        return tuple(int(v) for v in raw.split(","))
-    except ValueError:
-        raise ConfigError(f"expected comma-separated ints, got {raw!r}") from None
+    return tuple(int(v) for v in raw.split(",")) if raw else ()
 
 
 def _parse_opt_str(raw):
@@ -43,13 +39,15 @@ def _parse_opt_str(raw):
     return None if raw.lower() == "none" else raw
 
 
+# type tag -> (parser, what a value of the tag is); a parser raises ValueError
+# on text that is not such a value
 _PARSERS = {
-    "int": int,
-    "float": float,
-    "bool": _parse_bool,
-    "str": lambda raw: raw.strip(),
-    "opt_str": _parse_opt_str,
-    "int_list": _parse_int_list,
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "bool": (_parse_bool, "a boolean"),
+    "str": (str.strip, "a string"),
+    "opt_str": (_parse_opt_str, "a string or none"),
+    "int_list": (_parse_int_list, "a comma-separated list of integers"),
 }
 
 _TAGS = {int: "int", float: "float", bool: "bool", str: "str", Optional[str]: "opt_str",
@@ -95,7 +93,7 @@ SCHEMA = {
     "theorem.grid_points": ("int", 1 << 16),
 }
 
-# Allowed interval of a numeric key, checked as the value is parsed. Every
+# Allowed interval of a numeric key, checked as a RunConfig is built. Every
 # other int and float key lies in [0,inf), or in the tighter range that
 # ModelConfig, TrainConfig, AttackConfig or NesConfig enforce with a
 # ConfigError. Each upper end is open, so NaN and +-inf fall outside them all.
@@ -105,7 +103,6 @@ RANGES = {
     "data.n_val": "[1,inf)",
     "train.lr_initial": "(0,inf)",
     "train.momentum": "[0,1)",
-    "nes.fd_eta": "(0,inf)",
     "heatmap.eps_f": "(0,inf)",
     "heatmap.samples_per_cell": "[1,inf)",
     "gradcam.class_id": "[-1,inf)",
@@ -126,10 +123,12 @@ class RunConfig:
 
     def __post_init__(self):
         resolved = {k: default for k, (_, default) in SCHEMA.items()}
-        for key, raw in self.values.items():
+        for key, value in self.values.items():
             if key not in SCHEMA:
                 raise ConfigError(f"unknown config key {key!r}")
-            resolved[key] = raw
+            if SCHEMA[key][0] in ("int", "float"):
+                _check_range(key, value)
+            resolved[key] = value
         self.values = resolved
 
     def __getitem__(self, key):
@@ -141,8 +140,36 @@ class RunConfig:
         return isinstance(other, RunConfig) and self.values == other.values
 
     def to_text(self) -> str:
-        lines = [f"{k}={_format(self.values[k])}" for k in sorted(self.values)]
-        return "\n".join(lines) + "\n"
+        return to_text(sorted(self.values.items()))
+
+
+# -- the key=value codec, shared with the checkpoint config block --------------
+
+
+def split_items(items):
+    """``(key, raw value)`` of each ``key=value`` item, the key stripped."""
+    pairs = []
+    for item in items:
+        key, sep, raw = item.partition("=")
+        if not sep:
+            raise ConfigError(f"expected key=value, got {item!r}")
+        pairs.append((key.strip(), raw))
+    return pairs
+
+
+def parse_pairs(pairs, schema=SCHEMA) -> dict:
+    """``key -> value`` of ``(key, raw)`` pairs, each parsed by its tag in
+    ``schema``; a later pair of the same key wins."""
+    parsed = {}
+    for key, raw in pairs:
+        if key not in schema:
+            raise ConfigError(f"unknown config key {key!r}")
+        parse, what = _PARSERS[schema[key][0]]
+        try:
+            parsed[key] = parse(raw)
+        except ValueError:
+            raise ConfigError(f"{key!r} is not {what}: {raw.strip()!r}") from None
+    return parsed
 
 
 def _format(value):
@@ -157,54 +184,30 @@ def _format(value):
     return str(value)
 
 
-def _parse_pairs(pairs):
-    parsed = {}
-    for key, raw in pairs:
-        key = key.strip()
-        if key not in SCHEMA:
-            raise ConfigError(f"unknown config key {key!r}")
-        tag, _ = SCHEMA[key]
-        try:
-            parsed[key] = _PARSERS[tag](raw)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad value for {key!r}: {exc}") from None
-        if tag in ("int", "float"):
-            _check_range(key, parsed[key])
-    return parsed
+def to_text(pairs) -> str:
+    """One ``key=value`` line per ``(key, value)`` pair, in the form
+    parse_pairs reads back."""
+    return "".join(f"{key}={_format(value)}\n" for key, value in pairs)
+
+
+def _file_items(text):
+    """The items of a config file: its lines, stripped, without blank lines
+    and '#' comments."""
+    lines = (line.strip() for line in text.splitlines())
+    return [line for line in lines if line and not line.startswith("#")]
 
 
 def parse_config_text(text: str) -> RunConfig:
-    pairs = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
-        key, _, raw = stripped.partition("=")
-        pairs.append((key, raw))
-    return RunConfig(_parse_pairs(pairs))
+    return RunConfig(parse_pairs(split_items(_file_items(text))))
 
 
 def load_config(path=None, overrides=()) -> RunConfig:
     """Parse an optional config file, then apply key=value overrides."""
+    items = []
     if path is not None:
         with open(path, "r", encoding="utf-8") as f:
             try:
-                text = f.read()
+                items = _file_items(f.read())
             except UnicodeDecodeError as exc:
                 raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
-        cfg = parse_config_text(text)
-    else:
-        cfg = RunConfig()
-    if overrides:
-        pairs = []
-        for item in overrides:
-            if "=" not in item:
-                raise ConfigError(f"override must be key=value, got {item!r}")
-            key, _, raw = item.partition("=")
-            pairs.append((key, raw))
-        cfg.values.update(_parse_pairs(pairs))
-    return cfg
+    return RunConfig(parse_pairs(split_items(items + list(overrides))))

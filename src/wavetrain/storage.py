@@ -8,6 +8,11 @@ Checkpoint layout (little-endian throughout):
                   | float32 payload
     | u32 CRC32 of every preceding byte
 
+The config block lists every ``ModelConfig`` field once, in field order, as
+one ``key=value`` line each, written and read by config.py's codec. A block
+that omits, repeats, reorders or adds a key, or holds a blank line, is a
+FormatError, since it alone names the model's wavelet stage.
+
 The records are exactly the entries of ``model.state_layout`` for the stored
 config, in its order: the parameters, then the batch norm running statistics
 as ``buffer:<name>``, so a load reproduces the saved model's forward bit for
@@ -21,46 +26,31 @@ import math
 import struct
 import zlib
 from dataclasses import fields
-from typing import get_type_hints
 
 import numpy as np
 
+from .config import _section, parse_pairs, split_items, to_text
 from .errors import ConfigError, DimensionError, FormatError, UnsupportedBaseError
 from .model import Model, ModelConfig, check_state
 
 MAGIC = b"WWRN"
 VERSION = 1
 
+_FIELDS = tuple(f.name for f in fields(ModelConfig))
+_SCHEMA = _section("", ModelConfig(), _FIELDS)
+
 
 def _config_to_text(cfg: ModelConfig) -> str:
-    lines = []
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if value is None:
-            value = "none"
-        lines.append(f"{f.name}={value}")
-    return "\n".join(lines) + "\n"
+    return to_text((key, getattr(cfg, key)) for key in _FIELDS)
 
 
 def _config_from_text(text: str) -> ModelConfig:
-    hints = get_type_hints(ModelConfig)
-    types = {f.name: hints[f.name] for f in fields(ModelConfig)}
-    kwargs = {}
-    for line in text.strip().splitlines():
-        key, _, raw = line.partition("=")
-        key = key.strip()
-        raw = raw.strip()
-        if key not in types:
-            raise FormatError(f"unknown model-config key {key!r} in checkpoint")
-        if types[key] is int:
-            try:
-                kwargs[key] = int(raw)
-            except ValueError:
-                raise FormatError(f"model-config key {key!r} is not an integer: {raw!r}") from None
-        else:
-            kwargs[key] = None if raw == "none" else raw
     try:
-        return ModelConfig(**kwargs)
+        pairs = split_items(text.splitlines())
+        keys = tuple(key for key, _ in pairs)
+        if keys != _FIELDS:
+            raise ConfigError(f"keys {keys} are not the ModelConfig fields {_FIELDS} in order")
+        return ModelConfig(**parse_pairs(pairs, _SCHEMA))
     except ConfigError as exc:
         raise FormatError(f"invalid model config in checkpoint: {exc}") from exc
 

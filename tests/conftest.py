@@ -1,4 +1,6 @@
 import os
+import struct
+import zlib
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
@@ -10,6 +12,21 @@ import pytest
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def rewrite_config_block():
+    """``rewrite(path, edit)`` replaces the config block of the checkpoint at
+    ``path`` with ``edit(block bytes)``, then fixes the block length and the
+    CRC, so the edited file reaches the config parser."""
+    def rewrite(path, edit):
+        body = path.read_bytes()[:-4]
+        (length,) = struct.unpack_from("<I", body, 8)
+        block = edit(body[12:12 + length])
+        body = body[:8] + struct.pack("<I", len(block)) + block + body[12 + length:]
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+    return rewrite
 
 
 @pytest.fixture(scope="module")

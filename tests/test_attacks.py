@@ -252,6 +252,22 @@ class TestNes:
         with pytest.raises(ConfigError):
             NesConfig(max_queries=10, samples_per_step=10)
 
+    @pytest.mark.parametrize("field,value", [
+        ("fd_eta", 0.0), ("fd_eta", -0.01), ("fd_eta", float("nan")), ("fd_eta", float("inf")),
+        ("epsilon", -0.01), ("epsilon", float("nan")), ("epsilon", float("inf")),
+    ])
+    def test_invalid_setting_rejected(self, field, value):
+        """A zero finite-difference step would divide by zero and count NaN
+        images as successes; the object refuses it before any query."""
+        with pytest.raises(ConfigError, match=field):
+            NesConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", [-0.01, float("nan"), float("inf")])
+def test_attack_config_rejects_invalid_epsilon(value):
+    with pytest.raises(ConfigError, match="epsilon"):
+        AttackConfig(epsilon=value)
+
 
 @settings(max_examples=40, deadline=None)
 @given(

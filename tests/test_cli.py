@@ -265,6 +265,8 @@ BAD_VALUES = [
     # numpy rejects these sizes before allocating anything
     "train --set data.n_train=99999999999999999999999",
     "eval --set data.n_val=9223372036854775807",
+    # a zero finite-difference step would divide by zero inside NES
+    "attack --set attack.kind=nes --set nes.fd_eta=0",
 ]
 
 
@@ -355,4 +357,19 @@ class TestErrors:
         err = capsys.readouterr().err
         assert rc == 3
         assert "error[format]" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("old,new", [
+        (b"wavelet_base=haar\n", b""),
+        (b"wavelet_base=haar\n", b"wavelet_base=haar\nwavelet_base=db5\n"),
+    ], ids=["omitted-key", "repeated-key"])
+    def test_checkpoint_block_naming_a_key_not_once_exit_3(self, tmp_path, capsys,
+                                                            rewrite_config_block, old, new):
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(build_model(ModelConfig(depth=1, width=1, num_classes=2), seed=0), path)
+        rewrite_config_block(path, lambda block: block.replace(old, new))
+        rc = main(["eval", "--checkpoint", str(path), "--out-dir", str(tmp_path / "o")] + FAST)
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "error[format]" in err and "invalid model config" in err
         assert "Traceback" not in err

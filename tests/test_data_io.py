@@ -184,6 +184,9 @@ class TestCheckpoint:
         (b"depth=1\n", b"depth=0\n", "invalid model config"),
         (b"input_size=32\n", b"input_size=34\n", "does not describe"),  # odd map at the pool
         (b"num_classes=2\n", b"num_classes=3\n", "'fc.weight' has shape"),  # DimensionError
+        # two keys swapped, then a blank line
+        (b"depth=1\nwidth=1\n", b"width=1\ndepth=1\n", "are not the ModelConfig fields"),
+        (b"input_size=32\n", b"\ninput_size=32", "expected key=value, got ''"),
         (b"stem.weight", b"stem.weigh\xff", "name is not UTF-8"),
         (b"stem.weight", b"stem.weighz", "is 'stem.weighz' where the layout has"),
         # rank 70 with a zero dim: an empty payload numpy cannot reshape
@@ -199,6 +202,26 @@ class TestCheckpoint:
         body = body.replace(old, new)
         path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
         with pytest.raises(FormatError, match=match):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda block: block.replace(b"pooling_variant=lpf\n", b""),
+        lambda block: block.replace(b"wavelet_base=db5\n",
+                                    b"wavelet_base=db5\nwavelet_base=haar\n"),
+        lambda block: block + b"\n",
+    ], ids=["omitted-key", "repeated-key", "trailing-blank-line"])
+    def test_block_must_name_each_field_once_in_order(self, tmp_path, rewrite_config_block,
+                                                      edit):
+        """The config block alone says which wavelet stage a model runs, so a
+        CRC-valid db5/LPF file whose block drops pooling_variant must not load
+        as WAP, and a repeated wavelet_base must not win over the first."""
+        path = tmp_path / "model.ckpt"
+        cfg = ModelConfig(depth=1, width=1, num_classes=2, wavelet_base="db5",
+                          pooling_variant="lpf")
+        save_checkpoint(build_model(cfg, seed=3), path)
+        assert load_checkpoint(path).cfg == cfg
+        rewrite_config_block(path, edit)
+        with pytest.raises(FormatError, match="invalid model config"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("key,value,match", [
@@ -299,6 +322,14 @@ class TestCheckpointConfigText:
     @given(model_configs())
     def test_round_trip(self, cfg):
         assert _config_from_text(_config_to_text(cfg)) == cfg
+
+    def test_disabled_stage_text_is_pinned(self):
+        cfg = ModelConfig(depth=1, width=3, num_classes=7, wavelet_base=None,
+                          wap_position="disabled")
+        assert _config_to_text(cfg) == (
+            "depth=1\nwidth=3\nnum_classes=7\nwavelet_base=none\nwap_position=disabled\n"
+            "pooling_variant=wap\ninput_size=32\n"
+        )
 
 
 run_config_lines = st.tuples(
