@@ -8,12 +8,38 @@ checks).
 """
 
 import ctypes
+import glob
 import os
+import sys
 
 # single-sequence determinism is the contract, and one BLAS thread is faster
 # than two on small desk-scale GEMMs; honored only if the user has not chosen
+_BLAS_CHOSEN = "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+
+def _pin_loaded_blas():
+    """Set one thread in the OpenBLAS that numpy has already loaded.
+
+    OpenBLAS reads the environment once, when numpy loads it, so the defaults
+    above come too late for a program that imported numpy first. The numpy
+    wheel bundles its OpenBLAS under ``numpy.libs``; without that library or
+    its ``set_num_threads`` symbol this does nothing.
+    """
+    site = os.path.dirname(os.path.dirname(sys.modules["numpy"].__file__))
+    for path in glob.glob(os.path.join(site, "numpy.libs", "libscipy_openblas64_-*.so")):
+        try:
+            set_threads = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):  # not loadable, or an OpenBLAS without it
+            continue
+        set_threads.argtypes = (ctypes.c_int,)
+        set_threads.restype = None
+        set_threads(1)
+
+
+if "numpy" in sys.modules and not _BLAS_CHOSEN:
+    _pin_loaded_blas()
 
 
 def _keep_heap_mapped():

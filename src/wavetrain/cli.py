@@ -19,9 +19,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .attacks import (
-    AttackConfig, NesConfig, cw_pgd, eval_logits, fgsm, logits_oracle, mim, nes_attack, pgd,
-)
+from .attacks import WHITE_BOX, AttackConfig, NesConfig, eval_logits, logits_oracle, nes_attack
 from .autodiff import Tensor
 from .config import SCHEMA, RunConfig, load_config
 from .data import data_root, load_cifar10, split_train_val, synthetic_dataset
@@ -50,8 +48,6 @@ from .wavelet import (
     idwt2d,
     wap_lipschitz_estimate,
 )
-
-WHITE_BOX = {"fgsm": fgsm, "pgd": pgd, "mim": mim, "cw": cw_pgd}
 
 
 def _ensure_out(path) -> str:
@@ -108,22 +104,16 @@ def _model_config(cfg: RunConfig, num_classes: int) -> ModelConfig:
 
 
 def _train_config(cfg: RunConfig) -> TrainConfig:
-    attack = _build(AttackConfig, cfg, "train.attack_",
-                    random_init=cfg["train.attack_epsilon"] > 0)
+    attack = _build(AttackConfig, cfg, "train.attack_")
     return _build(TrainConfig, cfg, "train.", train_attack=attack, seed=cfg["seed"])
-
-
-def _attack_config(cfg: RunConfig, kind: str) -> AttackConfig:
-    loss_kind = "cw_margin" if kind == "cw" else "cross_entropy"
-    return _build(AttackConfig, cfg, "attack.", loss_kind=loss_kind)
 
 
 def _eval_attacks(model, val, cfg: RunConfig) -> tuple:
     """Clean accuracy, then the accuracy under each WHITE_BOX attack."""
+    attack = _build(AttackConfig, cfg, "attack.")
     return (accuracy(model, val),) + tuple(
-        accuracy(model, val, attack=_attack_config(cfg, kind), attack_fn=attack_fn,
-                 seed=cfg["seed"])
-        for kind, attack_fn in WHITE_BOX.items()
+        accuracy(model, val, attack=attack, attack_fn=attack_fn, seed=cfg["seed"])
+        for attack_fn in WHITE_BOX.values()
     )
 
 
@@ -131,10 +121,11 @@ def _eval_attacks(model, val, cfg: RunConfig) -> tuple:
 
 
 def cmd_train(cfg: RunConfig, out_dir: str, args) -> int:
+    train_cfg = _train_config(cfg)
     train, val = _load_datasets(cfg)
     model_cfg = _model_config(cfg, train.num_classes)
     model = build_model(model_cfg, seed=cfg["seed"])
-    best, history = adversarial_train(model, train, val, _train_config(cfg))
+    best, history = adversarial_train(model, train, val, train_cfg)
     save_checkpoint(best, os.path.join(out_dir, "model.ckpt"))
     rows = [
         (e, history.train_loss[e], history.clean_val_acc[e],
@@ -164,7 +155,7 @@ def cmd_attack(cfg: RunConfig, out_dir: str, args) -> int:
     if kind == "nes":
         acfg = _build(NesConfig, cfg, "nes.")
     elif kind in WHITE_BOX:
-        acfg = _attack_config(cfg, kind)
+        acfg = _build(AttackConfig, cfg, "attack.")
     else:
         raise ConfigError(f"unknown attack.kind {kind!r}")
     model, val = _checkpoint_and_val(cfg, args)

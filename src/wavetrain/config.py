@@ -101,8 +101,6 @@ RANGES = {
     "data.num_classes": "[2,inf)",
     "data.n_train": "[1,inf)",
     "data.n_val": "[1,inf)",
-    "train.lr_initial": "(0,inf)",
-    "train.momentum": "[0,1)",
     "heatmap.eps_f": "(0,inf)",
     "heatmap.samples_per_cell": "[1,inf)",
     "gradcam.class_id": "[-1,inf)",
@@ -135,9 +133,6 @@ class RunConfig:
         if key not in SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
         return self.values[key]
-
-    def __eq__(self, other):
-        return isinstance(other, RunConfig) and self.values == other.values
 
     def to_text(self) -> str:
         return to_text(sorted(self.values.items()))

@@ -35,7 +35,9 @@ def accuracy(model, dataset: Dataset, attack: Optional[AttackConfig] = None,
         xb = dataset.images[start : start + batch_size]
         yb = dataset.labels[start : start + batch_size]
         if attack is None:
-            correct += int((eval_logits(model, xb).argmax(axis=1) == yb).sum())
+            logits = eval_logits(model, xb)
+            yb = ad.check_labels(yb, len(xb), logits.shape[1])
+            correct += int((logits.argmax(axis=1) == yb).sum())
         else:
             correct += int((~attack_fn(model, xb, yb, attack, seed=seed + start).success).sum())
     return correct / len(dataset)

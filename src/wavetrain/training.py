@@ -56,6 +56,13 @@ class TrainConfig:
         self.lr_milestones = ms
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        if not (0 < self.lr_initial < math.inf):
+            raise ConfigError(f"lr_initial must be finite and > 0, got {self.lr_initial!r}")
+        if not (0 <= self.momentum < 1):
+            raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum!r}")
+        if not (0 <= self.weight_decay < math.inf):
+            raise ConfigError(f"weight_decay must be finite and >= 0, got "
+                              f"{self.weight_decay!r}")
 
 
 @dataclass

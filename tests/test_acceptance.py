@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from wavetrain import autodiff as ad
-from wavetrain.attacks import AttackConfig, cw_pgd, fgsm, mim, nes_attack, NesConfig, pgd, logits_oracle
+from wavetrain.attacks import WHITE_BOX, AttackConfig, fgsm, mim, nes_attack, NesConfig, pgd, logits_oracle
 from wavetrain.autodiff import Tensor
 from wavetrain.cli import main as cli_main
 from wavetrain.data import Dataset, load_cifar10, synthetic_dataset
@@ -185,11 +185,8 @@ def test_criterion_4_attack_suite(experiment):
                                                samples_per_step=4), seed=seed)
                 else:
                     cfg = AttackConfig(epsilon=eps, step_size=max(eps / 2, 0.01),
-                                       steps=steps, random_init=bool(seed % 2),
-                                       loss_kind="cw_margin" if kind == "cw"
-                                       else "cross_entropy")
-                    fn = {"fgsm": fgsm, "pgd": pgd, "mim": mim, "cw": cw_pgd}[kind]
-                    res = fn(toy, x, y, cfg, seed=seed)
+                                       steps=steps, random_init=bool(seed % 2))
+                    res = WHITE_BOX[kind](toy, x, y, cfg, seed=seed)
                 assert np.abs(res.x_adv - x).max() <= eps + 1e-6
                 assert res.x_adv.min() >= 0.0 and res.x_adv.max() <= 1.0
                 cases += 1

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from wavetrain import autodiff as ad
 from wavetrain.attacks import (
+    WHITE_BOX,
     AttackConfig,
     NesConfig,
     cw_pgd,
@@ -16,8 +17,7 @@ from wavetrain.attacks import (
     pgd,
 )
 from wavetrain.autodiff import Tensor
-from wavetrain.cli import WHITE_BOX
-from wavetrain.errors import ConfigError
+from wavetrain.errors import ConfigError, InputError
 
 
 class LinearToyModel:
@@ -165,27 +165,21 @@ class TestMim:
         assert np.allclose(res.x_adv, cur, atol=1e-7)
 
     def test_decay_one_constant_gradient_matches_pgd(self, toy, batch):
-        # margin loss of a two-class linear model has a constant gradient
-        # (kappa large enough that the hinge never clips), so accumulated
-        # momentum never changes sign and MIM walks the PGD trajectory
+        # the cross-entropy input gradient of a two-class linear model is
+        # p_other * (w_other - w_label): a positive multiple of one direction,
+        # so accumulated momentum never changes sign and MIM walks the PGD
+        # trajectory
         x, y = batch
-        cfg_kwargs = dict(epsilon=0.08, step_size=0.02, steps=4, random_init=False,
-                          loss_kind="cw_margin", kappa=100.0)
-        a = cw_pgd(toy, x, y, AttackConfig(**cfg_kwargs))
+        cfg_kwargs = dict(epsilon=0.08, step_size=0.02, steps=4, random_init=False)
+        a = pgd(toy, x, y, AttackConfig(**cfg_kwargs))
         b = mim(toy, x, y, AttackConfig(decay=1.0, **cfg_kwargs))
         assert np.array_equal(a.x_adv, b.x_adv)
 
 
 class TestCwPgd:
-    def test_requires_margin_loss(self, toy, batch):
-        x, y = batch
-        with pytest.raises(ConfigError):
-            cw_pgd(toy, x, y, AttackConfig(epsilon=0.03))
-
     def test_epsilon_zero_identity(self, toy, batch):
         x, y = batch
-        res = cw_pgd(toy, x, y, AttackConfig(epsilon=0.0, loss_kind="cw_margin",
-                                             random_init=False))
+        res = cw_pgd(toy, x, y, AttackConfig(epsilon=0.0, random_init=False))
         assert np.array_equal(res.x_adv, x)
 
     def test_misclassified_sample_still_returns_in_ball_point(self, rng):
@@ -193,8 +187,8 @@ class TestCwPgd:
         model = LinearToyModel(w, np.zeros(2, dtype=np.float32))
         x = (rng.random((2, 3, 2, 2)) * 0.4 + 0.3).astype(np.float32)
         wrong = 1 - model.forward(Tensor(x)).data.argmax(axis=1)  # force margin <= 0
-        cfg = AttackConfig(epsilon=0.05, step_size=0.02, steps=3,
-                           loss_kind="cw_margin", kappa=0.0, random_init=True)
+        cfg = AttackConfig(epsilon=0.05, step_size=0.02, steps=3, kappa=0.0,
+                           random_init=True)
         res = cw_pgd(model, x, wrong, cfg)
         assert ball_and_box_ok(res, x, cfg.epsilon)
         assert res.success.all()
@@ -204,8 +198,8 @@ class TestCwPgd:
         # the same sign pattern and the same iterates
         x, y = batch
         kwargs = dict(epsilon=0.02, step_size=0.005, steps=3, random_init=False)
-        a = pgd(toy, x, y, AttackConfig(loss_kind="cross_entropy", **kwargs))
-        b = cw_pgd(toy, x, y, AttackConfig(loss_kind="cw_margin", kappa=100.0, **kwargs))
+        a = pgd(toy, x, y, AttackConfig(**kwargs))
+        b = cw_pgd(toy, x, y, AttackConfig(kappa=100.0, **kwargs))
         assert np.array_equal(a.x_adv, b.x_adv)
 
 
@@ -217,12 +211,37 @@ class TestSuccess:
         # it must equal a fresh forward on the returned batch
         model, ds = boundary_wrn
         x, y = ds.images[:8], ds.labels[:8]
-        cfg = AttackConfig(epsilon=1e-3, step_size=5e-4, steps=2, restarts=restarts,
-                           loss_kind="cw_margin" if kind == "cw" else "cross_entropy")
+        cfg = AttackConfig(epsilon=1e-3, step_size=5e-4, steps=2, restarts=restarts)
         res = WHITE_BOX[kind](model, x, y, cfg, seed=3)
         fresh = eval_logits(model, res.x_adv).argmax(axis=1) != y
         assert 0 < fresh.sum() < len(y)
         assert np.array_equal(res.success, fresh)
+
+
+class TestLabels:
+    """Every attack checks its labels against the class count of the first
+    logits it sees, before it reports a result."""
+
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    @pytest.mark.parametrize("kind", list(WHITE_BOX))
+    def test_white_box_rejects_out_of_range_labels(self, toy, batch, kind, eps):
+        x, _ = batch
+        with pytest.raises(InputError, match="labels"):
+            WHITE_BOX[kind](toy, x, np.array([5, 7, 5, 7]), AttackConfig(epsilon=eps))
+
+    def test_nes_rejects_out_of_range_labels(self, toy, batch):
+        x, _ = batch
+        with pytest.raises(InputError, match="labels"):
+            nes_attack(logits_oracle(toy), x, np.array([5, 7, 5, 7]), NesConfig())
+
+    @pytest.mark.parametrize("kind", list(WHITE_BOX) + ["nes"])
+    def test_wrong_label_count_rejected(self, toy, batch, kind):
+        x, y = batch
+        with pytest.raises(InputError, match="shape"):
+            if kind == "nes":
+                nes_attack(logits_oracle(toy), x, y[:3], NesConfig())
+            else:
+                WHITE_BOX[kind](toy, x, y[:3], AttackConfig(epsilon=0.0))
 
 
 class TestNes:
@@ -289,10 +308,8 @@ def test_ball_and_box_invariants_property(kind, eps, steps, random_init, seed):
                          NesConfig(epsilon=eps, max_queries=60, samples_per_step=5),
                          seed=seed)
     else:
-        loss_kind = "cw_margin" if kind == "cw" else "cross_entropy"
         cfg = AttackConfig(epsilon=eps, step_size=eps / 2 if eps else 0.01,
-                           steps=steps, random_init=random_init,
-                           loss_kind=loss_kind)
+                           steps=steps, random_init=random_init)
         res = WHITE_BOX[kind](model, x, y, cfg, seed=seed)
     assert np.abs(res.x_adv - x).max() <= eps + 1e-6
     assert res.x_adv.min() >= 0.0 and res.x_adv.max() <= 1.0

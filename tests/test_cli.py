@@ -221,7 +221,7 @@ def _built_fields(cfg, key):
     if section == "train":
         return [(cli._train_config(cfg), name)]
     if section == "attack":
-        return [(cli._attack_config(cfg, kind), name) for kind in ("pgd", "cw")]
+        return [(cli._build(AttackConfig, cfg, "attack."), name)]
     return [(cli._build(NesConfig, cfg, "nes."), name)]
 
 
@@ -237,9 +237,7 @@ class TestConfigWiring:
         cfg = RunConfig()
         assert cli._model_config(cfg, 2) == ModelConfig(depth=1, width=1, num_classes=2)
         assert cli._train_config(cfg) == TrainConfig(epochs=5)
-        assert cli._attack_config(cfg, "pgd") == AttackConfig(epsilon=0.031)
-        assert cli._attack_config(cfg, "cw") == AttackConfig(epsilon=0.031,
-                                                             loss_kind="cw_margin")
+        assert cli._build(AttackConfig, cfg, "attack.") == AttackConfig(epsilon=0.031)
         assert cli._build(NesConfig, cfg, "nes.") == NesConfig()
 
 
@@ -257,6 +255,7 @@ BAD_VALUES = [
     "eval --set data.n_val=0",
     "train --set data.num_classes=1",
     "train --set train.lr_initial=nan",
+    "train --set train.momentum=1",
     # the checkpoint fixture has 2 classes
     "eval --set data.num_classes=3",
     "attack --set data.num_classes=3",

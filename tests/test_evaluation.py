@@ -101,6 +101,12 @@ class TestAccuracy:
         # binomial oracle: p=0.1, n=1500 -> sd ~ 0.0077; allow 4 sigma
         assert abs(acc - 0.1) < 4 * np.sqrt(0.1 * 0.9 / 1500)
 
+    def test_labels_beyond_the_model_classes_rejected(self):
+        # a 10-class dataset scored by a 2-class model
+        ds = synthetic_dataset(10, 40, seed=0)
+        with pytest.raises(InputError, match="labels"):
+            accuracy(ConstantModel(0, 2), ds)
+
     def test_zero_epsilon_attack_equals_clean(self):
         ds = synthetic_dataset(2, 32, seed=1)
         model = build_model(

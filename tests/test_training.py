@@ -51,6 +51,24 @@ class TestLrSchedule:
             TrainConfig(epochs=3, lr_milestones=(5,))
 
 
+class TestTrainConfigBounds:
+    @pytest.mark.parametrize("field,value", [
+        ("lr_initial", 0.0), ("lr_initial", -0.1), ("lr_initial", float("nan")),
+        ("lr_initial", float("inf")),
+        ("momentum", -0.1), ("momentum", 1.0), ("momentum", float("nan")),
+        ("weight_decay", -1e-4), ("weight_decay", float("nan")), ("weight_decay", float("inf")),
+    ])
+    def test_invalid_optimiser_setting_rejected(self, field, value):
+        """Each of these used to fail only after a full attacked batch, as a
+        NumericError or an InputError from the SGD step."""
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(epochs=1, **{field: value})
+
+    def test_edges_accepted(self):
+        cfg = TrainConfig(epochs=1, lr_initial=1e-6, momentum=0.0, weight_decay=0.0)
+        assert (cfg.momentum, cfg.weight_decay) == (0.0, 0.0)
+
+
 class TestGradientNorm:
     def test_zero_grads(self):
         model = tiny_model()
