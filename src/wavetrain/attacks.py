@@ -24,9 +24,11 @@ from .autodiff import Tensor
 from .errors import ConfigError, NumericError
 
 
-def _check_epsilon(epsilon):
-    if not (0 <= epsilon < math.inf):
-        raise ConfigError(f"epsilon must be finite and >= 0, got {epsilon!r}")
+def _check_finite_nonnegative(cfg, *names):
+    for name in names:
+        value = getattr(cfg, name)
+        if not (0 <= value < math.inf):
+            raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass
@@ -40,13 +42,11 @@ class AttackConfig:
     kappa: float = 0.0           # CW margin confidence; the other attacks ignore it
 
     def __post_init__(self):
-        _check_epsilon(self.epsilon)
+        _check_finite_nonnegative(self, "epsilon", "step_size", "decay", "kappa")
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
         if self.restarts < 1:
             raise ConfigError("restarts must be >= 1")
-        if self.decay < 0:
-            raise ConfigError("decay must be >= 0")
 
 
 @dataclass
@@ -202,7 +202,7 @@ class NesConfig:
     samples_per_step: int = 25
 
     def __post_init__(self):
-        _check_epsilon(self.epsilon)
+        _check_finite_nonnegative(self, "epsilon", "lr")
         if not (0 < self.fd_eta < math.inf):
             raise ConfigError(f"fd_eta must be finite and > 0, got {self.fd_eta!r}")
         if self.samples_per_step < 1:

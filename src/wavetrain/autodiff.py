@@ -15,6 +15,9 @@ float32 GEMM per block over the output gradient laid out on the stride-phase
 grids of the padded input, followed by one contiguous shifted add per kernel
 tap (kn2row; Anderson et al. 2017, arXiv:1709.03395) - no scatter.
 
+Elementwise ``add`` and ``mul`` take equal shapes only: there is no
+broadcasting, and Tensor operators take Tensors, not scalars.
+
 There is no GPU path, no higher-order differentiation and no mixed
 precision; single-sequence execution is bit-deterministic.
 """
@@ -64,9 +67,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
     def item(self):
         return float(self.data.reshape(-1)[0])
 
@@ -104,21 +104,13 @@ class Tensor:
     # -- operator sugar --------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return _affine(self, 1.0, float(other))
-
-    __radd__ = __add__
+        return add(self, other) if isinstance(other, Tensor) else NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return _affine(self, float(other), 0.0)
-
-    __rmul__ = __mul__
+        return mul(self, other) if isinstance(other, Tensor) else NotImplemented
 
     def __neg__(self):
-        return _affine(self, -1.0, 0.0)
+        return _neg(self)
 
     def sum(self):
         return sum_all(self)
@@ -153,52 +145,50 @@ def _make(data, parents, backward):
     return out
 
 
-def _unbroadcast(g, shape):
-    """Sum gradient ``g`` down to ``shape`` (inverse of numpy broadcasting)."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
-
-
 # -- elementwise and shape primitives -----------------------------------------
 
 
+def _check_same_shape(a, b, what):
+    if a.data.shape != b.data.shape:
+        raise DimensionError(
+            f"{what} expects equal shapes, got {a.data.shape} and {b.data.shape}"
+        )
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise a + b of equal shapes."""
+    _check_same_shape(a, b, "add")
     data = a.data + b.data
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
+            a._accumulate(g)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
+            b._accumulate(g)
 
     return _make(data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise a * b of equal shapes."""
+    _check_same_shape(a, b, "mul")
     data = a.data * b.data
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
+            a._accumulate(g * b.data)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+            b._accumulate(g * a.data)
 
     return _make(data, (a, b), backward)
 
 
-def _affine(a: Tensor, scale: float, shift: float) -> Tensor:
-    data = a.data * np.float32(scale) + np.float32(shift)
+def _neg(a: Tensor) -> Tensor:
+    data = -a.data
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g * np.float32(scale))
+            a._accumulate(-g)
 
     return _make(data, (a,), backward)
 
@@ -566,33 +556,18 @@ def cw_margin_loss(logits: Tensor, labels, kappa: float = 0.0) -> Tensor:
 # -- optimiser ---------------------------------------------------------------------
 
 
-def sgd_momentum_step(param, grad, velocity, lr, momentum, weight_decay):
-    """One SGD step on raw arrays: v <- momentum*v + g + wd*p; p <- p - lr*v.
-
-    Mutates ``param`` and ``velocity`` in place and returns them.
-    """
-    if not (lr > 0):
-        raise InputError(f"lr must be positive, got {lr}")
-    if not (0 <= momentum < 1):
-        raise InputError(f"momentum must be in [0,1), got {momentum}")
-    if weight_decay < 0:
-        raise InputError(f"weight_decay must be >= 0, got {weight_decay}")
-    if param.shape != grad.shape or param.shape != velocity.shape:
-        raise DimensionError(
-            f"param/grad/velocity shapes differ: {param.shape} {grad.shape} {velocity.shape}"
-        )
-    velocity *= np.float32(momentum)
-    velocity += grad
-    if weight_decay:
-        velocity += np.float32(weight_decay) * param
-    param -= np.float32(lr) * velocity
-    return param, velocity
-
-
 class SGDMomentum:
-    """Velocity bookkeeping for a fixed parameter list."""
+    """SGD with momentum on a fixed parameter list. Each step updates every
+    parameter and its velocity in place, in float32:
+    v <- momentum*v + g + weight_decay*p, then p <- p - lr*v."""
 
     def __init__(self, params, lr, momentum=0.9, weight_decay=0.0):
+        if not (lr > 0):
+            raise InputError(f"lr must be positive, got {lr}")
+        if not (0 <= momentum < 1):
+            raise InputError(f"momentum must be in [0,1), got {momentum}")
+        if not (weight_decay >= 0):
+            raise InputError(f"weight_decay must be >= 0, got {weight_decay}")
         self.params = list(params)
         self.lr = lr
         self.momentum = momentum
@@ -600,10 +575,15 @@ class SGDMomentum:
         self.velocities = [np.zeros_like(p.data) for p in self.params]
 
     def step(self):
+        lr, momentum, wd = (np.float32(v) for v in (self.lr, self.momentum, self.weight_decay))
         for p, v in zip(self.params, self.velocities):
             if p.grad is None:
                 raise UsageError("sgd step before backward: parameter has no gradient")
-            sgd_momentum_step(p.data, p.grad, v, self.lr, self.momentum, self.weight_decay)
+            v *= momentum
+            v += p.grad
+            if self.weight_decay:
+                v += wd * p.data
+            p.data -= lr * v
 
     def zero_grad(self):
         for p in self.params:

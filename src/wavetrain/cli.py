@@ -26,6 +26,7 @@ from .data import data_root, load_cifar10, split_train_val, synthetic_dataset
 from .errors import (
     ConfigError,
     FormatError,
+    InputError,
     NumericError,
     ResolutionError,
     UnsupportedBaseError,
@@ -78,7 +79,10 @@ def _load_datasets(cfg: RunConfig):
         if rel is None:
             raise ConfigError("data.path must name a CIFAR-10 batch file")
         full = load_cifar10(os.path.join(data_root(), rel))
-        return split_train_val(full)
+        try:
+            return split_train_val(full)
+        except InputError as exc:
+            raise ConfigError(f"data.path {rel!r} holds {len(full)} record(s): {exc}") from None
     raise ConfigError(f"unknown data.source {cfg['data.source']!r}")
 
 

@@ -39,58 +39,55 @@ def _parse_opt_str(raw):
     return None if raw.lower() == "none" else raw
 
 
-# type tag -> (parser, what a value of the tag is); a parser raises ValueError
-# on text that is not such a value
+# type -> (parser, what a value of the type is); a parser raises ValueError on
+# text that is not such a value. A tuple is a list of integers.
 _PARSERS = {
-    "int": (int, "an integer"),
-    "float": (float, "a number"),
-    "bool": (_parse_bool, "a boolean"),
-    "str": (str.strip, "a string"),
-    "opt_str": (_parse_opt_str, "a string or none"),
-    "int_list": (_parse_int_list, "a comma-separated list of integers"),
+    int: (int, "an integer"),
+    float: (float, "a number"),
+    bool: (_parse_bool, "a boolean"),
+    str: (str.strip, "a string"),
+    Optional[str]: (_parse_opt_str, "a string or none"),
+    tuple: (_parse_int_list, "a comma-separated list of integers"),
 }
-
-_TAGS = {int: "int", float: "float", bool: "bool", str: "str", Optional[str]: "opt_str",
-         tuple: "int_list"}
 
 
 def _section(prefix, default, names):
-    """SCHEMA rows ``prefix + name -> (type tag, default)`` for the named fields
-    of the config object ``default``: the tag from the field's annotation, the
+    """SCHEMA rows ``prefix + name -> (type, default)`` for the named fields of
+    the config object ``default``: the type from the field's annotation, the
     default from the object."""
     hints = get_type_hints(type(default))
-    return {prefix + name: (_TAGS[hints[name]], getattr(default, name)) for name in names}
+    return {prefix + name: (hints[name], getattr(default, name)) for name in names}
 
 
 _TRAIN = TrainConfig(epochs=5)
 
-# key -> (type tag, default). The model.*, train.*, attack.* and nes.* keys are
+# key -> (type, default). The model.*, train.*, attack.* and nes.* keys are
 # fields of the library config objects; the objects below are the CLI defaults.
 SCHEMA = {
-    "seed": ("int", 0),
-    "data.source": ("str", "synthetic"),          # synthetic | cifar10
-    "data.path": ("opt_str", None),               # cifar10 batch file (under the data root)
-    "data.num_classes": ("int", 2),
-    "data.n_train": ("int", 2000),
-    "data.n_val": ("int", 500),
+    "seed": (int, 0),
+    "data.source": (str, "synthetic"),        # synthetic | cifar10
+    "data.path": (Optional[str], None),       # cifar10 batch file (under the data root)
+    "data.num_classes": (int, 2),
+    "data.n_train": (int, 2000),
+    "data.n_val": (int, 500),
     **_section("model.", ModelConfig(depth=1, width=1),
                ("depth", "width", "wavelet_base", "wap_position", "pooling_variant")),
     **_section("train.", _TRAIN, ("epochs", "batch_size", "lr_initial", "lr_milestones",
                                   "momentum", "weight_decay", "early_stop_patience")),
     **_section("train.attack_", _TRAIN.train_attack, ("epsilon", "steps", "step_size")),
-    "attack.kind": ("str", "pgd"),                # fgsm | pgd | mim | cw | nes
+    "attack.kind": (str, "pgd"),              # fgsm | pgd | mim | cw | nes
     **_section("attack.", AttackConfig(epsilon=0.031), ("epsilon", "step_size", "steps",
                                                         "random_init", "restarts", "decay",
                                                         "kappa")),
     **_section("nes.", NesConfig(), ("epsilon", "fd_eta", "lr", "max_queries",
                                      "samples_per_step")),
-    "heatmap.eps_f": ("float", 4.0),
-    "heatmap.samples_per_cell": ("int", 32),
-    "heatmap.rows": ("int", 0),                   # 0 = full half-spectrum
-    "heatmap.cols": ("int", 0),
-    "gradcam.index": ("int", 0),
-    "gradcam.class_id": ("int", -1),              # -1 = predicted class
-    "theorem.grid_points": ("int", 1 << 16),
+    "heatmap.eps_f": (float, 4.0),
+    "heatmap.samples_per_cell": (int, 32),
+    "heatmap.rows": (int, 0),                 # 0 = full half-spectrum
+    "heatmap.cols": (int, 0),
+    "gradcam.index": (int, 0),
+    "gradcam.class_id": (int, -1),            # -1 = predicted class
+    "theorem.grid_points": (int, 1 << 16),
 }
 
 # Allowed interval of a numeric key, checked as a RunConfig is built. Every
@@ -124,7 +121,7 @@ class RunConfig:
         for key, value in self.values.items():
             if key not in SCHEMA:
                 raise ConfigError(f"unknown config key {key!r}")
-            if SCHEMA[key][0] in ("int", "float"):
+            if SCHEMA[key][0] in (int, float):
                 _check_range(key, value)
             resolved[key] = value
         self.values = resolved
@@ -153,7 +150,7 @@ def split_items(items):
 
 
 def parse_pairs(pairs, schema=SCHEMA) -> dict:
-    """``key -> value`` of ``(key, raw)`` pairs, each parsed by its tag in
+    """``key -> value`` of ``(key, raw)`` pairs, each parsed by its type in
     ``schema``; a later pair of the same key wins."""
     parsed = {}
     for key, raw in pairs:

@@ -10,6 +10,7 @@ are never asserted, only exponents and boundedness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -53,7 +54,7 @@ class HeatMapGrid:
     samples_per_cell: int
 
     def __post_init__(self):
-        if self.error_rates.min() < 0.0 or self.error_rates.max() > 1.0:
+        if not (self.error_rates.min() >= 0.0 and self.error_rates.max() <= 1.0):
             raise InputError("error rates must lie in [0,1]")
 
 
@@ -80,8 +81,10 @@ def fourier_heat_map(model, dataset: Dataset, eps_f: float = 4.0,
     half-spectrum: rows 0..H/2, all W columns (the remaining rows are the
     conjugate completion of these).
     """
-    if eps_f <= 0:
-        raise InputError("eps_f must be positive")
+    if not (0 < eps_f < math.inf):
+        raise InputError(f"eps_f must be finite and positive, got {eps_f!r}")
+    if samples_per_cell < 1:
+        raise InputError(f"samples_per_cell must be >= 1, got {samples_per_cell!r}")
     h, w = dataset.images.shape[2:]
     rows = rows if rows is not None else h // 2 + 1
     cols = cols if cols is not None else w

@@ -56,6 +56,9 @@ class TrainConfig:
         self.lr_milestones = ms
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        if self.early_stop_patience < 0:
+            raise ConfigError(f"early_stop_patience must be >= 0, got "
+                              f"{self.early_stop_patience!r}")
         if not (0 < self.lr_initial < math.inf):
             raise ConfigError(f"lr_initial must be finite and > 0, got {self.lr_initial!r}")
         if not (0 <= self.momentum < 1):

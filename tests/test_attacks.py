@@ -274,6 +274,7 @@ class TestNes:
     @pytest.mark.parametrize("field,value", [
         ("fd_eta", 0.0), ("fd_eta", -0.01), ("fd_eta", float("nan")), ("fd_eta", float("inf")),
         ("epsilon", -0.01), ("epsilon", float("nan")), ("epsilon", float("inf")),
+        ("lr", -0.01), ("lr", float("nan")), ("lr", float("inf")),
     ])
     def test_invalid_setting_rejected(self, field, value):
         """A zero finite-difference step would divide by zero and count NaN
@@ -286,6 +287,21 @@ class TestNes:
 def test_attack_config_rejects_invalid_epsilon(value):
     with pytest.raises(ConfigError, match="epsilon"):
         AttackConfig(epsilon=value)
+
+
+@pytest.mark.parametrize("field", ["step_size", "decay", "kappa"])
+@pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+def test_attack_config_rejects_invalid_setting(field, value):
+    """A NaN step size used to return NaN images counted as successes, and a
+    negative one descended the loss."""
+    with pytest.raises(ConfigError, match=field):
+        AttackConfig(epsilon=0.03, **{field: value})
+
+
+def test_attack_config_zero_edges_accepted():
+    cfg = AttackConfig(epsilon=0.0, step_size=0.0, decay=0.0, kappa=0.0)
+    assert (cfg.step_size, cfg.decay, cfg.kappa) == (0.0, 0.0, 0.0)
+    assert NesConfig(lr=0.0).lr == 0.0
 
 
 @settings(max_examples=40, deadline=None)

@@ -328,6 +328,34 @@ class TestSimpleOps:
         with pytest.raises(DimensionError):
             ad.linear(x, Tensor(np.zeros((4, 5))), b)
 
+    @pytest.mark.parametrize("op", [ad.add, ad.mul])
+    @pytest.mark.parametrize("shape", [(3,), (1, 3), (2, 1), (3, 2)])
+    def test_elementwise_refuses_unequal_shapes(self, op, shape):
+        a = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+        b = Tensor(np.ones(shape, dtype=np.float32))
+        with pytest.raises(DimensionError, match="equal shapes"):
+            op(a, b)
+        with pytest.raises(DimensionError, match="equal shapes"):
+            op(b, a)
+
+    def test_operators_take_tensors_only(self):
+        t = Tensor(np.ones(3, dtype=np.float32))
+        for scalar in (5.0, 2, np.float32(1.5)):
+            with pytest.raises(TypeError):
+                t + scalar
+            with pytest.raises(TypeError):
+                scalar * t
+
+    def test_negation_equals_multiplying_by_minus_one(self):
+        x = np.array([0.0, -0.0, 1.5, -2.25, 1e-45, np.inf], dtype=np.float32)
+        g = np.array([0.0, -0.0, 3.0, -1.0, -1e-45, 2.0], dtype=np.float32)
+        t = Tensor(x, requires_grad=True)
+        out = -t
+        out._backward(g)
+        minus_one = np.float32(-1.0)
+        assert out.data.tobytes() == (x * minus_one).tobytes()
+        assert t.grad.tobytes() == (g * minus_one).tobytes()
+
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_two_class(self):
@@ -660,25 +688,31 @@ class TestDeterminism:
         assert np.array_equal(a, b)
 
 
+def _sgd_param(values):
+    return Tensor(np.array(values, dtype=np.float32), requires_grad=True)
+
+
 class TestSgdMomentum:
     def test_plain_sgd_when_momentum_zero(self):
-        p = np.array([1.0, -2.0], dtype=np.float32)
-        g = np.array([0.5, 0.5], dtype=np.float32)
-        v = np.zeros(2, dtype=np.float32)
-        ad.sgd_momentum_step(p, g, v, lr=0.1, momentum=0.0, weight_decay=0.0)
-        assert np.allclose(p, [1.0 - 0.05, -2.0 - 0.05])
+        p = _sgd_param([1.0, -2.0])
+        p.grad = np.array([0.5, 0.5], dtype=np.float32)
+        SGDMomentum([p], lr=0.1, momentum=0.0, weight_decay=0.0).step()
+        assert np.allclose(p.data, [1.0 - 0.05, -2.0 - 0.05])
 
     def test_velocity_decays_geometrically(self):
-        p = np.zeros(1, dtype=np.float32)
-        v = np.array([1.0], dtype=np.float32)
+        p = _sgd_param([0.0])
+        opt = SGDMomentum([p], lr=0.1, momentum=0.5, weight_decay=0.0)
+        v = opt.velocities[0]
+        v[0] = 1.0
         for i in range(3):
-            ad.sgd_momentum_step(p, np.zeros(1, dtype=np.float32), v, 0.1, 0.5, 0.0)
+            p.grad = np.zeros(1, dtype=np.float32)
+            opt.step()
             assert abs(v[0] - 0.5 ** (i + 1)) < 1e-7
 
     def test_three_step_sequence_matches_scalar_recurrence(self):
         lr, mom, wd = 0.1, 0.9, 5e-4
-        p = np.array([0.7], dtype=np.float32)
-        v = np.zeros(1, dtype=np.float32)
+        p = _sgd_param([0.7])
+        opt = SGDMomentum([p], lr=lr, momentum=mom, weight_decay=wd)
         grads = [np.array([0.3], dtype=np.float32),
                  np.array([-0.2], dtype=np.float32),
                  np.array([0.05], dtype=np.float32)]
@@ -689,17 +723,18 @@ class TestSgdMomentum:
         for g in grads:
             ve = np.float32(mom) * ve + g[0] + np.float32(wd) * pe
             pe = pe - np.float32(lr) * ve
-            ad.sgd_momentum_step(p, g, v, lr, mom, wd)
-            assert abs(float(p[0]) - float(pe)) < 1e-7
+            p.grad = g
+            opt.step()
+            assert abs(float(p.data[0]) - float(pe)) < 1e-7
 
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            ad.sgd_momentum_step(
-                np.zeros(2, dtype=np.float32),
-                np.zeros(3, dtype=np.float32),
-                np.zeros(2, dtype=np.float32),
-                0.1, 0.9, 0.0,
-            )
+    @pytest.mark.parametrize("lr, mom, wd", [
+        (0.0, 0.9, 0.0), (-0.1, 0.9, 0.0), (float("nan"), 0.9, 0.0),
+        (0.1, -0.1, 0.0), (0.1, 1.0, 0.0), (0.1, float("nan"), 0.0),
+        (0.1, 0.9, -1e-4), (0.1, 0.9, float("nan")),
+    ])
+    def test_refuses_bad_hyperparameters(self, lr, mom, wd):
+        with pytest.raises(InputError):
+            SGDMomentum([_sgd_param([0.0])], lr=lr, momentum=mom, weight_decay=wd)
 
     def test_optimizer_class_steps_params(self, rng):
         p = Tensor(rng.standard_normal(4).astype(np.float32), requires_grad=True)

@@ -199,14 +199,14 @@ STR_VALUES = {"model.wavelet_base": "db5", "model.wap_position": "before_final_r
 
 def _distinct_value(key):
     """An in-range value for ``key`` that differs from its default."""
-    tag, default = SCHEMA[key]
-    if tag == "int":
+    typ, default = SCHEMA[key]
+    if typ is int:
         return str(default + 1)
-    if tag == "float":
+    if typ is float:
         return repr(default / 2 + 0.01)
-    if tag == "bool":
+    if typ is bool:
         return "false" if default else "true"
-    if tag == "int_list":
+    if typ is tuple:
         return "1,3"
     return STR_VALUES[key]
 
@@ -328,6 +328,20 @@ class TestErrors:
         finally:
             os.environ.pop("WAVETRAIN_DATA", None)
         assert rc == 3
+
+    @pytest.mark.parametrize("records,code", [(1, 2), (2, 0)])
+    def test_tiny_cifar_file(self, tmp_path, capsys, monkeypatch, records, code):
+        """One record leaves nothing to train on once validation takes its
+        share: a config error naming the file, not exit 1."""
+        (tmp_path / "tiny.bin").write_bytes(bytes(records * 3073))
+        monkeypatch.setenv("WAVETRAIN_DATA", str(tmp_path))
+        rc = main(["train", "--out-dir", str(tmp_path / "o"), "--set", "data.source=cifar10",
+                   "--set", "data.path=tiny.bin"] + FAST)
+        err = capsys.readouterr().err
+        assert rc == code
+        assert "Traceback" not in err
+        if code:
+            assert "error[config]" in err and "tiny.bin" in err and "1 record" in err
 
     def test_crc_valid_checkpoint_with_repeated_record_exit_3(self, tmp_path, capsys):
         path = tmp_path / "repeat.ckpt"

@@ -8,6 +8,7 @@ from wavetrain.data import Dataset, synthetic_dataset
 from wavetrain.errors import InputError, ResolutionError
 from wavetrain.evaluation import (
     DecayFit,
+    HeatMapGrid,
     accuracy,
     cascade_wavelet,
     fourier_basis_image,
@@ -203,6 +204,21 @@ class TestFourierHeatMap:
         with pytest.raises(DimensionError):
             fourier_heat_map(ConstantModel(0, 2), ds, rows=40, cols=8)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"samples_per_cell": 0}, {"samples_per_cell": -1},
+        {"eps_f": 0.0}, {"eps_f": -1.0}, {"eps_f": float("nan")}, {"eps_f": float("inf")},
+    ])
+    def test_bad_settings_rejected(self, kwargs):
+        """samples_per_cell=0 used to return an all-NaN grid, and eps_f=nan a
+        grid of rates from NaN images."""
+        ds = synthetic_dataset(2, 8, seed=0)
+        with pytest.raises(InputError, match=next(iter(kwargs))):
+            fourier_heat_map(ConstantModel(0, 2), ds, rows=1, cols=1, **kwargs)
+
+    def test_nan_rates_rejected(self):
+        with pytest.raises(InputError):
+            HeatMapGrid(np.full((2, 2), np.nan), eps_f=4.0, samples_per_cell=1)
+
 
 class TestGradCam:
     def test_cam_proportional_to_relu_of_selected_map(self, rng):
@@ -217,10 +233,9 @@ class TestGradCam:
         class Shifted(SpatialMeanModel):
             def forward(self, x, training=False, return_features=False):
                 out = super().forward(x, training, return_features)
-                if return_features:
-                    logits, feats = out
-                    return logits + 5.0, feats
-                return out + 5.0
+                logits = out[0] if return_features else out
+                shifted = logits + Tensor(np.full(logits.shape, 5.0, dtype=np.float32))
+                return (shifted, out[1]) if return_features else shifted
 
         x = rng.standard_normal((3, 8, 8)).astype(np.float32)
         assert np.array_equal(

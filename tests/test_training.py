@@ -68,6 +68,11 @@ class TestTrainConfigBounds:
         cfg = TrainConfig(epochs=1, lr_initial=1e-6, momentum=0.0, weight_decay=0.0)
         assert (cfg.momentum, cfg.weight_decay) == (0.0, 0.0)
 
+    def test_negative_early_stop_patience_rejected(self):
+        """-1 used to stop training after the first epoch that did not improve."""
+        with pytest.raises(ConfigError, match="early_stop_patience"):
+            TrainConfig(epochs=3, early_stop_patience=-1)
+
 
 class TestGradientNorm:
     def test_zero_grads(self):
