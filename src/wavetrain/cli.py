@@ -140,7 +140,7 @@ def cmd_train(cfg: RunConfig, out_dir: str, args) -> int:
               ("epoch", "train_loss", "clean_val_acc", "robust_val_acc", "grad_norm"),
               rows)
     print(f"trained {history.epochs_completed()} epochs; "
-          f"best robust val acc {max(history.robust_val_acc):.4f} "
+          f"best robust val acc {history.robust_val_acc[history.best_epoch]:.4f} "
           f"(epoch {history.best_epoch})")
     return 0
 

@@ -5,8 +5,11 @@ Structure: 3x3 stem conv, three groups of pre-activation residual blocks
 wavelet pooling stage, global average pooling, and a fully connected
 classifier. On 32x32 inputs the feature map entering the pooling stage is
 8x8; with wavelet pooling enabled it is halved to 4x4 so the average pool
-runs with kernel 4. The wavelet-disabled twin pools the 8x8 map directly
-(kernel 8). Every parameter and buffer name and shape comes from one table,
+runs with kernel 4. A WAP stage after the stem whose filter is one tap at
+offset 0 (haar; ``wavelet.wap_decimation``) keeps only the stem's even-even
+pixels, so there the stem runs at stride 2 and only the pool's scale is
+applied. The wavelet-disabled twin pools the 8x8 map directly (kernel 8).
+Every parameter and buffer name and shape comes from one table,
 ``state_layout``, which reads neither the pooling position nor the base, so
 the two variants share one state layout - only the pooling stage differs.
 """
@@ -22,7 +25,14 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, DimensionError
-from .wavelet import FilterBank, filter_bank, wavelet_average_pool, wavelet_low_pass_pool
+from .wavelet import (
+    FilterBank,
+    _check_even_spatial,
+    filter_bank,
+    wap_decimation,
+    wavelet_average_pool,
+    wavelet_low_pass_pool,
+)
 
 WAP_POSITIONS = ("after_first_conv", "before_final_relu", "after_final_relu", "disabled")
 POOLING_VARIANTS = ("wap", "lpf")
@@ -135,6 +145,28 @@ def check_state(cfg: ModelConfig, items):
                                  f"the layout has {shape}")
 
 
+def _scale(x: Tensor, c: float) -> Tensor:
+    """c*(c*x), the arithmetic a one-tap WAP runs on the samples it keeps:
+    one float64 tap per axis added into a zeroed buffer (so -0.0 becomes
+    +0.0), then one rounding to float32. The backward is the same product on
+    the gradient, as the pool's adjoint gives it. The result keeps x's
+    memory layout."""
+    c = np.float64(c)
+
+    def scaled(a):
+        out = a.astype(np.float64)
+        out *= c
+        out *= c
+        out += 0.0
+        return out.astype(np.float32)
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(scaled(g), fresh=True)
+
+    return ad._make(scaled(x.data), (x,), backward)
+
+
 class Model:
     """Named parameter tensors plus the forward graph implied by the config.
 
@@ -151,6 +183,12 @@ class Model:
         )
         _check_spatial(cfg)
         self._blocks = list(_blocks(cfg))
+        # WAP after the stem with a one-tap filter at offset 0 keeps stem
+        # pixel (2i, 2j) times c*c: the same 3x3, pad-1 conv at stride 2
+        tap = None
+        if cfg.wap_position == "after_first_conv" and cfg.pooling_variant == "wap":
+            tap = wap_decimation(self.fb)
+        self._stem_scale = tap[1] if tap is not None and tap[0] == 0 else None
         for name, shape, _ in state_layout(cfg):
             fill = np.ones if name.endswith((".gamma", ".var")) else np.zeros
             array = fill(shape, dtype=np.float32)
@@ -190,6 +228,17 @@ class Model:
             shortcut = x
         return y + shortcut
 
+    def _stem(self, x):
+        """Stem conv, followed by the wavelet stage at ``after_first_conv``."""
+        w = self.params["stem.weight"]
+        if self._stem_scale is not None:
+            _check_even_spatial(x)
+            return _scale(ad.conv2d(x, w, stride=2, padding=1), self._stem_scale)
+        h = ad.conv2d(x, w, stride=1, padding=1)
+        if self.cfg.wap_position == "after_first_conv":
+            h = self._wavelet_stage(h)
+        return h
+
     def _wavelet_stage(self, x):
         if self.cfg.pooling_variant == "lpf":
             return wavelet_low_pass_pool(x, self.fb)
@@ -199,9 +248,7 @@ class Model:
         cfg = self.cfg
         if x.data.ndim != 4 or x.data.shape[1] != 3:
             raise DimensionError(f"expected input [N,3,H,W], got {x.data.shape}")
-        h = ad.conv2d(x, self.params["stem.weight"], stride=1, padding=1)
-        if cfg.wap_position == "after_first_conv":
-            h = self._wavelet_stage(h)
+        h = self._stem(x)
         for prefix, _, _, stride, has_proj in self._blocks:
             h = self._block(prefix, h, stride, training, has_proj)
         h = self._bn("bn_final", h, training)

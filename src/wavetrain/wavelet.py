@@ -277,15 +277,41 @@ def idwt2d(s: SubbandSet, fb: FilterBank) -> Tensor:
     return Tensor(_up_convolve(branch_lo, lo, -1) + _up_convolve(branch_hi, hi, -1))
 
 
+def wap_filter(fb: FilterBank) -> np.ndarray:
+    """The per-axis filter (lo_a + hi_a)/2 that wavelet average pooling runs."""
+    return 0.5 * (fb.lo_a + fb.hi_a)
+
+
+def wap_decimation(fb: FilterBank):
+    """(offset t, coefficient c) when the WAP filter has exactly one nonzero
+    tap, else None. Such a pool is a scaled decimation: along each axis
+    ``y[k] = c * x[2k + t]``, so WAP(x) = c*c * x[..., t::2, t::2] on maps
+    longer than t. Of the supported banks only haar has one, at t = 0 with
+    c = 1/sqrt(2)."""
+    f = wap_filter(fb)
+    (taps,) = np.nonzero(f)
+    if len(taps) != 1:
+        return None
+    return int(taps[0]), float(f[taps[0]])
+
+
 def wavelet_average_pool(x: Tensor, fb: FilterBank) -> Tensor:
     """Average of the four one-level subbands: 0.25*(ll+lh+hl+hh).
 
     Linear in x, halves both spatial dims, differentiable. Because all four
     subbands share one downsampling grid, the average factorizes exactly into
-    separable filtering with (lo+hi)/2 along each axis, which is what runs
-    here; ``dwt2d`` plus explicit averaging gives the same map.
+    separable filtering with ``wap_filter(fb)`` = (lo+hi)/2 along each axis,
+    which is what runs here; ``dwt2d`` plus explicit averaging gives the same
+    map.
+
+    For haar that filter is [1/sqrt(2), 0]: the high band cancels the low one
+    on every odd sample, so haar WAP is ½·x[:, :, ::2, ::2], a stride-2
+    subsampling with no low-pass filter in front (``wap_decimation``). Such a
+    stride aliases every frequency above the new Nyquist rate into the kept
+    samples (Zhang 2019, "Making Convolutional Networks Shift-Invariant
+    Again", arXiv:1904.11486); the longer banks filter before they subsample.
     """
-    f = 0.5 * (fb.lo_a + fb.hi_a)
+    f = wap_filter(fb)
     return _separable(x, f, f)
 
 

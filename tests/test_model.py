@@ -7,6 +7,8 @@ from wavetrain.autodiff import Tensor
 from wavetrain.errors import ConfigError, DimensionError
 from wavetrain.model import WAP_POSITIONS, ModelConfig, build_model, check_state, state_layout
 
+from gradcheck import relative_errors
+
 
 
 def small_cfg(**kw):
@@ -323,3 +325,128 @@ class TestForward:
             got = float(xt.grad.reshape(-1)[idx])
             scale = max(abs(fd), abs(got), gmax * 0.05)
             assert abs(got - fd) / scale < 1e-2
+
+
+STEM_HAAR = dict(depth=1, width=1, num_classes=2, wavelet_base="haar",
+                 wap_position="after_first_conv")
+
+
+def stem_weight_grad_oracle(x, g, c):
+    """float64 weight gradient of the stem conv (3x3, pad 1) followed by a
+    one-tap WAP at offset 0 with coefficient c: output cotangent g reaches
+    stem pixel (2i, 2j) scaled by c*c and no other pixel."""
+    xp = np.pad(np.asarray(x, dtype=np.float64), ((0, 0), (0, 0), (1, 1), (1, 1)))
+    g = c * c * np.asarray(g, dtype=np.float64)
+    oh, ow = g.shape[2:]
+    dw = np.zeros((g.shape[1], x.shape[1], 3, 3))
+    for i in range(3):
+        for j in range(3):
+            patch = xp[:, :, i : i + 2 * oh : 2, j : j + 2 * ow : 2]
+            dw[:, :, i, j] = np.einsum("nkhw,nchw->kc", g, patch)
+    return dw
+
+
+def record_stem(monkeypatch):
+    """Record the stride of every stem conv and count wavelet pool calls."""
+    strides, pools = [], []
+    conv2d = ad.conv2d
+
+    def conv(x, w, stride=1, padding=0):
+        if w.shape == (model_module.STEM_CHANNELS, 3, 3, 3):
+            strides.append(stride)
+        return conv2d(x, w, stride, padding)
+
+    def counted(pool):
+        def run(x, fb):
+            pools.append(pool.__name__)
+            return pool(x, fb)
+        return run
+
+    for name in ("wavelet_average_pool", "wavelet_low_pass_pool"):
+        monkeypatch.setattr(model_module, name, counted(getattr(model_module, name)))
+    monkeypatch.setattr(ad, "conv2d", conv)
+    return strides, pools
+
+
+class TestDecimatedStem:
+    """Haar WAP after the stem runs as a stride-2 stem conv and a scale."""
+
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    def test_matches_conv_then_pool(self, rng, n):
+        model = build_model(ModelConfig(**STEM_HAAR), seed=0)
+        w = model.params["stem.weight"]
+        x = rng.random((n, 3, 32, 32)).astype(np.float32)
+        g = rng.standard_normal((n, 16, 16, 16)).astype(np.float32)
+        got, want = [], []
+        for stage, out in ((model._stem, got),
+                           (lambda t: model._wavelet_stage(ad.conv2d(t, w, 1, 1)), want)):
+            xt = Tensor(x, requires_grad=True)
+            w.grad = None
+            y = stage(xt)
+            ad.mul(y, Tensor(g)).sum().backward()
+            out += [y.data, xt.grad, w.grad]
+        assert got[0].tobytes() == np.ascontiguousarray(want[0]).tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        c = 1.0 / np.sqrt(2.0)
+        assert relative_errors(got[2], stem_weight_grad_oracle(x, g, c)).max() < 1e-3
+        assert relative_errors(got[2], want[2]).max() < 1e-3
+
+    def test_runs_stride_two_and_no_pool(self, monkeypatch):
+        model = build_model(ModelConfig(**STEM_HAAR), seed=0)
+        strides, pools = record_stem(monkeypatch)
+        model.forward(Tensor(np.zeros((2, 3, 32, 32))))
+        assert strides == [2] and pools == []
+
+    @pytest.mark.parametrize("kw,pool_calls", [
+        (dict(pooling_variant="lpf"), 1),
+        (dict(wavelet_base="db5"), 1),
+        (dict(wavelet_base="bior3.1"), 1),
+        (dict(wap_position="before_final_relu"), 1),
+        (dict(wap_position="after_final_relu"), 1),
+        (dict(wap_position="after_final_relu", pooling_variant="lpf"), 1),
+        (dict(wavelet_base=None, wap_position="disabled"), 0),
+    ])
+    def test_other_configs_keep_conv_then_pool(self, monkeypatch, kw, pool_calls):
+        model = build_model(ModelConfig(**{**STEM_HAAR, **kw}), seed=0)
+        strides, pools = record_stem(monkeypatch)
+        model.forward(Tensor(np.zeros((2, 3, 32, 32))))
+        assert strides == [1] and len(pools) == pool_calls
+
+    def test_eval_logits_and_input_gradient_match_conv_then_pool(self, rng, monkeypatch):
+        model = build_model(ModelConfig(**STEM_HAAR), seed=4)
+        monkeypatch.setattr(model_module, "wap_decimation", lambda fb: None)
+        twin = build_model(ModelConfig(**STEM_HAAR), seed=4)
+        x = rng.random((8, 3, 32, 32)).astype(np.float32)
+        labels = rng.integers(0, 2, 8)
+        outs = []
+        for m in (model, twin):
+            xt = Tensor(x, requires_grad=True)
+            logits = m.forward(xt)
+            ad.softmax_cross_entropy(logits, labels).backward()
+            outs.append((logits.data.tobytes(), xt.grad.tobytes()))
+        assert outs[0] == outs[1]
+
+    def test_signed_zero_and_odd_subnormals_match_the_tap_loop(self):
+        # a float32 y * 0.5 would round the odd subnormals' ties to even and
+        # keep -0.0; the tap loop rounds c*(c*y) once and adds into +0.0
+        tiny = np.float32(np.finfo(np.float32).smallest_subnormal)
+        kept = np.array([[-0.0, tiny, 3 * tiny, -5 * tiny, 1.0, -0.75]], dtype=np.float32)
+        x = np.zeros((1, 1, 2, 2 * kept.shape[1]), dtype=np.float32)
+        x[0, 0, 0, ::2] = kept
+        haar = model_module.filter_bank("haar")
+        xt, kt = Tensor(x, requires_grad=True), Tensor(kept[None, None], requires_grad=True)
+        pooled = model_module.wavelet_average_pool(xt, haar)
+        scaled = model_module._scale(kt, model_module.wap_decimation(haar)[1])
+        assert scaled.data.tobytes() == np.ascontiguousarray(pooled.data).tobytes()
+        assert not np.signbit(scaled.data[0, 0, 0, 0])
+        assert scaled.data.tobytes() != (kept * np.float32(0.5)).tobytes()
+        g = Tensor(kept[None, None])
+        ad.mul(pooled, g).sum().backward()
+        ad.mul(scaled, g).sum().backward()
+        assert kt.grad.tobytes() == np.ascontiguousarray(xt.grad[:, :, ::2, ::2]).tobytes()
+
+    @pytest.mark.parametrize("hw", [(33, 32), (32, 31)])
+    def test_odd_input_rejected(self, hw):
+        model = build_model(ModelConfig(**STEM_HAAR), seed=0)
+        with pytest.raises(DimensionError):
+            model.forward(Tensor(np.zeros((1, 3) + hw)))

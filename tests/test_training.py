@@ -1,13 +1,18 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from wavetrain import autodiff as ad
-from wavetrain.attacks import AttackConfig
+from wavetrain import training
+from wavetrain.attacks import AttackConfig, pgd
 from wavetrain.autodiff import SGDMomentum, Tensor
+from wavetrain.cli import main
 from wavetrain.data import split_train_val, synthetic_dataset
 from wavetrain.errors import ConfigError, UsageError
 from wavetrain.evaluation import accuracy
 from wavetrain.model import ModelConfig, build_model
+from wavetrain.storage import load_checkpoint
 from wavetrain.training import TrainConfig, adversarial_train, gradient_norm, lr_at
 
 
@@ -169,6 +174,22 @@ class TestAdversarialTrain:
         assert history.epochs_completed() == 3
         assert history.robust_val_acc == history.clean_val_acc
 
+    def test_attacks_run_through_this_module_binding(self, monkeypatch):
+        # one training batch and one validation batch, both through
+        # training.pgd, so a wrapper installed there sees every attack
+        calls = []
+
+        def counted(*args, **kw):
+            calls.append(kw["seed"])
+            return pgd(*args, **kw)
+
+        monkeypatch.setattr(training, "pgd", counted)
+        data = synthetic_dataset(2, 96, seed=0)
+        train, val = data.subset(np.arange(64)), data.subset(np.arange(64, 96))
+        cfg = tiny_train_cfg(epochs=1)
+        adversarial_train(tiny_model(), train, val, cfg)
+        assert calls == [cfg.seed, cfg.seed + 777]
+
     def test_best_checkpoint_attains_max_robust_accuracy(self):
         data = synthetic_dataset(2, 128, seed=4)
         train, val = split_train_val(data)
@@ -197,3 +218,47 @@ class TestAdversarialTrain:
         data = synthetic_dataset(2, 64, seed=0)
         with pytest.raises(InputError):
             data.subset(np.arange(0))
+
+
+class TestBestEpoch:
+    """The kept epoch maximises (clean > majority-class rate, robust)."""
+
+    # per epoch (clean, robust) on a balanced validation set, the epochs run
+    # under early-stop patience 2, and the epoch kept
+    @pytest.mark.parametrize("scores,ran,kept", [
+        ([(0.5, 0.5), (0.5, 0.5), (1.0, 0.27)], 3, 2),    # constant predictor first
+        ([(0.5, 0.5), (0.5, 0.6), (0.25, 0.7)], 3, 2),    # none beats the majority
+        ([(0.75, 0.3), (0.5, 0.9), (0.8, 0.3)], 3, 0),    # the first maximum wins
+        ([(0.75, 0.3), (0.5, 0.9), (0.5, 0.9), (1.0, 0.9)], 3, 0),  # stops on the key
+        ([(0.5, 0.9), (0.75, 0.3), (0.5, 0.9), (0.8, 0.4)], 4, 3),
+    ])
+    def test_selection_rule(self, monkeypatch, scores, ran, kept):
+        data = synthetic_dataset(2, 96, seed=0)
+        train, val = data.subset(np.arange(64)), data.subset(np.arange(64, 96))
+        assert np.bincount(val.labels).max() / len(val) == 0.5
+        values = iter(v for pair in scores for v in pair)
+        monkeypatch.setattr(training, "accuracy", lambda *args, **kw: next(values))
+        monkeypatch.setattr(training, "pgd",
+                            lambda model, xb, yb, cfg, seed: SimpleNamespace(x_adv=xb))
+        cfg = tiny_train_cfg(epochs=len(scores), early_stop_patience=2)
+        _, history = adversarial_train(tiny_model(), train, val, cfg)
+        assert history.epochs_completed() == ran
+        assert history.best_epoch == kept
+
+    def test_cli_run_keeps_the_epoch_that_beats_a_constant_predictor(self, tmp_path,
+                                                                    capsys):
+        # epochs 0 and 1 predict one class of the balanced 48-sample validation
+        # set (clean = robust = 0.5); epoch 2 separates it, with clean 1.0 and
+        # robust 13/48
+        args = ["train", "--out-dir", str(tmp_path)]
+        for kv in ("seed=3", "data.n_train=256", "data.n_val=48", "train.epochs=3",
+                   "train.batch_size=32", "train.attack_steps=2", "train.lr_initial=0.05"):
+            args += ["--set", kv]
+        assert main(args) == 0
+        assert capsys.readouterr().out.strip().endswith(
+            "best robust val acc 0.2708 (epoch 2)")
+        rows = (tmp_path / "history.csv").read_text().splitlines()[2:]
+        assert [r.split(",")[2:4] for r in rows] == [["0.5", "0.5"], ["0.5", "0.5"],
+                                                     ["1", "0.27083333"]]
+        val = synthetic_dataset(2, 304, seed=3).subset(np.arange(256, 304))
+        assert accuracy(load_checkpoint(str(tmp_path / "model.ckpt")), val) == 1.0

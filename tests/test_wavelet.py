@@ -13,6 +13,8 @@ from wavetrain.wavelet import (
     dwt2d,
     filter_bank,
     idwt2d,
+    wap_decimation,
+    wap_filter,
     wap_lipschitz_estimate,
     wavelet_average_pool,
     wavelet_low_pass_pool,
@@ -391,6 +393,27 @@ class TestWaveletAveragePool:
 
         fd = central_differences(oracle, x0, dtype=np.float64)
         assert relative_errors(t.grad, fd).max() < 1e-3
+
+
+class TestWapDecimation:
+    def test_haar_is_one_tap_at_offset_zero(self):
+        assert wap_decimation(filter_bank("haar")) == (0, 1.0 / SQRT2)
+
+    @pytest.mark.parametrize("name,nonzero", [
+        ("db5", 10), ("sym4", 8), ("coif4", 24), ("bior3.1", 4), ("rbio2.2", 5),
+    ])
+    def test_other_banks_filter_before_subsampling(self, name, nonzero):
+        fb = filter_bank(name)
+        assert np.count_nonzero(wap_filter(fb)) == nonzero
+        assert wap_decimation(fb) is None
+
+    @pytest.mark.parametrize("shape", [(2, 3, 8, 8), (1, 2, 6, 10)])
+    def test_haar_pool_is_scaled_decimation(self, rng, shape):
+        x = rng.standard_normal(shape).astype(np.float32)
+        t, c = wap_decimation(filter_bank("haar"))
+        got = wavelet_average_pool(Tensor(x), filter_bank("haar")).data
+        want = (c * (c * x[:, :, t::2, t::2].astype(np.float64))).astype(np.float32)
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 class TestLowPassPool:
