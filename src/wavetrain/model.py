@@ -5,13 +5,29 @@ Structure: 3x3 stem conv, three groups of pre-activation residual blocks
 wavelet pooling stage, global average pooling, and a fully connected
 classifier. On 32x32 inputs the feature map entering the pooling stage is
 8x8; with wavelet pooling enabled it is halved to 4x4 so the average pool
-runs with kernel 4. A WAP stage after the stem whose filter is one tap at
-offset 0 (haar; ``wavelet.wap_decimation``) keeps only the stem's even-even
-pixels, so there the stem runs at stride 2 and only the pool's scale is
-applied. The wavelet-disabled twin pools the 8x8 map directly (kernel 8).
-Every parameter and buffer name and shape comes from one table,
+runs with kernel 4. The wavelet-disabled twin pools the 8x8 map directly
+(kernel 8). Every parameter and buffer name and shape comes from one table,
 ``state_layout``, which reads neither the pooling position nor the base, so
 the two variants share one state layout - only the pooling stage differs.
+
+A WAP stage whose filter is one tap at offset 0 (haar;
+``wavelet.wap_decimation``) keeps only the even-even pixels of its input and
+scales them by c*c = 1/2, so the layers before it compute only those pixels:
+- after the stem, the stem conv runs at stride 2, in every mode;
+- at ``before_final_relu`` or ``after_final_relu``, in eval mode without
+  ``return_features``, when the last block has a projection shortcut (depth
+  1), that block's conv2 runs at stride 2 and its projection at twice its
+  stride; bn_final (running statistics) and ReLU run on the 4x4 map.
+Then only the pool's scale is applied. Training mode (batch statistics read
+the whole map), Grad-CAM's features, an identity shortcut (depth >= 2), LPF
+and the other bases run the full map, then the pool.
+
+The decimated tail gives the full graph's bytes at most batch sizes, but
+conv2d picks its blocking from the conv's own size: the stride-2 conv2 fits
+the float64 one-block path at 8 <= N <= 28 (width 1), where the full conv
+ran float32 blocks, and at N = 29, 57, ... its last float32 block holds one
+sample of 16 columns, which OpenBLAS rounds differently from the full conv's
+blocks. There the logits move in the last bits (<= 2.4e-7 at width 1).
 """
 
 from __future__ import annotations
@@ -183,12 +199,17 @@ class Model:
         )
         _check_spatial(cfg)
         self._blocks = list(_blocks(cfg))
-        # WAP after the stem with a one-tap filter at offset 0 keeps stem
-        # pixel (2i, 2j) times c*c: the same 3x3, pad-1 conv at stride 2
+        # a WAP whose filter is one tap at offset 0 keeps pixel (2i, 2j)
+        # times c*c, so the layers before it compute only those pixels
         tap = None
-        if cfg.wap_position == "after_first_conv" and cfg.pooling_variant == "wap":
+        if self.fb is not None and cfg.pooling_variant == "wap":
             tap = wap_decimation(self.fb)
-        self._stem_scale = tap[1] if tap is not None and tap[0] == 0 else None
+        scale = tap[1] if tap is not None and tap[0] == 0 else None
+        self._stem_scale = scale if cfg.wap_position == "after_first_conv" else None
+        *_, last_has_proj = self._blocks[-1]
+        self._tail_scale = None
+        if cfg.wap_position in ("before_final_relu", "after_final_relu") and last_has_proj:
+            self._tail_scale = scale
         for name, shape, _ in state_layout(cfg):
             fill = np.ones if name.endswith((".gamma", ".var")) else np.zeros
             array = fill(shape, dtype=np.float32)
@@ -217,13 +238,19 @@ class Model:
             training,
         )
 
-    def _block(self, prefix, x, stride, training, has_proj):
+    def _block(self, prefix, x, stride, training, has_proj, decimate=False):
+        """One residual block. ``decimate`` computes only its even-even
+        output pixels: conv2 and the projection at twice their strides."""
         o = ad.relu(self._bn(f"{prefix}.bn1", x, training))
         y = ad.conv2d(o, self.params[f"{prefix}.conv1.weight"], stride=stride, padding=1)
         y = ad.relu(self._bn(f"{prefix}.bn2", y, training))
-        y = ad.conv2d(y, self.params[f"{prefix}.conv2.weight"], stride=1, padding=1)
+        if decimate:
+            _check_even_spatial(y)  # the map the wavelet stage would have read
+        step = 2 if decimate else 1
+        y = ad.conv2d(y, self.params[f"{prefix}.conv2.weight"], stride=step, padding=1)
         if has_proj:
-            shortcut = ad.conv2d(o, self.params[f"{prefix}.proj.weight"], stride=stride, padding=0)
+            shortcut = ad.conv2d(o, self.params[f"{prefix}.proj.weight"], stride=stride * step,
+                                 padding=0)
         else:
             shortcut = x
         return y + shortcut
@@ -239,7 +266,11 @@ class Model:
             h = self._wavelet_stage(h)
         return h
 
-    def _wavelet_stage(self, x):
+    def _wavelet_stage(self, x, decimated=False):
+        """The configured pool; on a map the last block already decimated,
+        only the pool's scale."""
+        if decimated:
+            return _scale(x, self._tail_scale)
         if self.cfg.pooling_variant == "lpf":
             return wavelet_low_pass_pool(x, self.fb)
         return wavelet_average_pool(x, self.fb)
@@ -248,16 +279,21 @@ class Model:
         cfg = self.cfg
         if x.data.ndim != 4 or x.data.shape[1] != 3:
             raise DimensionError(f"expected input [N,3,H,W], got {x.data.shape}")
+        # in eval mode bn_final and ReLU are pointwise, so a one-tap WAP at
+        # a final position lets the last block compute only the pixels it
+        # keeps; training-mode batch statistics and Grad-CAM read the full map
+        tail = self._tail_scale is not None and not training and not return_features
         h = self._stem(x)
-        for prefix, _, _, stride, has_proj in self._blocks:
-            h = self._block(prefix, h, stride, training, has_proj)
+        last = len(self._blocks) - 1
+        for i, (prefix, _, _, stride, has_proj) in enumerate(self._blocks):
+            h = self._block(prefix, h, stride, training, has_proj, decimate=tail and i == last)
         h = self._bn("bn_final", h, training)
         if cfg.wap_position == "before_final_relu":
-            h = self._wavelet_stage(h)
+            h = self._wavelet_stage(h, tail)
         h = ad.relu(h)
         features = h
         if cfg.wap_position == "after_final_relu":
-            h = self._wavelet_stage(h)
+            h = self._wavelet_stage(h, tail)
         kernel = h.data.shape[2]
         if h.data.shape[2] != h.data.shape[3]:
             raise DimensionError("pooling stage expects a square feature map")

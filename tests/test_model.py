@@ -3,6 +3,7 @@ import pytest
 
 from wavetrain import autodiff as ad
 from wavetrain import model as model_module
+from wavetrain.attacks import AttackConfig, pgd
 from wavetrain.autodiff import Tensor
 from wavetrain.errors import ConfigError, DimensionError
 from wavetrain.model import WAP_POSITIONS, ModelConfig, build_model, check_state, state_layout
@@ -346,15 +347,9 @@ def stem_weight_grad_oracle(x, g, c):
     return dw
 
 
-def record_stem(monkeypatch):
-    """Record the stride of every stem conv and count wavelet pool calls."""
-    strides, pools = [], []
-    conv2d = ad.conv2d
-
-    def conv(x, w, stride=1, padding=0):
-        if w.shape == (model_module.STEM_CHANNELS, 3, 3, 3):
-            strides.append(stride)
-        return conv2d(x, w, stride, padding)
+def count_pools(monkeypatch):
+    """Record the name of every wavelet pool the model calls."""
+    pools = []
 
     def counted(pool):
         def run(x, fb):
@@ -364,8 +359,21 @@ def record_stem(monkeypatch):
 
     for name in ("wavelet_average_pool", "wavelet_low_pass_pool"):
         monkeypatch.setattr(model_module, name, counted(getattr(model_module, name)))
+    return pools
+
+
+def record_stem(monkeypatch):
+    """Record the stride of every stem conv and count wavelet pool calls."""
+    strides = []
+    conv2d = ad.conv2d
+
+    def conv(x, w, stride=1, padding=0):
+        if w.shape == (model_module.STEM_CHANNELS, 3, 3, 3):
+            strides.append(stride)
+        return conv2d(x, w, stride, padding)
+
     monkeypatch.setattr(ad, "conv2d", conv)
-    return strides, pools
+    return strides, count_pools(monkeypatch)
 
 
 class TestDecimatedStem:
@@ -407,9 +415,11 @@ class TestDecimatedStem:
         (dict(wavelet_base=None, wap_position="disabled"), 0),
     ])
     def test_other_configs_keep_conv_then_pool(self, monkeypatch, kw, pool_calls):
+        # training mode: in eval mode a haar pool at a final position is
+        # decimated too (TestDecimatedTail)
         model = build_model(ModelConfig(**{**STEM_HAAR, **kw}), seed=0)
         strides, pools = record_stem(monkeypatch)
-        model.forward(Tensor(np.zeros((2, 3, 32, 32))))
+        model.forward(Tensor(np.zeros((2, 3, 32, 32))), training=True)
         assert strides == [1] and len(pools) == pool_calls
 
     def test_eval_logits_and_input_gradient_match_conv_then_pool(self, rng, monkeypatch):
@@ -450,3 +460,94 @@ class TestDecimatedStem:
         model = build_model(ModelConfig(**STEM_HAAR), seed=0)
         with pytest.raises(DimensionError):
             model.forward(Tensor(np.zeros((1, 3) + hw)))
+
+
+TAIL_HAAR = dict(depth=1, width=1, num_classes=10, wavelet_base="haar")
+FINAL_POSITIONS = ("after_final_relu", "before_final_relu")
+
+
+def record_tail(monkeypatch, model):
+    """Record the strides of the last block's conv2 and projection, by name,
+    and count wavelet pool calls."""
+    prefix = model._blocks[-1][0]
+    names = {id(model.params[f"{prefix}.{n}.weight"]): n
+             for n in ("conv2", "proj") if f"{prefix}.{n}.weight" in model.params}
+    strides = {n: [] for n in names.values()}
+    conv2d = ad.conv2d
+
+    def conv(x, w, stride=1, padding=0):
+        if id(w) in names:
+            strides[names[id(w)]].append(stride)
+        return conv2d(x, w, stride, padding)
+
+    monkeypatch.setattr(ad, "conv2d", conv)
+    return strides, count_pools(monkeypatch)
+
+
+class TestDecimatedTail:
+    """In eval mode, haar WAP at a final position lets the last block run
+    conv2 and its projection at twice their strides, then scale."""
+
+    @staticmethod
+    def twins(monkeypatch, position, rng, **kw):
+        """The model and its full-graph twin, with running statistics from
+        one shared training-mode forward so bn_final's shift is not zero."""
+        cfg = {**TAIL_HAAR, "wap_position": position, **kw}
+        model = build_model(ModelConfig(**cfg), seed=4)
+        with monkeypatch.context() as m:
+            m.setattr(model_module, "wap_decimation", lambda fb: None)
+            twin = build_model(ModelConfig(**cfg), seed=4)
+        warm = rng.random((8, 3, 32, 32)).astype(np.float32)
+        model.forward(Tensor(warm), training=True)
+        for name, b in model.buffers.items():
+            twin.buffers[name][...] = b
+        return model, twin
+
+    @pytest.mark.parametrize("position", FINAL_POSITIONS)
+    @pytest.mark.parametrize("n", [1, 32, 64])
+    def test_bytes_match_the_full_graph(self, monkeypatch, rng, position, n):
+        model, twin = self.twins(monkeypatch, position, rng)
+        x = rng.random((n, 3, 32, 32)).astype(np.float32)
+        labels = rng.integers(0, 10, n)
+        attack = AttackConfig(epsilon=0.031, step_size=2 / 255, steps=3, random_init=True)
+        outs = []
+        for m in (model, twin):
+            xt = Tensor(x, requires_grad=True)
+            logits = m.forward(xt)
+            ad.softmax_cross_entropy(logits, labels).backward()
+            x_adv = pgd(m, x, labels, attack, seed=7).x_adv
+            outs.append((logits.data.tobytes(), xt.grad.tobytes(), x_adv.tobytes()))
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("position", FINAL_POSITIONS)
+    def test_runs_conv2_at_stride_two_proj_at_four_and_no_pool(self, monkeypatch, position):
+        model = build_model(ModelConfig(**TAIL_HAAR, wap_position=position), seed=0)
+        strides, pools = record_tail(monkeypatch, model)
+        assert model.forward(Tensor(np.zeros((2, 3, 32, 32)))).shape == (2, 10)
+        assert strides == {"conv2": [2], "proj": [4]} and pools == []
+
+    @pytest.mark.parametrize("kw,forward_kw,pool_calls", [
+        ({}, dict(training=True), 1),
+        ({}, dict(return_features=True), 1),
+        (dict(pooling_variant="lpf"), {}, 1),
+        (dict(wavelet_base="db5"), {}, 1),
+        (dict(depth=2), {}, 1),
+        (dict(wap_position="before_final_relu", depth=2), {}, 1),
+        (dict(wap_position="after_first_conv"), {}, 0),
+        (dict(wavelet_base=None, wap_position="disabled"), {}, 0),
+    ])
+    def test_other_cases_keep_the_full_graph(self, monkeypatch, kw, forward_kw, pool_calls):
+        model = build_model(ModelConfig(**{**TAIL_HAAR, "wap_position": "after_final_relu",
+                                           **kw}), seed=0)
+        strides, pools = record_tail(monkeypatch, model)
+        model.forward(Tensor(np.zeros((2, 3, 32, 32))), **forward_kw)
+        full = {"conv2": [1], "proj": [2]}
+        assert strides == {name: full[name] for name in strides}
+        assert len(pools) == pool_calls
+
+    @pytest.mark.parametrize("position", FINAL_POSITIONS)
+    def test_odd_final_map_rejected(self, position):
+        # 28x28 input: 28 -> 28 -> 14 -> 7 at the wavelet stage
+        model = build_model(ModelConfig(**TAIL_HAAR, wap_position=position), seed=0)
+        with pytest.raises(DimensionError):
+            model.forward(Tensor(np.zeros((1, 3, 28, 28))))
