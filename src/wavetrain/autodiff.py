@@ -3,7 +3,12 @@
 Tensors hold row-major float32 buffers. Every primitive records its inputs
 and a backward rule on the implicit tape (the operation graph); calling
 ``backward`` on a scalar replays the recorded rules in reverse topological
-order, visiting each node exactly once.
+order, visiting each node exactly once. The walk consumes the tape: as soon
+as a node's rule has run, the node lets go of its gradient, its rule (and
+with it the arrays the rule saved, such as padded inputs, batch norm's x-hat
+and relu masks) and its parents, so the graph is freed while it is walked and
+only leaves (parameters and inputs) keep ``grad``. Gradient that reaches a
+walked node raises UsageError rather than being summed a second time.
 
 Reductions (sums, means, batch statistics, losses), dense products and a
 convolution whose columns fit in one block accumulate in float64 before
@@ -87,19 +92,23 @@ class Tensor:
             self.grad += g
 
     def backward(self):
-        """Populate ``grad`` on every requires_grad tensor reachable from this
-        scalar. Repeated calls without zeroing accumulate."""
+        """Populate ``grad`` on every requires_grad leaf reachable from this
+        scalar, releasing the graph as it goes: once a node's rule has run,
+        the node drops its gradient, its rule and its parents. A graph can be
+        walked once; gradient that reaches a walked node raises UsageError.
+        Calls on separate graphs without zeroing accumulate into the leaves
+        they share."""
         if self.data.size != 1:
             raise UsageError("backward requires a scalar loss tensor")
         order = _topo_order(self)
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(order):
-            if node._backward is None:
+        while order:
+            node = order.pop()
+            if node._backward is None:  # a leaf keeps its gradient
                 continue
-            if node.grad is None:
-                # Not on any path that received gradient; skip its rule.
-                continue
-            node._backward(node.grad)
+            if node.grad is not None:  # else no path gave it gradient
+                node._backward(node.grad)
+            node.grad, node._backward, node._parents = None, _walked, ()
 
     # -- operator sugar --------------------------------------------------------
 
@@ -114,6 +123,11 @@ class Tensor:
 
     def sum(self):
         return sum_all(self)
+
+
+def _walked(g):
+    """The rule a walked node keeps: its saved arrays are gone."""
+    raise UsageError("backward through a graph that was already walked")
 
 
 def _topo_order(root):

@@ -22,6 +22,12 @@ Then only the pool's scale is applied. Training mode (batch statistics read
 the whole map), Grad-CAM's features, an identity shortcut (depth >= 2), LPF
 and the other bases run the full map, then the pool.
 
+``forward(..., return_features=True)`` returns the final ReLU's output as a
+new leaf tensor (``requires_grad``) and builds the head - the wavelet stage
+at ``after_final_relu``, the average pool and the classifier - from that
+leaf. A backward from the logits then stops at the features, which keep
+their gradient; the input and the trunk's parameters get none.
+
 The decimated tail gives the full graph's bytes at most batch sizes, but
 conv2d picks its blocking from the conv's own size: the stride-2 conv2 fits
 the float64 one-block path at 8 <= N <= 28 (width 1), where the full conv
@@ -291,7 +297,10 @@ class Model:
         if cfg.wap_position == "before_final_relu":
             h = self._wavelet_stage(h, tail)
         h = ad.relu(h)
-        features = h
+        if return_features:
+            # the head's graph starts from a leaf, so backward from the
+            # logits stops at the features and leaves their gradient there
+            h = features = Tensor(h.data, requires_grad=True)
         if cfg.wap_position == "after_final_relu":
             h = self._wavelet_stage(h, tail)
         kernel = h.data.shape[2]

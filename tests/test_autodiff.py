@@ -1,6 +1,8 @@
 import ctypes
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -453,30 +455,55 @@ def _copying_accumulate(self, g, fresh=False):
         self.grad += g
 
 
+def acceptance_batch(trainable=True):
+    """The acceptance model (haar pooling after the stem conv), a batch of 8
+    inputs that require grad, and their labels."""
+    model = build_model(ModelConfig(depth=1, width=1, num_classes=2,
+                                    wap_position="after_first_conv"), seed=0)
+    for p in model.params.values():
+        p.requires_grad = trainable
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((8, 3, 32, 32)).astype(np.float32), requires_grad=True)
+    return model, x, rng.integers(0, 2, size=8)
+
+
 class TestGradientHandOver:
     """Ops hand freshly built gradients to ``_accumulate`` without a copy;
-    the acceptance model (haar pooling after the stem conv) must still get
-    private, correctly summed gradients."""
+    the acceptance model must still get private, correctly summed gradients.
+    Backward drops each node's gradient once its rule has run, so the tests
+    take every node's gradient as its rule receives it, and the leaves'
+    after backward."""
 
-    def _setup(self, trainable):
-        model = build_model(ModelConfig(depth=1, width=1, num_classes=2,
-                                        wap_position="after_first_conv"), seed=0)
-        for p in model.params.values():
-            p.requires_grad = trainable
-        rng = np.random.default_rng(0)
-        x = Tensor(rng.standard_normal((8, 3, 32, 32)).astype(np.float32), requires_grad=True)
-        return model, x, rng.integers(0, 2, size=8)
+    def _backward(self, monkeypatch, trainable):
+        """Every gradient of one backward: the one each rule received, in
+        walk order, then each leaf's, in graph order; and the largest number
+        of consumers any node has."""
+        received = []
+        make = ad._make
 
-    def _backward(self, trainable):
-        model, x, y = self._setup(trainable)
-        loss = ad.softmax_cross_entropy(model.forward(x, training=trainable), y)
+        def recording_make(data, parents, backward):
+            def rule(g):
+                received.append(g)
+                backward(g)
+
+            return make(data, parents, rule)
+
+        model, x, y = acceptance_batch(trainable)
+        with monkeypatch.context() as m:
+            m.setattr(ad, "_make", recording_make)
+            loss = ad.softmax_cross_entropy(model.forward(x, training=trainable), y)
+        nodes = ad._topo_order(loss)
+        consumers = {}
+        for node in nodes:
+            for p in node._parents:
+                consumers[id(p)] = consumers.get(id(p), 0) + 1
+        leaves = [t for t in nodes if t._backward is None]
         loss.backward()
-        return loss
+        return received + [t.grad for t in leaves if t.grad is not None], max(consumers.values())
 
     @pytest.mark.parametrize("trainable", [False, True])
-    def test_no_two_gradients_share_memory(self, trainable):
-        loss = self._backward(trainable)
-        grads = [t.grad for t in ad._topo_order(loss) if t.grad is not None]
+    def test_no_two_gradients_share_memory(self, monkeypatch, trainable):
+        grads, _ = self._backward(monkeypatch, trainable)
         assert len(grads) > 20
         for i, a in enumerate(grads):
             for b in grads[i + 1:]:
@@ -486,20 +513,13 @@ class TestGradientHandOver:
     def test_grads_equal_copying_accumulation(self, monkeypatch, trainable):
         # the stem's pooled map feeds both bn1 and the residual shortcut, so
         # it sums a handed-over batch-norm gradient and a copied add gradient
-        loss = self._backward(trainable)
-        nodes = ad._topo_order(loss)
-        consumers = {}
-        for node in nodes:
-            for p in node._parents:
-                consumers[id(p)] = consumers.get(id(p), 0) + 1
-        assert max(consumers.values()) >= 2
+        grads, most_consumers = self._backward(monkeypatch, trainable)
+        assert most_consumers >= 2
         monkeypatch.setattr(Tensor, "_accumulate", _copying_accumulate)
-        ref = ad._topo_order(self._backward(trainable))
-        assert len(ref) == len(nodes)
-        for got, want in zip(nodes, ref):
-            assert (got.grad is None) == (want.grad is None)
-            if got.grad is not None:
-                assert got.grad.tobytes() == want.grad.tobytes()
+        ref, _ = self._backward(monkeypatch, trainable)
+        assert len(ref) == len(grads)
+        for got, want in zip(grads, ref):
+            assert got.tobytes() == want.tobytes()
 
     def test_tensor_used_twice_gets_summed_gradient(self, rng):
         x = rng.standard_normal((2, 3, 4, 4)).astype(np.float32)
@@ -514,13 +534,80 @@ class TestGradientHandOver:
 
     @pytest.mark.parametrize("trainable", [False, True])
     def test_second_backward_accumulates(self, trainable):
-        model, x, y = self._setup(trainable)
+        model, x, y = acceptance_batch(trainable)
         tensors = [x] + (list(model.params.values()) if trainable else [])
         ad.softmax_cross_entropy(model.forward(x, training=False), y).backward()
         first = [t.grad.copy() for t in tensors]
         ad.softmax_cross_entropy(model.forward(x, training=False), y).backward()
         for t, g in zip(tensors, first):
             assert np.array_equal(t.grad, g + g)
+
+
+# tracemalloc's allowance, beyond the leaves' gradients, for what numpy and
+# Python keep after one forward and backward of the acceptance model (about
+# 6-11 KB measured; the tape it releases is about 6 MB at batch 8)
+RELEASE_SLACK = 64 << 10
+
+
+class TestTapeRelease:
+    """Backward frees each node's gradient, rule and parents once the rule
+    has run, so only leaves keep ``grad`` and the graph dies with the walk."""
+
+    @staticmethod
+    def _loss():
+        model, x, y = acceptance_batch()
+        return model, x, ad.softmax_cross_entropy(model.forward(x, training=True), y)
+
+    def test_only_leaves_keep_grad(self):
+        model, x, loss = self._loss()
+        nodes = ad._topo_order(loss)
+        inner = [t for t in nodes if t._backward is not None]
+        leaves = [t for t in nodes if t._backward is None]
+        assert len(inner) > 20
+        loss.backward()
+        for t in inner:
+            assert t.grad is None and t._parents == ()
+        assert {id(t) for t in leaves if t.grad is not None} == \
+            {id(t) for t in [x, *model.params.values()]}
+
+    def test_intermediate_arrays_die_with_the_walk(self):
+        _, _, loss = self._loss()
+        refs = [weakref.ref(t.data) for t in ad._topo_order(loss)
+                if t._backward is not None and t is not loss]
+        assert len(refs) > 20
+        gc.disable()  # reference counting alone must free them
+        try:
+            loss.backward()
+            assert [r for r in refs if r() is not None] == []
+        finally:
+            gc.enable()
+
+    def test_memory_after_backward_is_the_leaf_gradients(self):
+        model, x, y = acceptance_batch()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            # held, as a training step holds it until its next loss
+            loss = ad.softmax_cross_entropy(model.forward(x, training=True), y)
+            loss.backward()
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        grads = x.grad.nbytes + sum(p.grad.nbytes for p in model.params.values())
+        assert after - before <= grads + RELEASE_SLACK
+
+    def test_second_walk_raises(self):
+        _, _, loss = self._loss()
+        loss.backward()
+        with pytest.raises(UsageError, match="already walked"):
+            loss.backward()
+        # a new graph over a walked node reaches it too
+        x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        h = ad.relu(x)
+        h.sum().backward()
+        with pytest.raises(UsageError, match="already walked"):
+            ad.mul(h, h).sum().backward()
+        assert np.array_equal(x.grad, np.ones(3, dtype=np.float32))
 
 
 class TestGradientChecksAllPrimitives:

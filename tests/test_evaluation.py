@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -272,6 +274,26 @@ class TestGradCam:
         )
         cam = gradcam(model, rng.random((3, 32, 32)).astype(np.float32), 1)
         assert cam.min() >= 0.0 and cam.max() <= 1.0
+
+    # sha256 prefixes of the maps for classes 0-2 of a seed-1 model, haar
+    # then db5, taken from the code whose backward walked the whole trunk
+    @pytest.mark.parametrize("position,digest", [
+        ("after_first_conv", "59c4da2e485c155ddf26d2e43bfc02c3"),
+        ("before_final_relu", "e1869e1d786d257cdd33e403b185fd1a"),
+        ("after_final_relu", "454e8a9fad2c462c2c613e20fc285905"),
+        ("disabled", "7aa31c9992dd86a67c3375fb3501204d"),
+    ])
+    def test_bytes_match_the_full_graph_reference(self, position, digest):
+        image = synthetic_dataset(3, 1, seed=2).images[0]
+        h = hashlib.sha256()
+        for base in ("haar", "db5"):
+            model = build_model(ModelConfig(depth=1, width=1, num_classes=3,
+                                            wap_position=position, wavelet_base=base), seed=1)
+            for k in range(3):
+                cam = gradcam(model, image, k)
+                assert cam.max() == 1.0
+                h.update(cam.tobytes())
+        assert h.hexdigest()[:32] == digest
 
     def test_class_out_of_range(self, rng):
         model = SpatialMeanModel()

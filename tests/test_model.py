@@ -190,6 +190,21 @@ class TestBuild:
         pooled = wavelet_average_pool(features, model.fb)
         assert pooled.shape[2:] == (4, 4)
 
+    @pytest.mark.parametrize("position", ["after_first_conv", "before_final_relu",
+                                          "after_final_relu"])
+    def test_returned_features_are_the_head_leaf(self, rng, position):
+        # backward from the logits stops at the features: the input and the
+        # trunk get no gradient, the features and the classifier do
+        model = build_model(small_cfg(wap_position=position), seed=0)
+        x = Tensor(rng.random((2, 3, 32, 32)).astype(np.float32), requires_grad=True)
+        logits, features = model.forward(x, return_features=True)
+        assert features.requires_grad and features._parents == ()
+        ad.softmax_cross_entropy(logits, np.array([1, 3])).backward()
+        assert features.grad.shape == features.shape
+        assert x.grad is None
+        with_grad = {name for name, p in model.params.items() if p.grad is not None}
+        assert with_grad == {"fc.weight", "fc.bias"}
+
     def test_same_seed_bit_identical(self):
         a = build_model(small_cfg(), seed=42)
         b = build_model(small_cfg(), seed=42)

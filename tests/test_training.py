@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -201,6 +202,27 @@ class TestAdversarialTrain:
         assert history.best_epoch == keys.index(max(keys))
         recomputed = accuracy(best, val, attack=cfg.train_attack, seed=cfg.seed + 777)
         assert recomputed == history.robust_val_acc[history.best_epoch]
+
+    def test_a_second_step_raises_no_memory_peak(self):
+        # backward frees each step's tape, so the next step's PGD does not
+        # stack on it: two steps peak where one does, within a slack (the
+        # first step's tape and gradients are about 12 MB here)
+        data = synthetic_dataset(2, 18, seed=0)
+        val = data.subset(np.arange(16, 18))
+        cfg = tiny_train_cfg(epochs=1, batch_size=8)
+
+        def peak(steps):
+            model = tiny_model()
+            train = data.subset(np.arange(8 * steps))
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                adversarial_train(model, train, val, cfg)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        assert peak(2) <= peak(1) + (64 << 10)
 
     def test_history_lengths_and_finiteness(self):
         data = synthetic_dataset(2, 128, seed=6)
