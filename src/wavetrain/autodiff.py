@@ -397,21 +397,17 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     return _make(out, (x, weight), backward)
 
 
-def avg_pool2d(x: Tensor, kernel: int) -> Tensor:
-    """Non-overlapping average pooling; kernel must divide both spatial dims."""
+def global_avg_pool(x: Tensor) -> Tensor:
+    """x[N,C,H,W] -> [N,C]: the mean over each channel's map, in float64."""
     if x.data.ndim != 4:
-        raise DimensionError("avg_pool2d expects x[N,C,H,W]")
-    n, c, h, w = x.data.shape
-    if h % kernel or w % kernel:
-        raise DimensionError(f"kernel {kernel} does not divide spatial dims {h}x{w}")
-    oh, ow = h // kernel, w // kernel
-    view = x.data.reshape(n, c, oh, kernel, ow, kernel)
-    out = view.mean(axis=(3, 5), dtype=np.float64).astype(np.float32)
+        raise DimensionError("global_avg_pool expects x[N,C,H,W]")
+    h, w = x.data.shape[2:]
+    out = x.data.mean(axis=(2, 3), dtype=np.float64).astype(np.float32)
 
     def backward(g):
         if x.requires_grad:
-            gexp = np.repeat(np.repeat(g, kernel, axis=2), kernel, axis=3)
-            x._accumulate(gexp / np.float32(kernel * kernel))
+            x._accumulate(np.broadcast_to((g / np.float32(h * w))[:, :, None, None],
+                                          x.data.shape))
 
     return _make(out, (x,), backward)
 

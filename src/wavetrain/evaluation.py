@@ -31,6 +31,8 @@ def accuracy(model, dataset: Dataset, attack: Optional[AttackConfig] = None,
              attack_fn=pgd, seed: int = 0, batch_size: int = 256) -> float:
     """Fraction of samples whose (attacked or clean) prediction matches the
     label; under attack, the share the attack's ``success`` leaves unflipped."""
+    if batch_size < 1:
+        raise InputError(f"batch_size must be >= 1, got {batch_size!r}")
     correct = 0
     for start in range(0, len(dataset), batch_size):
         xb = dataset.images[start : start + batch_size]
@@ -88,10 +90,9 @@ def fourier_heat_map(model, dataset: Dataset, eps_f: float = 4.0,
     h, w = dataset.images.shape[2:]
     rows = rows if rows is not None else h // 2 + 1
     cols = cols if cols is not None else w
-    if rows > h // 2 + 1 or cols > w:
-        raise DimensionError(
-            f"cell grid {rows}x{cols} exceeds the {h}x{w} image half-spectrum"
-        )
+    if not (1 <= rows <= h // 2 + 1 and 1 <= cols <= w):
+        raise DimensionError(f"cell grid {rows}x{cols} is empty or exceeds the {h}x{w} "
+                             f"image half-spectrum")
     rng = np.random.default_rng(seed)
     channels = dataset.images.shape[1]
     per_channel = eps_f / np.sqrt(channels)
@@ -123,8 +124,7 @@ def gradcam(model, x, class_id: int) -> np.ndarray:
     if not (0 <= class_id < model.cfg.num_classes):
         raise InputError(f"class_id {class_id} out of range")
 
-    t = Tensor(x, requires_grad=True)
-    logits, features = model.forward(t, training=False, return_features=True)
+    logits, features = model.forward(Tensor(x), training=False, return_features=True)
     onehot = np.zeros(logits.shape, dtype=np.float32)
     onehot[0, class_id] = 1.0
     ad.mul(logits, Tensor(onehot)).sum().backward()

@@ -2,31 +2,28 @@
 
 Structure: 3x3 stem conv, three groups of pre-activation residual blocks
 (strides 1, 2, 2; widths 16k, 32k, 64k), final BN+ReLU, the configured
-wavelet pooling stage, global average pooling, and a fully connected
-classifier. On 32x32 inputs the feature map entering the pooling stage is
-8x8; with wavelet pooling enabled it is halved to 4x4 so the average pool
-runs with kernel 4. The wavelet-disabled twin pools the 8x8 map directly
-(kernel 8). Every parameter and buffer name and shape comes from one table,
+wavelet pooling stage, a global average and a fully connected classifier.
+``forward`` checks once that its input is [N, 3, input_size, input_size];
+``_check_spatial`` has proven at construction that every pool then sees an
+even map. Every parameter and buffer name and shape comes from one table,
 ``state_layout``, which reads neither the pooling position nor the base, so
-the two variants share one state layout - only the pooling stage differs.
+the variants share one state layout - only the pooling stage differs.
 
-A WAP stage whose filter is one tap at offset 0 (haar;
-``wavelet.wap_decimation``) keeps only the even-even pixels of its input and
-scales them by c*c = 1/2, so the layers before it compute only those pixels:
-- after the stem, the stem conv runs at stride 2, in every mode;
-- at ``before_final_relu`` or ``after_final_relu``, in eval mode without
-  ``return_features``, when the last block has a projection shortcut (depth
-  1), that block's conv2 runs at stride 2 and its projection at twice its
-  stride; bn_final (running statistics) and ReLU run on the 4x4 map.
-Then only the pool's scale is applied. Training mode (batch statistics read
-the whole map), Grad-CAM's features, an identity shortcut (depth >= 2), LPF
-and the other bases run the full map, then the pool.
+A WAP whose filter is one tap at offset 0 (haar; ``wavelet.wap_decimation``
+gives its coefficient c) keeps only the even-even pixels of its input, times
+c*c = 1/2. Where the convs feeding it can compute only those pixels they do,
+and the stage is just that scale: the stem conv at stride 2 after the stem,
+in every mode; at a final position, in eval mode without ``return_features``
+and with a projection on the last block (depth 1), that block's conv2 at
+stride 2 and its projection at twice its stride, with bn_final (running
+statistics) and ReLU on the 4x4 map. Training mode (batch statistics read
+the whole map), Grad-CAM's features, depth >= 2, LPF and the other bases run
+the full map, then the pool.
 
-``forward(..., return_features=True)`` returns the final ReLU's output as a
-new leaf tensor (``requires_grad``) and builds the head - the wavelet stage
-at ``after_final_relu``, the average pool and the classifier - from that
-leaf. A backward from the logits then stops at the features, which keep
-their gradient; the input and the trunk's parameters get none.
+``forward(..., return_features=True)`` runs the trunk without a tape and
+returns the final ReLU's output as a new ``requires_grad`` leaf, from which
+the head (the wavelet stage at ``after_final_relu``, the average, the
+classifier) is built; a backward from the logits stops there.
 
 The decimated tail gives the full graph's bytes at most batch sizes, but
 conv2d picks its blocking from the conv's own size: the stride-2 conv2 fits
@@ -49,7 +46,6 @@ from .autodiff import Tensor
 from .errors import ConfigError, DimensionError
 from .wavelet import (
     FilterBank,
-    _check_even_spatial,
     filter_bank,
     wap_decimation,
     wavelet_average_pool,
@@ -205,17 +201,10 @@ class Model:
         )
         _check_spatial(cfg)
         self._blocks = list(_blocks(cfg))
-        # a WAP whose filter is one tap at offset 0 keeps pixel (2i, 2j)
-        # times c*c, so the layers before it compute only those pixels
-        tap = None
-        if self.fb is not None and cfg.pooling_variant == "wap":
-            tap = wap_decimation(self.fb)
-        scale = tap[1] if tap is not None and tap[0] == 0 else None
-        self._stem_scale = scale if cfg.wap_position == "after_first_conv" else None
-        *_, last_has_proj = self._blocks[-1]
-        self._tail_scale = None
-        if cfg.wap_position in ("before_final_relu", "after_final_relu") and last_has_proj:
-            self._tail_scale = scale
+        # the coefficient of a one-tap WAP (haar), whose feeding convs then
+        # compute only the pixels it keeps
+        self._keep = (wap_decimation(self.fb)
+                      if self.fb is not None and cfg.pooling_variant == "wap" else None)
         for name, shape, _ in state_layout(cfg):
             fill = np.ones if name.endswith((".gamma", ".var")) else np.zeros
             array = fill(shape, dtype=np.float32)
@@ -244,15 +233,12 @@ class Model:
             training,
         )
 
-    def _block(self, prefix, x, stride, training, has_proj, decimate=False):
-        """One residual block. ``decimate`` computes only its even-even
-        output pixels: conv2 and the projection at twice their strides."""
+    def _block(self, prefix, x, stride, training, has_proj, step=1):
+        """One residual block; ``step`` 2 computes only its even-even output
+        pixels: conv2 and the projection at twice their strides."""
         o = ad.relu(self._bn(f"{prefix}.bn1", x, training))
         y = ad.conv2d(o, self.params[f"{prefix}.conv1.weight"], stride=stride, padding=1)
         y = ad.relu(self._bn(f"{prefix}.bn2", y, training))
-        if decimate:
-            _check_even_spatial(y)  # the map the wavelet stage would have read
-        step = 2 if decimate else 1
         y = ad.conv2d(y, self.params[f"{prefix}.conv2.weight"], stride=step, padding=1)
         if has_proj:
             shortcut = ad.conv2d(o, self.params[f"{prefix}.proj.weight"], stride=stride * step,
@@ -261,54 +247,56 @@ class Model:
             shortcut = x
         return y + shortcut
 
-    def _stem(self, x):
-        """Stem conv, followed by the wavelet stage at ``after_first_conv``."""
-        w = self.params["stem.weight"]
-        if self._stem_scale is not None:
-            _check_even_spatial(x)
-            return _scale(ad.conv2d(x, w, stride=2, padding=1), self._stem_scale)
-        h = ad.conv2d(x, w, stride=1, padding=1)
-        if self.cfg.wap_position == "after_first_conv":
-            h = self._wavelet_stage(h)
-        return h
-
-    def _wavelet_stage(self, x, decimated=False):
-        """The configured pool; on a map the last block already decimated,
-        only the pool's scale."""
+    def _pool(self, x, decimated):
+        """The configured wavelet stage; on a map whose convs kept only the
+        pool's pixels, just its scale."""
         if decimated:
-            return _scale(x, self._tail_scale)
+            return _scale(x, self._keep)
         if self.cfg.pooling_variant == "lpf":
             return wavelet_low_pass_pool(x, self.fb)
         return wavelet_average_pool(x, self.fb)
 
+    def _features(self, x, training, tail):
+        """Stem to final ReLU. ``tail`` decimates the last block for a
+        one-tap pool at a final position."""
+        cfg = self.cfg
+        stem = cfg.wap_position == "after_first_conv"
+        decimated = stem and self._keep is not None
+        h = ad.conv2d(x, self.params["stem.weight"], stride=2 if decimated else 1, padding=1)
+        if stem:
+            h = self._pool(h, decimated)
+        last = len(self._blocks) - 1
+        for i, (prefix, _, _, stride, has_proj) in enumerate(self._blocks):
+            h = self._block(prefix, h, stride, training, has_proj,
+                            step=2 if tail and i == last else 1)
+        h = self._bn("bn_final", h, training)
+        if cfg.wap_position == "before_final_relu":
+            h = self._pool(h, tail)
+        return ad.relu(h)
+
     def forward(self, x: Tensor, training: bool = False, return_features: bool = False):
         cfg = self.cfg
-        if x.data.ndim != 4 or x.data.shape[1] != 3:
-            raise DimensionError(f"expected input [N,3,H,W], got {x.data.shape}")
+        size = cfg.input_size
+        if x.data.shape[1:] != (3, size, size):
+            raise DimensionError(f"expected input [N,3,{size},{size}], got {x.data.shape}")
         # in eval mode bn_final and ReLU are pointwise, so a one-tap WAP at
         # a final position lets the last block compute only the pixels it
         # keeps; training-mode batch statistics and Grad-CAM read the full map
-        tail = self._tail_scale is not None and not training and not return_features
-        h = self._stem(x)
-        last = len(self._blocks) - 1
-        for i, (prefix, _, _, stride, has_proj) in enumerate(self._blocks):
-            h = self._block(prefix, h, stride, training, has_proj, decimate=tail and i == last)
-        h = self._bn("bn_final", h, training)
-        if cfg.wap_position == "before_final_relu":
-            h = self._wavelet_stage(h, tail)
-        h = ad.relu(h)
+        tail = (self._keep is not None and self._blocks[-1][4] and not training
+                and not return_features
+                and cfg.wap_position in ("before_final_relu", "after_final_relu"))
         if return_features:
-            # the head's graph starts from a leaf, so backward from the
-            # logits stops at the features and leaves their gradient there
+            # no tape for the trunk: the head's graph starts from a leaf, so
+            # backward from the logits stops at the features
+            with ad.no_grad():
+                h = self._features(x, training, tail)
             h = features = Tensor(h.data, requires_grad=True)
+        else:
+            h = self._features(x, training, tail)
         if cfg.wap_position == "after_final_relu":
-            h = self._wavelet_stage(h, tail)
-        kernel = h.data.shape[2]
-        if h.data.shape[2] != h.data.shape[3]:
-            raise DimensionError("pooling stage expects a square feature map")
-        h = ad.avg_pool2d(h, kernel)
-        h = ad.reshape(h, (h.data.shape[0], h.data.shape[1]))
-        logits = ad.linear(h, self.params["fc.weight"], self.params["fc.bias"])
+            h = self._pool(h, tail)
+        logits = ad.linear(ad.global_avg_pool(h), self.params["fc.weight"],
+                           self.params["fc.bias"])
         if return_features:
             return logits, features
         return logits

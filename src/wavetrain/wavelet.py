@@ -283,16 +283,13 @@ def wap_filter(fb: FilterBank) -> np.ndarray:
 
 
 def wap_decimation(fb: FilterBank):
-    """(offset t, coefficient c) when the WAP filter has exactly one nonzero
-    tap, else None. Such a pool is a scaled decimation: along each axis
-    ``y[k] = c * x[2k + t]``, so WAP(x) = c*c * x[..., t::2, t::2] on maps
-    longer than t. Of the supported banks only haar has one, at t = 0 with
-    c = 1/sqrt(2)."""
+    """The coefficient c when the WAP filter's one nonzero tap is at offset 0,
+    else None. Such a pool is a scaled decimation: along each axis
+    ``y[k] = c * x[2k]``, so WAP(x) = c*c * x[..., ::2, ::2]. Of the supported
+    banks only haar has one, c = 1/sqrt(2)."""
     f = wap_filter(fb)
     (taps,) = np.nonzero(f)
-    if len(taps) != 1:
-        return None
-    return int(taps[0]), float(f[taps[0]])
+    return float(f[0]) if list(taps) == [0] else None
 
 
 def wavelet_average_pool(x: Tensor, fb: FilterBank) -> Tensor:

@@ -77,7 +77,8 @@ class HighFreqEnergyModel:
 
 
 class SpatialMeanModel:
-    """logits[:, c] = spatial mean of input channel c; features = the input."""
+    """logits[:, c] = spatial mean of input channel c; features = the input,
+    as a leaf the logits are built from (as in ``Model``)."""
 
     class _Cfg:
         num_classes = 3
@@ -85,11 +86,10 @@ class SpatialMeanModel:
     cfg = _Cfg()
 
     def forward(self, x, training=False, return_features=False):
-        size = x.shape[2]
-        logits = ad.reshape(ad.avg_pool2d(x, size), (x.shape[0], x.shape[1]))
         if return_features:
-            return logits, x
-        return logits
+            features = Tensor(x.data, requires_grad=True)
+            return ad.global_avg_pool(features), features
+        return ad.global_avg_pool(x)
 
 
 class TestAccuracy:
@@ -109,6 +109,14 @@ class TestAccuracy:
         ds = synthetic_dataset(10, 40, seed=0)
         with pytest.raises(InputError, match="labels"):
             accuracy(ConstantModel(0, 2), ds)
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        """batch_size=-1 used to score nothing and return 0.0, and 0 to raise
+        range()'s ValueError."""
+        ds = synthetic_dataset(2, 8, seed=0)
+        with pytest.raises(InputError, match="batch_size"):
+            accuracy(ConstantModel(0, 2), ds, batch_size=batch_size)
 
     def test_zero_epsilon_attack_equals_clean(self):
         ds = synthetic_dataset(2, 32, seed=1)
@@ -200,11 +208,14 @@ class TestFourierHeatMap:
         assert np.array_equal(a.error_rates, b.error_rates)
 
     def test_grid_limits_enforced(self):
+        """rows=0 or cols=0 used to raise numpy's zero-size ValueError, and
+        rows=-1 its negative-dimensions one."""
         ds = synthetic_dataset(2, 8, seed=0)
         from wavetrain.errors import DimensionError
 
-        with pytest.raises(DimensionError):
-            fourier_heat_map(ConstantModel(0, 2), ds, rows=40, cols=8)
+        for rows, cols in ((40, 8), (0, 8), (-1, 8), (4, 0)):
+            with pytest.raises(DimensionError):
+                fourier_heat_map(ConstantModel(0, 2), ds, rows=rows, cols=cols)
 
     @pytest.mark.parametrize("kwargs", [
         {"samples_per_cell": 0}, {"samples_per_cell": -1},

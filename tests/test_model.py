@@ -169,16 +169,16 @@ class TestBuild:
         cfg = small_cfg(wap_position=position,
                         wavelet_base=None if position == "disabled" else "haar")
         model = build_model(cfg, seed=0)
-        kernels = []
-        pool = ad.avg_pool2d
+        sizes = []
+        pool = ad.global_avg_pool
 
-        def recording_pool(x, kernel):
-            kernels.append(kernel)
-            return pool(x, kernel)
+        def recording_pool(x):
+            sizes.append(x.shape[2:])
+            return pool(x)
 
-        monkeypatch.setattr(ad, "avg_pool2d", recording_pool)
+        monkeypatch.setattr(ad, "global_avg_pool", recording_pool)
         model.forward(Tensor(np.zeros((1, 3, 32, 32), dtype=np.float32)))
-        assert kernels == [expected]
+        assert sizes == [(expected, expected)]
 
     def test_wap_feature_map_is_4x4_before_avg_pool(self, rng):
         model = build_model(small_cfg(), seed=0)
@@ -204,6 +204,24 @@ class TestBuild:
         assert x.grad is None
         with_grad = {name for name, p in model.params.items() if p.grad is not None}
         assert with_grad == {"fc.weight", "fc.bias"}
+
+    @pytest.mark.parametrize("training", [False, True])
+    @pytest.mark.parametrize("position", WAP_POSITIONS)
+    def test_features_trunk_records_no_tape(self, rng, monkeypatch, position, training):
+        model = build_model(small_cfg(wap_position=position,
+                                      wavelet_base=None if position == "disabled" else "haar"),
+                            seed=0)
+        outs = []
+        for name in ("conv2d", "batch_norm"):
+            def recording(*args, op=getattr(ad, name), **kwargs):
+                outs.append(op(*args, **kwargs))
+                return outs[-1]
+            monkeypatch.setattr(ad, name, recording)
+        x = Tensor(rng.random((2, 3, 32, 32)).astype(np.float32), requires_grad=True)
+        model.forward(x, training=training, return_features=True)
+        # the stem, 3 blocks of two convs and two norms, 2 projections, bn_final
+        assert len(outs) == 16
+        assert not any(out.requires_grad or out._parents for out in outs)
 
     def test_same_seed_bit_identical(self):
         a = build_model(small_cfg(), seed=42)
@@ -312,6 +330,12 @@ class TestForward:
         with pytest.raises(DimensionError):
             model.forward(Tensor(np.zeros((2, 1, 32, 32))))
 
+    def test_input_of_another_size_rejected(self):
+        # every pool would see an even map, but not the one input_size names
+        model = build_model(small_cfg(), seed=0)
+        with pytest.raises(DimensionError, match=r"\[N,3,32,32\]"):
+            model.forward(Tensor(np.zeros((1, 3, 64, 64))))
+
     def test_lpf_variant_runs(self, rng):
         model = build_model(small_cfg(pooling_variant="lpf"), seed=0)
         x = Tensor(rng.random((1, 3, 32, 32)).astype(np.float32))
@@ -395,23 +419,40 @@ class TestDecimatedStem:
     """Haar WAP after the stem runs as a stride-2 stem conv and a scale."""
 
     @pytest.mark.parametrize("n", [1, 8, 64])
-    def test_matches_conv_then_pool(self, rng, n):
+    def test_matches_conv_then_pool(self, rng, monkeypatch, n):
         model = build_model(ModelConfig(**STEM_HAAR), seed=0)
-        w = model.params["stem.weight"]
+        with monkeypatch.context() as m:
+            m.setattr(model_module, "wap_decimation", lambda fb: None)
+            twin = build_model(ModelConfig(**STEM_HAAR), seed=0)
+        # the cotangent that reaches the scaled stem map, for the dw oracle
+        cotangents = []
+        scale = model_module._scale
+
+        def recording_scale(t, c):
+            y = scale(t, c)
+            rule = y._backward
+
+            def backward(g):
+                cotangents.append(g.copy())
+                rule(g)
+
+            y._backward = backward
+            return y
+
+        monkeypatch.setattr(model_module, "_scale", recording_scale)
         x = rng.random((n, 3, 32, 32)).astype(np.float32)
-        g = rng.standard_normal((n, 16, 16, 16)).astype(np.float32)
+        g = rng.standard_normal((n, 2)).astype(np.float32)
         got, want = [], []
-        for stage, out in ((model._stem, got),
-                           (lambda t: model._wavelet_stage(ad.conv2d(t, w, 1, 1)), want)):
+        for net, out in ((model, got), (twin, want)):
             xt = Tensor(x, requires_grad=True)
-            w.grad = None
-            y = stage(xt)
-            ad.mul(y, Tensor(g)).sum().backward()
-            out += [y.data, xt.grad, w.grad]
-        assert got[0].tobytes() == np.ascontiguousarray(want[0]).tobytes()
+            logits = net.forward(xt)
+            ad.mul(logits, Tensor(g)).sum().backward()
+            out += [logits.data, xt.grad, net.params["stem.weight"].grad]
+        assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
+        (cotangent,) = cotangents
         c = 1.0 / np.sqrt(2.0)
-        assert relative_errors(got[2], stem_weight_grad_oracle(x, g, c)).max() < 1e-3
+        assert relative_errors(got[2], stem_weight_grad_oracle(x, cotangent, c)).max() < 1e-3
         assert relative_errors(got[2], want[2]).max() < 1e-3
 
     def test_runs_stride_two_and_no_pool(self, monkeypatch):
@@ -461,7 +502,7 @@ class TestDecimatedStem:
         haar = model_module.filter_bank("haar")
         xt, kt = Tensor(x, requires_grad=True), Tensor(kept[None, None], requires_grad=True)
         pooled = model_module.wavelet_average_pool(xt, haar)
-        scaled = model_module._scale(kt, model_module.wap_decimation(haar)[1])
+        scaled = model_module._scale(kt, model_module.wap_decimation(haar))
         assert scaled.data.tobytes() == np.ascontiguousarray(pooled.data).tobytes()
         assert not np.signbit(scaled.data[0, 0, 0, 0])
         assert scaled.data.tobytes() != (kept * np.float32(0.5)).tobytes()
@@ -562,7 +603,8 @@ class TestDecimatedTail:
 
     @pytest.mark.parametrize("position", FINAL_POSITIONS)
     def test_odd_final_map_rejected(self, position):
-        # 28x28 input: 28 -> 28 -> 14 -> 7 at the wavelet stage
+        # 28x28 input: 28 -> 28 -> 14 -> 7 at the wavelet stage; the input
+        # check refuses it before any conv runs
         model = build_model(ModelConfig(**TAIL_HAAR, wap_position=position), seed=0)
         with pytest.raises(DimensionError):
             model.forward(Tensor(np.zeros((1, 3, 28, 28))))

@@ -397,7 +397,7 @@ class TestWaveletAveragePool:
 
 class TestWapDecimation:
     def test_haar_is_one_tap_at_offset_zero(self):
-        assert wap_decimation(filter_bank("haar")) == (0, 1.0 / SQRT2)
+        assert wap_decimation(filter_bank("haar")) == 1.0 / SQRT2
 
     @pytest.mark.parametrize("name,nonzero", [
         ("db5", 10), ("sym4", 8), ("coif4", 24), ("bior3.1", 4), ("rbio2.2", 5),
@@ -410,9 +410,9 @@ class TestWapDecimation:
     @pytest.mark.parametrize("shape", [(2, 3, 8, 8), (1, 2, 6, 10)])
     def test_haar_pool_is_scaled_decimation(self, rng, shape):
         x = rng.standard_normal(shape).astype(np.float32)
-        t, c = wap_decimation(filter_bank("haar"))
+        c = wap_decimation(filter_bank("haar"))
         got = wavelet_average_pool(Tensor(x), filter_bank("haar")).data
-        want = (c * (c * x[:, :, t::2, t::2].astype(np.float64))).astype(np.float32)
+        want = (c * (c * x[:, :, ::2, ::2].astype(np.float64))).astype(np.float32)
         assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
