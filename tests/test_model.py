@@ -19,15 +19,18 @@ def small_cfg(**kw):
     return ModelConfig(**base)
 
 
-def eval_forward_oracle(model, x, labels):
-    """Independent float64 eval-mode forward + cross-entropy for FD checks.
+def eval_logits_oracle(model, x):
+    """Independent float64 eval-mode forward: the logits.
 
-    Mirrors the configured architecture directly from the parameter arrays;
-    only supports the default after_final_relu wavelet position.
+    Mirrors the configured architecture directly from the parameter arrays,
+    with the haar WAP (the even-even samples times 1/2) at any position.
     """
     P = {k: v.data.astype(np.float64) for k, v in model.params.items()}
     B = {k: v.astype(np.float64) for k, v in model.buffers.items()}
     x = np.asarray(x, dtype=np.float64)
+    cfg = model.cfg
+    assert cfg.wap_position == "disabled" or (cfg.wavelet_base == "haar"
+                                              and cfg.pooling_variant == "wap")
 
     def conv(x, w, stride, pad):
         if pad:
@@ -49,13 +52,14 @@ def eval_forward_oracle(model, x, labels):
         )
         return xn * P[f"{name}.gamma"].reshape(shape) + P[f"{name}.beta"].reshape(shape)
 
-    def haar_wap(x):
+    def haar_wap(x, position):
+        if cfg.wap_position != position:
+            return x
         blocks = x.reshape(x.shape[0], x.shape[1], x.shape[2] // 2, 2, x.shape[3] // 2, 2)
         # the four averaged Haar subbands telescope to the even-even sample
         return 0.5 * blocks[:, :, :, 0, :, 0]
 
-    h = conv(x, P["stem.weight"], 1, 1)
-    cfg = model.cfg
+    h = haar_wap(conv(x, P["stem.weight"], 1, 1), "after_first_conv")
     cin = 16
     for gi, (cout, stride) in enumerate(zip(cfg.group_channels(), (1, 2, 2))):
         for bi in range(cfg.depth):
@@ -70,10 +74,15 @@ def eval_forward_oracle(model, x, labels):
             else:
                 h = y + h
         cin = cout
-    h = np.maximum(bn(h, "bn_final"), 0.0)
-    h = haar_wap(h)
+    h = haar_wap(bn(h, "bn_final"), "before_final_relu")
+    h = haar_wap(np.maximum(h, 0.0), "after_final_relu")
     h = h.mean(axis=(2, 3))
-    z = h @ P["fc.weight"] + P["fc.bias"]
+    return h @ P["fc.weight"] + P["fc.bias"]
+
+
+def eval_forward_oracle(model, x, labels):
+    """Mean cross-entropy of ``eval_logits_oracle``, in float64, for FD checks."""
+    z = eval_logits_oracle(model, x)
     z = z - z.max(axis=1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     return -logp[np.arange(len(labels)), labels].mean()
@@ -365,6 +374,37 @@ class TestForward:
             got = float(xt.grad.reshape(-1)[idx])
             scale = max(abs(fd), abs(got), gmax * 0.05)
             assert abs(got - fd) / scale < 1e-2
+
+
+class TestWholeModelOracle:
+    """The float64 oracle against the model in eval mode at every haar WAP
+    position and with the stage disabled: the logits, and the input gradient
+    of the mean cross-entropy along random directions by central differences.
+    Layout and kernel changes must keep these tolerances."""
+
+    @pytest.mark.parametrize("position", WAP_POSITIONS)
+    @pytest.mark.parametrize("n", [1, 17, 64])
+    def test_logits_and_input_gradient(self, rng, position, n):
+        model = build_model(small_cfg(num_classes=2, wap_position=position), seed=3)
+        # running statistics from one training-mode forward, so every eval
+        # batch norm has a shift and a scale
+        model.forward(Tensor(rng.random((8, 3, 32, 32)).astype(np.float32)), training=True)
+        x = rng.random((n, 3, 32, 32)).astype(np.float32)
+        labels = rng.integers(0, 2, n)
+        xt = Tensor(x, requires_grad=True)
+        logits = model.forward(xt)
+        ad.softmax_cross_entropy(logits, labels).backward()
+
+        want = eval_logits_oracle(model, x)
+        assert np.abs(logits.data - want).max() < 1e-5 * np.abs(want).max()
+        grad = xt.grad.astype(np.float64)
+        h = 1e-6  # float64 oracle: a step this small crosses few relu kinks
+        for _ in range(3):
+            d = rng.standard_normal(x.shape)
+            fd = (eval_forward_oracle(model, x + h * d, labels)
+                  - eval_forward_oracle(model, x - h * d, labels)) / (2 * h)
+            err = abs((grad * d).sum() - fd) / (np.linalg.norm(grad) * np.linalg.norm(d))
+            assert err < 1e-4, (position, n, err)
 
 
 STEM_HAAR = dict(depth=1, width=1, num_classes=2, wavelet_base="haar",
