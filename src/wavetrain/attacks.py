@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, InputError, NumericError
 
 
 def _check_finite_nonnegative(cfg, *names):
@@ -52,7 +52,7 @@ class AttackConfig:
 @dataclass
 class AttackResult:
     x_adv: np.ndarray
-    success: np.ndarray          # per sample: prediction != true label
+    success: np.ndarray          # per sample: prediction != true label (None unscored)
     queries: np.ndarray          # per sample oracle queries (NES; zeros otherwise)
     grad_calls: int = 0          # total input-gradient computations (white-box)
 
@@ -120,14 +120,18 @@ def fgsm(model, x, y, cfg: AttackConfig, seed: int = 0) -> AttackResult:
     return _iterated_signed_ascent(model, x, y, one_step, seed)
 
 
-def _iterated_signed_ascent(model, x, y, cfg, seed, momentum=None, kappa=None):
+def _iterated_signed_ascent(model, x, y, cfg, seed, momentum=None, kappa=None, score=True):
     """Shared FGSM/PGD/MIM/CW machinery; momentum=None gives plain PGD steps,
     kappa=None ascends the cross-entropy and a kappa the CW margin.
 
     The eval forward that scores each restart's final iterate also gives the
-    returned ``success``, so no forward runs twice on the same batch.
+    returned ``success``, so no forward runs twice on the same batch. With
+    ``score`` False and one restart there is nothing to choose between, so
+    that forward is skipped and ``success`` is None.
     """
     x = np.asarray(x, dtype=np.float32)
+    if len(x) == 0:
+        raise InputError("an attack needs a non-empty batch")
     if cfg.epsilon == 0.0:
         # zero budget: every iterate projects back onto x
         return _finish(eval_logits(model, x), x.copy(), y, grad_calls=0)
@@ -155,6 +159,9 @@ def _iterated_signed_ascent(model, x, y, cfg, seed, momentum=None, kappa=None):
             else:
                 direction = np.sign(grad, dtype=np.float32)
             x_adv = _box_then_ball(x_adv + alpha * direction, x, eps)
+        if not score and cfg.restarts == 1:
+            return AttackResult(x_adv=x_adv, success=None,
+                                queries=np.zeros(len(x), dtype=np.int64), grad_calls=grad_calls)
         # per-sample ascent objective of the final iterate (higher = stronger)
         logits = eval_logits(model, x_adv)
         if kappa is None:
@@ -171,9 +178,12 @@ def _iterated_signed_ascent(model, x, y, cfg, seed, momentum=None, kappa=None):
     return _finish(best_logits, best_x, y, grad_calls)
 
 
-def pgd(model, x, y, cfg: AttackConfig, seed: int = 0) -> AttackResult:
-    """Projected signed-gradient ascent with optional random init/restarts."""
-    return _iterated_signed_ascent(model, x, y, cfg, seed)
+def pgd(model, x, y, cfg: AttackConfig, seed: int = 0, *, _score=True) -> AttackResult:
+    """Projected signed-gradient ascent with optional random init/restarts.
+    ``_score=False`` is the trainer's: it reads only ``x_adv``, so a single
+    restart skips the forward that scores the final iterate and ``success``
+    is None."""
+    return _iterated_signed_ascent(model, x, y, cfg, seed, score=_score)
 
 
 def mim(model, x, y, cfg: AttackConfig, seed: int = 0) -> AttackResult:

@@ -15,10 +15,20 @@ convolution whose columns fit in one block accumulate in float64 before
 rounding back to float32, which keeps finite-difference gradient checks
 stable. Larger convolutions stream their im2col columns through batch blocks
 of at most ``_BLOCK`` elements with float32 BLAS, so no full column matrix is
-ever built or kept on the tape. The convolution's input gradient is one
-float32 GEMM per block over the output gradient laid out on the stride-phase
-grids of the padded input, followed by one contiguous shifted add per kernel
-tap (kn2row; Anderson et al. 2017, arXiv:1709.03395) - no scatter.
+ever built or kept on the tape.
+
+Convolution activations are channels-last: ``conv2d`` returns an NCHW view
+of (N, H, W, K) memory, and the pointwise ops, batch norm and the global
+average keep or read that order, so every caller still sees NCHW shapes. One
+gather-and-GEMM helper does all three products of a convolution: it copies
+each output pixel's window of a padded channels-last array as one row, taps
+in (kh, kw, C) order, and multiplies the rows by the matching weight matrix.
+The forward gathers the padded input; the weight gradient gathers it again
+and multiplies by the output gradient read pixel-major. The input gradient
+is a transposed convolution, i.e. a direct one with the flipped kernel
+(Dumoulin & Visin 2016, arXiv:1603.07285): for each of the stride^2 input
+phases (a, b), a stride-1 correlation of the zero-padded output gradient
+with the flipped taps W[:, :, a::s, b::s] gives that phase's pixels.
 
 Elementwise ``add`` and ``mul`` take equal shapes only: there is no
 broadcasting, and Tensor operators take Tensors, not scalars.
@@ -80,14 +90,15 @@ class Tensor:
     def _accumulate(self, g, fresh=False):
         """Add ``g`` into ``grad``. A ``fresh`` float32 array, built by the
         caller and referenced nowhere else, becomes the first gradient as is;
-        any other array is copied, since it may be a view of another buffer."""
+        any other array is copied in its own memory order, since it may be a
+        view of another buffer."""
         g = _f32(g)
         if g.shape != self.data.shape:
             raise DimensionError(
                 f"gradient shape {g.shape} does not match tensor shape {self.data.shape}"
             )
         if self.grad is None:
-            self.grad = g if fresh else g.copy()
+            self.grad = g if fresh else g.copy(order="K")
         else:
             self.grad += g
 
@@ -212,18 +223,8 @@ def relu(x: Tensor) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x._accumulate(g * (x.data > 0), fresh=True)
-
-    return _make(data, (x,), backward)
-
-
-def reshape(x: Tensor, shape) -> Tensor:
-    data = x.data.reshape(shape)
-    old = x.data.shape
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g.reshape(old))
+            # in x's memory order, whatever the order of g
+            x._accumulate(np.multiply(g, x.data > 0, out=np.empty_like(x.data)), fresh=True)
 
     return _make(data, (x,), backward)
 
@@ -267,26 +268,52 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # -- convolution ----------------------------------------------------------------
 
 # Largest number of im2col elements gathered at once (~1 MB of float32, so a
-# block's columns stay in L2). A convolution runs over batch blocks of at most
-# this many column elements; one whose columns fit in a single block
-# accumulates its forward and weight gradient in float64, where the tight
-# oracle tolerances bind. The input gradient walks the same blocks: its tap
-# GEMM output spans each sample's stride-phase grids instead of its outputs,
-# hq*wq / (out_h*out_w) times a block's columns (2.25x for a padded 3x3 conv
-# on a 4x4 map).
+# block's columns stay in L2). Every product of a convolution runs over batch
+# blocks of at most this many column elements; a forward whose columns fit in
+# a single block accumulates its forward and weight gradient in float64, where
+# the tight oracle tolerances bind.
 _BLOCK = 1 << 18
 
 
-def _im2col(xp, kh, kw, stride, out_h, out_w):
-    """(N,C,Hp,Wp) -> contiguous (C,kh,kw,N,out_h,out_w) window copy."""
-    n, c = xp.shape[:2]
-    sn, sc, sh, sw = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(c, kh, kw, n, out_h, out_w),
-        strides=(sc, sh, sw, sn, sh * stride, sw * stride),
-    )
-    return np.ascontiguousarray(windows)
+def _nhwc(a):
+    """The (N, H, W, C) order of an NCHW-shaped array: a view when its memory
+    is channels-last already, else a copy."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1))
+
+
+def _padded(a, top, bottom, left, right):
+    """The (N, H, W, C) array ``a`` with zero rows and columns around it, in
+    a new buffer whose border alone is zero-filled; without a border, ``a``
+    itself when it is contiguous."""
+    n, h, w, c = a.shape
+    if not (top or bottom or left or right):
+        return np.ascontiguousarray(a)
+    out = np.empty((n, top + h + bottom, left + w + right, c), dtype=np.float32)
+    out[:, :top] = 0.0
+    out[:, top + h :] = 0.0
+    out[:, top : top + h, :left] = 0.0
+    out[:, top : top + h, left + w :] = 0.0
+    out[:, top : top + h, left : left + w] = a
+    return out
+
+
+def _windows(src, kh, kw, stride, out_h, out_w):
+    """Yield (s0, s1, cols) per batch block of the NHWC array ``src``: cols is
+    the contiguous (nb*out_h*out_w, kh*kw*C) copy of the windows at
+    (y*stride, x*stride), one row per output pixel, taps in (kh, kw, C)
+    order."""
+    n, c = src.shape[0], src.shape[3]
+    sn, sh, sw, sc = src.strides
+    rows = kh * kw * c
+    step = max(1, _BLOCK // (rows * out_h * out_w))
+    for s0 in range(0, n, step):
+        s1 = min(s0 + step, n)
+        cols = np.lib.stride_tricks.as_strided(
+            src[s0:s1],
+            shape=(s1 - s0, out_h, out_w, kh, kw, c),
+            strides=(sn, sh * stride, sw * stride, sh, sw, sc),
+        )
+        yield s0, s1, np.ascontiguousarray(cols).reshape(-1, rows)
 
 
 def _gemm(a, b, wide):
@@ -296,8 +323,48 @@ def _gemm(a, b, wide):
     return a @ b
 
 
+def _correlate(src, w2, kh, kw, stride, out, wide):
+    """out[n, y, x] = the (kh, kw) window of the NHWC array ``src`` at
+    (y*stride, x*stride), flattened in (kh, kw, C) order, times
+    w2[kh*kw*C, K]: one gather and one pixel-major GEMM per batch block,
+    written into the contiguous (N, out_h, out_w, K) array ``out``."""
+    k = out.shape[3]
+    for s0, s1, cols in _windows(src, kh, kw, stride, *out.shape[1:3]):
+        dst = out[s0:s1].reshape(-1, k)
+        if wide:
+            dst[...] = _gemm(cols, w2, True)
+        else:
+            np.matmul(cols, w2, out=dst)
+
+
+def _phases(size, ksize, stride, padding):
+    """The input-gradient phases along one axis. Input pixel y sits at padded
+    position y + padding, which tap i of output y' reads when y + padding =
+    y'*stride + i. So the pixels of phase a (y + padding = a mod stride) get a
+    full convolution of the output gradient with the taps a::stride, i.e. a
+    correlation with those taps flipped. Yields (a, first, pixels, offset):
+    the phase's pixels first, first + stride, ... correlate output-gradient
+    rows from ``offset`` on, zero outside the output. A phase no tap reaches
+    (ksize < stride) gets no gradient."""
+    for a in range(min(ksize, stride)):
+        first = (a - padding) % stride
+        pixels = len(range(first, size, stride))
+        taps = len(range(a, ksize, stride))
+        if pixels:
+            yield a, first, pixels, (first + padding - a) // stride - (taps - 1)
+
+
+def _pads(phases, ksize, stride, out_size):
+    """Zero rows before and after the output gradient that every phase's
+    correlation windows (``_phases``) stay inside."""
+    lo = max(0, -min(p[3] for p in phases))
+    hi = max(p[3] + p[2] + len(range(p[0], ksize, stride)) - 1 for p in phases) - out_size
+    return lo, max(0, hi)
+
+
 def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of x[N,C,H,W] with weight[K,C,kh,kw], no bias."""
+    """Cross-correlation of x[N,C,H,W] with weight[K,C,kh,kw], no bias. The
+    result is an NCHW view of channels-last (N, H, W, K) memory."""
     if x.data.ndim != 4 or weight.data.ndim != 4:
         raise DimensionError("conv2d expects x[N,C,H,W] and weight[K,C,kh,kw]")
     if stride < 1:
@@ -314,87 +381,48 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     out_h = (hp - kh) // stride + 1
     out_w = (wp - kw) // stride + 1
 
-    if padding:
-        xp = np.zeros((n, c, hp, wp), dtype=np.float32)
-        xp[:, :, padding : padding + h, padding : padding + w] = x.data
-    else:
-        xp = np.ascontiguousarray(x.data)
-    rows = c * kh * kw
-    per_sample = rows * out_h * out_w
-    step = max(1, _BLOCK // per_sample)
-    blocks = [(s, min(s + step, n)) for s in range(0, n, step)]
-    small = n * per_sample <= _BLOCK
-    w2 = weight.data.reshape(k, rows)
-
-    # one GEMM per block: (K, C*kh*kw) @ (C*kh*kw, nb*out_h*out_w). Its rows
-    # land unpermuted in a channel-major buffer, returned as an NCHW view:
-    # per-channel ops downstream (batch norm) then sweep one contiguous slab
-    # per channel. A float32 block GEMM writes straight into its (K, nb*oh*ow)
-    # window of that buffer.
-    out = np.empty((k, n, out_h, out_w), dtype=np.float32)
-    for s0, s1 in blocks:
-        cols = _im2col(xp[s0:s1], kh, kw, stride, out_h, out_w).reshape(rows, -1)
-        dst = out[:, s0:s1].reshape(k, -1)  # a view: each channel's rows are contiguous
-        if small:
-            dst[...] = _gemm(w2, cols, True)
-        else:
-            np.matmul(w2, cols, out=dst)
-    out = out.transpose(1, 0, 2, 3)
+    xp = _padded(x.data.transpose(0, 2, 3, 1), padding, padding, padding, padding)
+    small = n * kh * kw * c * out_h * out_w <= _BLOCK
+    out = np.empty((n, out_h, out_w, k), dtype=np.float32)
+    _correlate(xp, weight.data.transpose(2, 3, 1, 0).reshape(-1, k), kh, kw, stride, out,
+               small)
 
     # the padded input is what dw re-gathers its columns from; dx needs only
     # the weight
     saved = xp if weight.requires_grad else None
-
-    # dx (kn2row): output (oy, ox) of tap (i, j) reads padded input
-    # (oy*s + i, ox*s + j), i.e. cell (oy + i//s, ox + j//s) of stride phase
-    # (i%s, j%s). With g laid out on each sample's (hq, wq) phase grid, one
-    # GEMM gives every tap's contribution, and tap (i, j) adds as one
-    # contiguous run into its phase's flat channel-major block accumulator,
-    # shifted by (i//s)*wq + j//s. Real cells never cross a grid row, so the
-    # zero columns outside the (out_h, out_w) corner are all that shift into
-    # the next row, channel or the tail.
-    hq, wq = -(-hp // stride), -(-wp // stride)
-    tail = (kh - 1) // stride * wq + (kw - 1) // stride
-    ph, pw = min(kh, stride), min(kw, stride)  # the phases some tap reaches
+    rows = list(_phases(h, kh, stride, padding))
+    cols = list(_phases(w, kw, stride, padding))
 
     def backward(g):
-        want_dw = saved is not None and weight.requires_grad
-        dw = None
-        if x.requires_grad:
-            dx = np.zeros((n, c, h, w), dtype=np.float32)
-            wt = weight.data.transpose(2, 3, 1, 0).reshape(kh * kw * c, k)
-        for s0, s1 in blocks:
-            if want_dw:
-                g2 = np.ascontiguousarray(g[s0:s1].transpose(1, 0, 2, 3)).reshape(k, -1)
-                cols = _im2col(saved[s0:s1], kh, kw, stride, out_h, out_w).reshape(rows, -1)
-                part = _gemm(g2, cols.T, small)
+        g = _nhwc(g)
+        if saved is not None and weight.requires_grad:
+            dw = None
+            for s0, s1, win in _windows(saved, kh, kw, stride, out_h, out_w):
+                part = _gemm(g[s0:s1].reshape(-1, k).T, win, small)
                 dw = part if dw is None else dw + part
-            if x.requires_grad:
-                nb = s1 - s0
-                gp = np.zeros((k, nb, hq, wq), dtype=np.float32)
-                gp[:, :, :out_h, :out_w] = g[s0:s1].transpose(1, 0, 2, 3)
-                d = (wt @ gp.reshape(k, -1)).reshape(kh, kw, -1)
-                span = d.shape[-1]
-                phases = np.zeros((ph, pw, span + tail), dtype=np.float32)
-                for i in range(kh):  # taps in increasing (i, j) order
-                    for j in range(kw):
-                        off = i // stride * wq + j // stride
-                        phases[i % stride, j % stride, off : off + span] += d[i, j]
-                grids = phases[:, :, :span].reshape(ph, pw, c, nb, hq, wq)
-                # input row y sits in phase (y + padding) % s, cell (y + padding) // s
-                for a in range(ph):
-                    for b in range(pw):
-                        ya, xb = (a - padding) % stride, (b - padding) % stride
-                        dst = dx[s0:s1, :, ya::stride, xb::stride]
-                        qa, qb = (ya + padding) // stride, (xb + padding) // stride
-                        src = grids[a, b, :, :, qa : qa + dst.shape[2], qb : qb + dst.shape[3]]
-                        dst[...] = src.transpose(1, 0, 2, 3)
-        if want_dw:
-            weight._accumulate(dw.reshape(weight.data.shape))
+            dw = dw.reshape(k, kh, kw, c).transpose(0, 3, 1, 2)
+            weight._accumulate(np.ascontiguousarray(dw), fresh=True)
         if x.requires_grad:
-            x._accumulate(dx, fresh=True)
+            x._accumulate(input_grad(g), fresh=True)
 
-    return _make(out, (x, weight), backward)
+    def input_grad(g):
+        lo_h, hi_h = _pads(rows, kh, stride, out_h)
+        lo_w, hi_w = _pads(cols, kw, stride, out_w)
+        gp = _padded(g, lo_h, hi_h, lo_w, hi_w)
+        every_pixel = len(rows) * len(cols) == stride * stride
+        dx = (np.empty if every_pixel else np.zeros)((n, h, w, c), dtype=np.float32)
+        for a, y0, ny, oy in rows:
+            for b, x0, nx, ox in cols:
+                taps = weight.data[:, :, a::stride, b::stride][:, :, ::-1, ::-1]
+                th, tw = taps.shape[2:]
+                dst = dx if stride == 1 else np.empty((n, ny, nx, c), dtype=np.float32)
+                _correlate(gp[:, lo_h + oy :, lo_w + ox :],
+                           taps.transpose(2, 3, 0, 1).reshape(-1, c), th, tw, 1, dst, False)
+                if stride > 1:
+                    dx[:, y0::stride, x0::stride] = dst
+        return dx.transpose(0, 3, 1, 2)
+
+    return _make(out.transpose(0, 3, 1, 2), (x, weight), backward)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -418,6 +446,32 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 
 
+def _channel_rows(a):
+    """An NCHW-shaped float32 array as new float64 (N*H*W, C) rows, one
+    pass over its memory whatever its order."""
+    return np.array(a.transpose(0, 2, 3, 1), dtype=np.float64, order="C").reshape(-1, a.shape[1])
+
+
+def _per_channel(v, like):
+    """The vector v[C] shaped to broadcast against the NCHW-shaped array
+    ``like``. Over channels-last memory it is repeated at every pixel of one
+    sample, so that numpy's inner loop runs over a whole sample instead of C
+    values; the arithmetic is the same either way."""
+    c = like.shape[1]
+    if like.strides[1] == like.itemsize and like.strides[3] == c * like.itemsize:
+        tiled = np.empty(like.shape[2:] + (c,), dtype=np.float32)
+        tiled[...] = v
+        return tiled.transpose(2, 0, 1)[None]
+    return v[None, :, None, None]
+
+
+def _channel_sums(rows):
+    """Per-channel float64 sums of (N*H*W, C) rows: one GEMV, which reads
+    channels-last memory in order where a reduction over NCHW axes would
+    stride across it."""
+    return np.ones(len(rows)) @ rows
+
+
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
                running_var: np.ndarray, training: bool) -> Tensor:
     """Per-channel batch norm over NCHW. Eval mode reads running statistics
@@ -432,8 +486,13 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
         raise DimensionError("running statistics must have shape (C,)")
 
     if training:
-        mean = x.data.mean(axis=(0, 2, 3), dtype=np.float64)
-        var = x.data.var(axis=(0, 2, 3), dtype=np.float64)
+        m = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
+        rows = _channel_rows(x.data)
+        mean = _channel_sums(rows) / m
+        rows -= mean
+        rows *= rows
+        var = _channel_sums(rows) / m
+        del rows
         running_mean *= 1.0 - BN_MOMENTUM
         running_mean += BN_MOMENTUM * mean.astype(running_mean.dtype)
         running_var *= 1.0 - BN_MOMENTUM
@@ -442,39 +501,37 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
         mean = running_mean.astype(np.float64)
         var = running_var.astype(np.float64)
 
-    inv_std = (1.0 / np.sqrt(var + BN_EPS)).astype(np.float32)[None, :, None, None]
-    mean32 = mean.astype(np.float32)[None, :, None, None]
-    gam = gamma.data[None, :, None, None]
+    def chan(v):
+        return _per_channel(v, x.data)
+
+    inv_std = (1.0 / np.sqrt(var + BN_EPS)).astype(np.float32)
+    mean32 = mean.astype(np.float32)
     if training:
-        xhat = (x.data - mean32) * inv_std
-        out = xhat * gam + beta.data[None, :, None, None]
+        xhat = (x.data - chan(mean32)) * chan(inv_std)
+        out = xhat * chan(gamma.data)
+        out += chan(beta.data)
     else:
         # fused affine: running statistics are constants here
-        scale = gam * inv_std
-        shift = beta.data[None, :, None, None] - mean32 * scale
+        scale = gamma.data * inv_std
         xhat = None
-        out = x.data * scale
-        out += shift
+        out = x.data * chan(scale)
+        out += chan(beta.data - mean32 * scale)
 
     def backward(g):
         if gamma.requires_grad:
             # eval mode builds x-hat only here, for gamma's gradient
-            xh = xhat if xhat is not None else (x.data - mean32) * inv_std
-            gamma._accumulate(
-                (g * xh).sum(axis=(0, 2, 3), dtype=np.float64).astype(np.float32)
-            )
+            xh = xhat if xhat is not None else (x.data - chan(mean32)) * chan(inv_std)
+            gamma._accumulate(_channel_sums(_channel_rows(g * xh)).astype(np.float32))
         if beta.requires_grad:
-            beta._accumulate(g.sum(axis=(0, 2, 3), dtype=np.float64).astype(np.float32))
+            beta._accumulate(_channel_sums(_channel_rows(g)).astype(np.float32))
         if x.requires_grad:
             if training:
-                m = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
-                gx = g * gam
-                s1 = gx.sum(axis=(0, 2, 3), dtype=np.float64, keepdims=True)
-                s2 = (gx * xhat).sum(axis=(0, 2, 3), dtype=np.float64, keepdims=True)
-                dx = inv_std * (gx - (s1 / m).astype(np.float32)
-                                - xhat * (s2 / m).astype(np.float32))
+                gx = g * chan(gamma.data)
+                s1 = (_channel_sums(_channel_rows(gx)) / m).astype(np.float32)
+                s2 = (_channel_sums(_channel_rows(gx * xhat)) / m).astype(np.float32)
+                dx = chan(inv_std) * (gx - chan(s1) - xhat * chan(s2))
             else:
-                dx = g * (gam * inv_std)
+                dx = g * chan(scale)
             x._accumulate(dx, fresh=True)
 
     return _make(out, (x, gamma, beta), backward)

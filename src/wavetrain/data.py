@@ -37,7 +37,7 @@ class Dataset:
         if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
             raise InputError(f"labels must lie in [0,{self.num_classes})")
         lo, hi = float(self.images.min()), float(self.images.max())
-        if lo < 0.0 or hi > 1.0:
+        if not (0.0 <= lo and hi <= 1.0):  # false for NaN too
             raise InputError(f"image values must lie in [0,1], got [{lo},{hi}]")
 
     def __len__(self):

@@ -25,12 +25,15 @@ returns the final ReLU's output as a new ``requires_grad`` leaf, from which
 the head (the wavelet stage at ``after_final_relu``, the average, the
 classifier) is built; a backward from the logits stops there.
 
-The decimated tail gives the full graph's bytes at most batch sizes, but
-conv2d picks its blocking from the conv's own size: the stride-2 conv2 fits
-the float64 one-block path at 8 <= N <= 28 (width 1), where the full conv
-ran float32 blocks, and at N = 29, 57, ... its last float32 block holds one
-sample of 16 columns, which OpenBLAS rounds differently from the full conv's
-blocks. There the logits move in the last bits (<= 2.4e-7 at width 1).
+Both decimations give the full graph's logits bytes at most batch sizes, but
+conv2d picks its blocking from the conv's own size (width 1): the stride-2
+stem conv fits the float64 one-block path at 10 <= N <= 37 and the tail's
+stride-2 conv2 at 8 <= N <= 29, where the full convs run float32 blocks, and
+at N = 57 the tail conv2's last float32 block holds one sample. There the
+logits move in the last bits. The input gradient agrees with the full
+graph's to float32 rounding but not bit for bit: the full graph's stride-1
+input gradient also sums the zero taps the pool leaves, inside GEMMs whose
+partial sums OpenBLAS orders by their depth.
 """
 
 from __future__ import annotations

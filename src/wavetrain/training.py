@@ -144,8 +144,9 @@ def adversarial_train(model: Model, train_set: Dataset, val_set: Dataset,
             if natural:
                 adv = xb
             else:
+                # unscored: only x_adv is read, and the weights change next
                 adv = pgd(model, xb, yb, cfg.train_attack,
-                          seed=cfg.seed + 100_003 * epoch + step).x_adv
+                          seed=cfg.seed + 100_003 * epoch + step, _score=False).x_adv
             logits = model.forward(Tensor(adv), training=True)
             loss = ad.softmax_cross_entropy(logits, yb)
             loss_value = loss.item()

@@ -21,15 +21,20 @@ from wavetrain.errors import ConfigError, InputError
 
 
 class LinearToyModel:
-    """logits = flatten(x) @ W + b; the attack surface for closed-form checks."""
+    """logits = flatten(x) @ W + b for x[N,3,2,2]; the attack surface for
+    closed-form checks. A conv whose kernel covers the whole input gives
+    flatten(x) @ W as a 1x1 map, its global average passes that on, and a
+    linear layer with an identity weight adds b."""
 
     def __init__(self, w, b):
         self.w = Tensor(w)
         self.b = Tensor(b)
+        self._kernel = Tensor(w.T.reshape(w.shape[1], 3, 2, 2))
+        self._identity = Tensor(np.eye(w.shape[1], dtype=np.float32))
 
     def forward(self, x, training=False):
-        flat = ad.reshape(x, (x.shape[0], int(np.prod(x.shape[1:]))))
-        return ad.linear(flat, self.w, self.b)
+        dots = ad.global_avg_pool(ad.conv2d(x, self._kernel))
+        return ad.linear(dots, self._identity, self.b)
 
 
 @pytest.fixture
@@ -218,6 +223,36 @@ class TestSuccess:
         assert np.array_equal(res.success, fresh)
 
 
+class TestUnscored:
+    """pgd(..., _score=False), the trainer's call, skips the forward that
+    scores the final iterate and returns the same x_adv bytes."""
+
+    @pytest.mark.parametrize("restarts", [1, 2])
+    def test_same_x_adv_and_one_forward_fewer(self, boundary_wrn, monkeypatch, restarts):
+        model, ds = boundary_wrn
+        x, y = ds.images[:8], ds.labels[:8]
+        cfg = AttackConfig(epsilon=1e-3, step_size=5e-4, steps=2, restarts=restarts)
+        forwards = []
+        forward = model.forward
+
+        def counted(*args, **kwargs):
+            forwards.append(1)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(model, "forward", counted)
+        scored = pgd(model, x, y, cfg, seed=3)
+        calls = len(forwards)
+        unscored = pgd(model, x, y, cfg, seed=3, _score=False)
+        assert unscored.x_adv.tobytes() == scored.x_adv.tobytes()
+        assert unscored.grad_calls == scored.grad_calls
+        if restarts == 1:
+            assert unscored.success is None
+            assert len(forwards) - calls == calls - 1
+        else:  # choosing between restarts needs every score
+            assert np.array_equal(unscored.success, scored.success)
+            assert len(forwards) - calls == calls
+
+
 class TestLabels:
     """Every attack checks its labels against the class count of the first
     logits it sees, before it reports a result."""
@@ -233,6 +268,13 @@ class TestLabels:
         x, _ = batch
         with pytest.raises(InputError, match="labels"):
             nes_attack(logits_oracle(toy), x, np.array([5, 7, 5, 7]), NesConfig())
+
+    @pytest.mark.parametrize("eps", [0.0, 0.03])
+    @pytest.mark.parametrize("kind", list(WHITE_BOX))
+    def test_white_box_rejects_an_empty_batch(self, toy, kind, eps):
+        x = np.zeros((0, 3, 2, 2), dtype=np.float32)
+        with pytest.raises(InputError, match="non-empty batch"):
+            WHITE_BOX[kind](toy, x, np.zeros(0, dtype=np.int64), AttackConfig(epsilon=eps))
 
     @pytest.mark.parametrize("kind", list(WHITE_BOX) + ["nes"])
     def test_wrong_label_count_rejected(self, toy, batch, kind):

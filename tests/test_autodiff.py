@@ -56,36 +56,6 @@ def conv2d_oracle_adjoint(x, w, g, stride, padding):
     return dxp[:, :, padding : padding + h, padding : padding + wd], dw
 
 
-def col2im_input_grad(w, g, stride, padding, h, wd):
-    """The scatter adjoint conv2d's input gradient replaced: per batch block of
-    ad._BLOCK im2col elements, one float32 GEMM gives the columns' gradient
-    W2^T g, and _col2im adds tap (i, j) of it into the strided window of the
-    padded input, taps in increasing (i, j) order."""
-    n, k, oh, ow = g.shape
-    _, c, kh, kw = w.shape
-    rows = c * kh * kw
-    step = max(1, ad._BLOCK // (rows * oh * ow))
-    w2 = w.reshape(k, rows)
-    dxp = np.zeros((n, c, h + 2 * padding, wd + 2 * padding), dtype=np.float32)
-    for s0 in range(0, n, step):
-        s1 = min(s0 + step, n)
-        g2 = np.ascontiguousarray(g[s0:s1].transpose(1, 0, 2, 3)).reshape(k, -1)
-        dcols = (w2.T @ g2).reshape(c, kh, kw, s1 - s0, oh, ow)
-        _col2im(dcols, dxp[s0:s1], stride)
-    return dxp[:, :, padding : padding + h, padding : padding + wd]
-
-
-def _col2im(cols, acc, stride):
-    """Adjoint of the im2col window gather: scatter-add (C,kh,kw,N,out_h,out_w)
-    columns into the (N,C,Hp,Wp) accumulator ``acc`` in place."""
-    _, kh, kw, _, out_h, out_w = cols.shape
-    for i in range(kh):
-        for j in range(kw):
-            acc[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride] += cols[
-                :, i, j
-            ].transpose(1, 0, 2, 3)
-
-
 def model_conv_shapes(monkeypatch, cfg):
     """((C, H, W), weight shape, stride, padding) of every conv2d the model runs."""
     shapes = set()
@@ -104,7 +74,69 @@ def model_conv_shapes(monkeypatch, cfg):
 BATCHES = (1, 3, 8, 25, 32, 64)
 
 
-def assert_input_grad_matches_col2im(rng, n, cin_hw, wshape, stride, padding):
+def blocked_gemm(cols, w2, small):
+    """(N, P, R) columns times w2[R, K] over conv2d's batch blocks of at most
+    ad._BLOCK column elements, float64-accumulated when ``small``."""
+    n, p, r = cols.shape
+    step = max(1, ad._BLOCK // (p * r))
+    out = np.empty((n, p, w2.shape[1]), dtype=np.float32)
+    for s0 in range(0, n, step):
+        blk = cols[s0 : s0 + step].reshape(-1, r)
+        if small:
+            prod = (blk.astype(np.float64) @ w2.astype(np.float64)).astype(np.float32)
+        else:
+            prod = blk @ w2
+        out[s0 : s0 + step] = prod.reshape(-1, p, w2.shape[1])
+    return out
+
+
+def conv2d_reference(x, w, stride, padding):
+    """conv2d's forward in plain numpy: channels-last zero padding, sliding
+    windows flattened in (kh, kw, C) order, one GEMM per batch block
+    (float64-accumulated when the columns fit in one block), returned as the
+    NCHW view of (N, oh, ow, K) memory."""
+    n, c, h, wd = x.shape
+    k, _, kh, kw = w.shape
+    xp = np.pad(x.transpose(0, 2, 3, 1), ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    win = win[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)  # (N, oh, ow, kh, kw, C)
+    oh, ow = win.shape[1:3]
+    cols = win.reshape(n, oh * ow, kh * kw * c)
+    small = n * cols.shape[1] * cols.shape[2] <= ad._BLOCK
+    out = blocked_gemm(cols, w.transpose(2, 3, 1, 0).reshape(-1, k), small)
+    return out.reshape(n, oh, ow, k).transpose(0, 3, 1, 2)
+
+
+def input_grad_reference(w, g, stride, padding, h, wd):
+    """conv2d's input gradient in plain numpy: input pixel (y, x) of stride
+    phase (a, b) = ((y + padding) % s, (x + padding) % s) sums
+    g[(y + padding - i) / s, (x + padding - j) / s] W[:, :, i, j] over the taps
+    i = a, a + s, ..., j = b, b + s, ... that land on the output grid, taps in
+    decreasing (i, j) order. Each phase is one float32 GEMM per batch block
+    over columns gathered by index arrays, one row per pixel of the phase."""
+    n, k, oh, ow = g.shape
+    _, c, kh, kw = w.shape
+    gn = np.pad(g.transpose(0, 2, 3, 1), ((0, 0), (kh, kh), (kw, kw), (0, 0)))
+    dx = np.zeros((n, h, wd, c), dtype=np.float32)
+    for a in range(min(kh, stride)):
+        for b in range(min(kw, stride)):
+            ys = [y for y in range(h) if (y + padding) % stride == a]
+            xs = [x for x in range(wd) if (x + padding) % stride == b]
+            ti = list(range(a, kh, stride))[::-1]
+            tj = list(range(b, kw, stride))[::-1]
+            if not ys or not xs:
+                continue
+            # padded-g row of output row (y + padding - i) / s, zero outside
+            rows = np.array([[(y + padding - i) // stride + kh for i in ti] for y in ys])
+            cols_ = np.array([[(x + padding - j) // stride + kw for j in tj] for x in xs])
+            patch = gn[:, rows[:, None, :, None], cols_[None, :, None, :]]  # (N, y, x, i, j, K)
+            taps = w[:, :, ti][:, :, :, tj].transpose(2, 3, 0, 1).reshape(-1, c)
+            prod = blocked_gemm(patch.reshape(n, len(ys) * len(xs), -1), taps, False)
+            dx[:, ys[0] :: stride, xs[0] :: stride] = prod.reshape(n, len(ys), len(xs), c)
+    return dx.transpose(0, 3, 1, 2)
+
+
+def assert_input_grad_matches_reference(rng, n, cin_hw, wshape, stride, padding):
     x = rng.standard_normal((n,) + tuple(cin_hw)).astype(np.float32)
     w = (rng.standard_normal(wshape) / np.sqrt(np.prod(wshape[1:]))).astype(np.float32)
     want = None
@@ -113,14 +145,15 @@ def assert_input_grad_matches_col2im(rng, n, cin_hw, wshape, stride, padding):
         out = ad.conv2d(xt, wt, stride=stride, padding=padding)
         if want is None:
             g = rng.standard_normal(out.shape).astype(np.float32)
-            want = col2im_input_grad(w, g, stride, padding, *cin_hw[1:])
+            want = input_grad_reference(w, g, stride, padding, *cin_hw[1:])
         ad.mul(out, Tensor(g)).sum().backward()
         assert xt.grad.shape == want.shape
-        assert xt.grad.tobytes() == np.ascontiguousarray(want).tobytes(), (n, trainable)
+        assert xt.grad.tobytes() == want.tobytes(), (n, trainable)
 
 
 class TestConvInputGradBytes:
-    """conv2d's phase/shift input gradient equals the col2im scatter bit for bit."""
+    """conv2d's per-phase flipped-tap correlation equals the plain reference
+    bit for bit."""
 
     @pytest.mark.parametrize("width", [1, 2])
     @pytest.mark.parametrize("position", ["after_first_conv", "before_final_relu",
@@ -129,7 +162,7 @@ class TestConvInputGradBytes:
         cfg = ModelConfig(depth=1, width=width, num_classes=2, wap_position=position)
         for cin_hw, wshape, stride, padding in model_conv_shapes(monkeypatch, cfg):
             for n in BATCHES:
-                assert_input_grad_matches_col2im(rng, n, cin_hw, wshape, stride, padding)
+                assert_input_grad_matches_reference(rng, n, cin_hw, wshape, stride, padding)
 
     # (C, H, W), weight shape, stride, padding: stride 3, 2x2 and 3x1
     # kernels, odd and non-square maps, kernels below and above the stride
@@ -144,37 +177,12 @@ class TestConvInputGradBytes:
     ])
     def test_odd_shapes(self, rng, cin_hw, wshape, stride, padding):
         for n in BATCHES:
-            assert_input_grad_matches_col2im(rng, n, cin_hw, wshape, stride, padding)
-
-
-def conv2d_copy_path(x, w, stride, padding):
-    """The forward conv2d replaced: per batch block, the GEMM into a
-    temporary (float64-accumulated when the columns fit in one block), then a
-    copy into the channel-major output, returned as its NCHW view."""
-    n, c, h, wd = x.shape
-    k, _, kh, kw = w.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (wd + 2 * padding - kw) // stride + 1
-    rows = c * kh * kw
-    step = max(1, ad._BLOCK // (rows * oh * ow))
-    small = n * rows * oh * ow <= ad._BLOCK
-    w2 = w.reshape(k, rows)
-    out = np.empty((k, n, oh, ow), dtype=np.float32)
-    for s0 in range(0, n, step):
-        s1 = min(s0 + step, n)
-        cols = ad._im2col(xp[s0:s1], kh, kw, stride, oh, ow).reshape(rows, -1)
-        if small:
-            prod = (w2.astype(np.float64) @ cols.astype(np.float64)).astype(np.float32)
-        else:
-            prod = w2 @ cols
-        out[:, s0:s1] = prod.reshape(k, s1 - s0, oh, ow)
-    return out.transpose(1, 0, 2, 3)
+            assert_input_grad_matches_reference(rng, n, cin_hw, wshape, stride, padding)
 
 
 class TestConvForwardBytes:
-    """conv2d's forward, GEMMs written straight into the channel-major
-    output, equals the copy path bit for bit, layout included."""
+    """conv2d's forward, GEMMs written straight into channels-last memory,
+    equals the plain reference bit for bit, layout included."""
 
     @pytest.mark.parametrize("width", [1, 2])
     @pytest.mark.parametrize("position", ["after_first_conv", "before_final_relu",
@@ -187,7 +195,7 @@ class TestConvForwardBytes:
                 w = (rng.standard_normal(wshape) / np.sqrt(np.prod(wshape[1:]))).astype(
                     np.float32)
                 got = ad.conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding).data
-                want = conv2d_copy_path(x, w, stride, padding)
+                want = conv2d_reference(x, w, stride, padding)
                 assert got.strides == want.strides, (cin_hw, wshape, n)
                 assert got.tobytes() == want.tobytes(), (cin_hw, wshape, n)
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from wavetrain import storage
 from wavetrain.autodiff import Tensor
 from wavetrain.config import SCHEMA, RunConfig, load_config, parse_config_text
-from wavetrain.data import load_cifar10, split_train_val, synthetic_dataset
+from wavetrain.data import Dataset, load_cifar10, split_train_val, synthetic_dataset
 from wavetrain.errors import ConfigError, FormatError, InputError
 from wavetrain.model import POOLING_VARIANTS, WAP_POSITIONS, ModelConfig, build_model
 from wavetrain.storage import (
@@ -117,6 +117,13 @@ class TestSynthetic:
     def test_bad_params(self):
         with pytest.raises(InputError):
             synthetic_dataset(1, 10, seed=0)
+
+    @pytest.mark.parametrize("where", [np.s_[...], np.s_[1, 2, 3, 4]])
+    def test_nan_images_rejected(self, where):
+        images = synthetic_dataset(2, 4, seed=0).images
+        images[where] = np.nan
+        with pytest.raises(InputError, match=r"\[0,1\]"):
+            Dataset(images, np.array([0, 1, 0, 1]), 2, "synthetic")
 
 
 def _record(name, arr):

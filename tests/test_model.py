@@ -340,10 +340,16 @@ class TestForward:
             model.forward(Tensor(np.zeros((2, 1, 32, 32))))
 
     def test_input_of_another_size_rejected(self):
-        # every pool would see an even map, but not the one input_size names
-        model = build_model(small_cfg(), seed=0)
-        with pytest.raises(DimensionError, match=r"\[N,3,32,32\]"):
-            model.forward(Tensor(np.zeros((1, 3, 64, 64))))
+        # 64x64: every pool would see an even map, but not the one input_size
+        # names; an odd input at a stem pool; 28x28, whose final map is 7x7 at
+        # a final pool. The one input check refuses each before any conv runs.
+        cases = [({}, (64, 64))]
+        cases += [(dict(wap_position="after_first_conv"), hw) for hw in ((33, 32), (32, 31))]
+        cases += [(dict(wap_position=p), (28, 28)) for p in FINAL_POSITIONS]
+        for kw, hw in cases:
+            model = build_model(small_cfg(**kw), seed=0)
+            with pytest.raises(DimensionError, match=r"\[N,3,32,32\]"):
+                model.forward(Tensor(np.zeros((1, 3) + hw)))
 
     def test_lpf_variant_runs(self, rng):
         model = build_model(small_cfg(pooling_variant="lpf"), seed=0)
@@ -409,6 +415,7 @@ class TestWholeModelOracle:
 
 STEM_HAAR = dict(depth=1, width=1, num_classes=2, wavelet_base="haar",
                  wap_position="after_first_conv")
+FINAL_POSITIONS = ("after_final_relu", "before_final_relu")
 
 
 def stem_weight_grad_oracle(x, g, c):
@@ -456,7 +463,14 @@ def record_stem(monkeypatch):
 
 
 class TestDecimatedStem:
-    """Haar WAP after the stem runs as a stride-2 stem conv and a scale."""
+    """Haar WAP after the stem runs as a stride-2 stem conv and a scale.
+
+    The logits keep the full graph's bytes wherever both stem convs take the
+    same float32 or float64 path: at N <= 9 both fit one block, at N >= 38
+    neither does (10 <= N <= 37 differ in the last bits). The input gradient
+    agrees to float32 rounding but not bit for bit: the full graph's stride-1
+    correlation sums the zero taps the pool leaves, in a GEMM whose partial
+    sums OpenBLAS orders by its own depth."""
 
     @pytest.mark.parametrize("n", [1, 8, 64])
     def test_matches_conv_then_pool(self, rng, monkeypatch, n):
@@ -489,7 +503,7 @@ class TestDecimatedStem:
             ad.mul(logits, Tensor(g)).sum().backward()
             out += [logits.data, xt.grad, net.params["stem.weight"].grad]
         assert got[0].tobytes() == want[0].tobytes()
-        assert got[1].tobytes() == want[1].tobytes()
+        assert relative_errors(got[1], want[1]).max() < 1e-4
         (cotangent,) = cotangents
         c = 1.0 / np.sqrt(2.0)
         assert relative_errors(got[2], stem_weight_grad_oracle(x, cotangent, c)).max() < 1e-3
@@ -529,8 +543,9 @@ class TestDecimatedStem:
             xt = Tensor(x, requires_grad=True)
             logits = m.forward(xt)
             ad.softmax_cross_entropy(logits, labels).backward()
-            outs.append((logits.data.tobytes(), xt.grad.tobytes()))
-        assert outs[0] == outs[1]
+            outs.append((logits.data, xt.grad))
+        assert outs[0][0].tobytes() == outs[1][0].tobytes()
+        assert relative_errors(outs[0][1], outs[1][1]).max() < 1e-4
 
     def test_signed_zero_and_odd_subnormals_match_the_tap_loop(self):
         # a float32 y * 0.5 would round the odd subnormals' ties to even and
@@ -551,15 +566,8 @@ class TestDecimatedStem:
         ad.mul(scaled, g).sum().backward()
         assert kt.grad.tobytes() == np.ascontiguousarray(xt.grad[:, :, ::2, ::2]).tobytes()
 
-    @pytest.mark.parametrize("hw", [(33, 32), (32, 31)])
-    def test_odd_input_rejected(self, hw):
-        model = build_model(ModelConfig(**STEM_HAAR), seed=0)
-        with pytest.raises(DimensionError):
-            model.forward(Tensor(np.zeros((1, 3) + hw)))
-
 
 TAIL_HAAR = dict(depth=1, width=1, num_classes=10, wavelet_base="haar")
-FINAL_POSITIONS = ("after_final_relu", "before_final_relu")
 
 
 def record_tail(monkeypatch, model):
@@ -582,7 +590,14 @@ def record_tail(monkeypatch, model):
 
 class TestDecimatedTail:
     """In eval mode, haar WAP at a final position lets the last block run
-    conv2 and its projection at twice their strides, then scale."""
+    conv2 and its projection at twice their strides, then scale.
+
+    The logits keep the full graph's bytes except where conv2d's blocking
+    differs between the two graphs (width 1): at 8 <= N <= 29 the stride-2
+    conv2 takes the float64 one-block path where the full conv runs float32
+    blocks, and at N = 57 its last block holds one sample. The input gradient
+    agrees to float32 rounding (see TestDecimatedStem), and PGD's signed steps
+    give the same x_adv bytes at the batch sizes below."""
 
     @staticmethod
     def twins(monkeypatch, position, rng, **kw):
@@ -612,8 +627,9 @@ class TestDecimatedTail:
             logits = m.forward(xt)
             ad.softmax_cross_entropy(logits, labels).backward()
             x_adv = pgd(m, x, labels, attack, seed=7).x_adv
-            outs.append((logits.data.tobytes(), xt.grad.tobytes(), x_adv.tobytes()))
-        assert outs[0] == outs[1]
+            outs.append((logits.data.tobytes(), xt.grad, x_adv.tobytes()))
+        assert outs[0][0] == outs[1][0] and outs[0][2] == outs[1][2]
+        assert relative_errors(outs[0][1], outs[1][1]).max() < 1e-4
 
     @pytest.mark.parametrize("position", FINAL_POSITIONS)
     def test_runs_conv2_at_stride_two_proj_at_four_and_no_pool(self, monkeypatch, position):
@@ -640,11 +656,3 @@ class TestDecimatedTail:
         full = {"conv2": [1], "proj": [2]}
         assert strides == {name: full[name] for name in strides}
         assert len(pools) == pool_calls
-
-    @pytest.mark.parametrize("position", FINAL_POSITIONS)
-    def test_odd_final_map_rejected(self, position):
-        # 28x28 input: 28 -> 28 -> 14 -> 7 at the wavelet stage; the input
-        # check refuses it before any conv runs
-        model = build_model(ModelConfig(**TAIL_HAAR, wap_position=position), seed=0)
-        with pytest.raises(DimensionError):
-            model.forward(Tensor(np.zeros((1, 3, 28, 28))))

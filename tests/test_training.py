@@ -112,6 +112,21 @@ class TestGradientNorm:
 
 
 class TestAdversarialTrain:
+    def test_training_attack_runs_unscored(self, monkeypatch):
+        # the trainer reads only x_adv; validation's attack still scores
+        data = synthetic_dataset(2, 96, seed=0)
+        train, val = split_train_val(data)
+        results = []
+        real = training.pgd
+
+        def recording(*args, **kwargs):
+            results.append(real(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(training, "pgd", recording)
+        adversarial_train(tiny_model(), train, val, tiny_train_cfg(epochs=1, batch_size=32))
+        assert [r.success is None for r in results] == [True, True, True, False]
+
     def test_natural_training_reduces_loss_on_separable_toy(self):
         data = synthetic_dataset(2, 192, seed=0)
         train, val = split_train_val(data)
@@ -264,7 +279,8 @@ class TestBestEpoch:
         values = iter(v for pair in scores for v in pair)
         monkeypatch.setattr(training, "accuracy", lambda *args, **kw: next(values))
         monkeypatch.setattr(training, "pgd",
-                            lambda model, xb, yb, cfg, seed: SimpleNamespace(x_adv=xb))
+                            lambda model, xb, yb, cfg, seed, _score=True:
+                            SimpleNamespace(x_adv=xb))
         cfg = tiny_train_cfg(epochs=len(scores), early_stop_patience=2)
         _, history = adversarial_train(tiny_model(), train, val, cfg)
         assert history.epochs_completed() == ran
@@ -274,16 +290,16 @@ class TestBestEpoch:
                                                                     capsys):
         # epochs 0 and 1 predict one class of the balanced 48-sample validation
         # set (clean = robust = 0.5); epoch 2 separates it, with clean 1.0 and
-        # robust 13/48
+        # robust 15/48
         args = ["train", "--out-dir", str(tmp_path)]
         for kv in ("seed=3", "data.n_train=256", "data.n_val=48", "train.epochs=3",
                    "train.batch_size=32", "train.attack_steps=2", "train.lr_initial=0.05"):
             args += ["--set", kv]
         assert main(args) == 0
         assert capsys.readouterr().out.strip().endswith(
-            "best robust val acc 0.2708 (epoch 2)")
+            "best robust val acc 0.3125 (epoch 2)")
         rows = (tmp_path / "history.csv").read_text().splitlines()[2:]
         assert [r.split(",")[2:4] for r in rows] == [["0.5", "0.5"], ["0.5", "0.5"],
-                                                     ["1", "0.27083333"]]
+                                                     ["1", "0.3125"]]
         val = synthetic_dataset(2, 304, seed=3).subset(np.arange(256, 304))
         assert accuracy(load_checkpoint(str(tmp_path / "model.ckpt")), val) == 1.0
