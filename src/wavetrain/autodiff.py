@@ -453,16 +453,13 @@ def _channel_rows(a):
 
 
 def _per_channel(v, like):
-    """The vector v[C] shaped to broadcast against the NCHW-shaped array
-    ``like``. Over channels-last memory it is repeated at every pixel of one
-    sample, so that numpy's inner loop runs over a whole sample instead of C
-    values; the arithmetic is the same either way."""
-    c = like.shape[1]
-    if like.strides[1] == like.itemsize and like.strides[3] == c * like.itemsize:
-        tiled = np.empty(like.shape[2:] + (c,), dtype=np.float32)
-        tiled[...] = v
-        return tiled.transpose(2, 0, 1)[None]
-    return v[None, :, None, None]
+    """v[C] repeated at every pixel of one sample of the NCHW-shaped array
+    ``like``, in channels-last memory. Broadcast against channels-last
+    activations it keeps numpy's inner loop over a whole sample instead of C
+    values; the arithmetic is that of v[None, :, None, None]."""
+    tiled = np.empty(like.shape[2:] + (len(v),), dtype=np.float32)
+    tiled[...] = v
+    return tiled.transpose(2, 0, 1)[None]
 
 
 def _channel_sums(rows):
