@@ -566,6 +566,12 @@ class TestDecimatedStem:
         ad.mul(scaled, g).sum().backward()
         assert kt.grad.tobytes() == np.ascontiguousarray(xt.grad[:, :, ::2, ::2]).tobytes()
 
+    @pytest.mark.parametrize("hw", [(33, 32), (32, 31)])
+    def test_odd_input_rejected(self, hw):
+        model = build_model(ModelConfig(**STEM_HAAR), seed=0)
+        with pytest.raises(DimensionError):
+            model.forward(Tensor(np.zeros((1, 3) + hw)))
+
 
 TAIL_HAAR = dict(depth=1, width=1, num_classes=10, wavelet_base="haar")
 
@@ -656,3 +662,11 @@ class TestDecimatedTail:
         full = {"conv2": [1], "proj": [2]}
         assert strides == {name: full[name] for name in strides}
         assert len(pools) == pool_calls
+
+    @pytest.mark.parametrize("position", FINAL_POSITIONS)
+    def test_odd_final_map_rejected(self, position):
+        # 28x28 input: 28 -> 28 -> 14 -> 7 at the wavelet stage; the input
+        # check refuses it before any conv runs
+        model = build_model(ModelConfig(**TAIL_HAAR, wap_position=position), seed=0)
+        with pytest.raises(DimensionError):
+            model.forward(Tensor(np.zeros((1, 3, 28, 28))))
