@@ -239,6 +239,8 @@ def nes_attack(oracle, x, y, cfg: NesConfig, seed: int = 0) -> AttackResult:
     """
     x = np.asarray(x, dtype=np.float32)
     n = len(x)
+    if n == 0:
+        raise InputError("an attack needs a non-empty batch")
     rng = np.random.default_rng(seed)
     k = cfg.samples_per_step
     sigma = cfg.fd_eta

@@ -87,17 +87,12 @@ def _load_datasets(cfg: RunConfig):
 
 
 def _checkpoint_and_val(cfg: RunConfig, args):
-    """The --checkpoint model and the validation set, with equal class counts
-    and image sizes."""
+    """The --checkpoint model and the validation set, with equal class counts."""
     model = load_checkpoint(args.checkpoint)
     _, val = _load_datasets(cfg)
     if val.num_classes != model.cfg.num_classes:
         raise ConfigError(f"the data has {val.num_classes} classes (data.num_classes) but "
                           f"the checkpoint has {model.cfg.num_classes}")
-    (h, w), size = val.images.shape[2:], model.cfg.input_size
-    if (h, w) != (size, size):
-        raise ConfigError(f"the data has {h}x{w} images but the checkpoint's input_size "
-                          f"is {size}")
     return model, val
 
 

@@ -18,6 +18,10 @@ DATA_ROOT_ENV = "WAVETRAIN_DATA"
 # attackable at that budget
 BLOB_AMPLITUDE = 0.20
 GRATING_AMPLITUDE = 0.06
+# std of the Gaussian pixel noise added to every synthetic image
+NOISE = 0.06
+# the share of a loaded set that split_train_val holds out for validation
+VAL_FRACTION = 0.1
 
 
 @dataclass
@@ -77,7 +81,7 @@ def load_cifar10(path) -> Dataset:
     return Dataset(images, labels, num_classes=10, provenance="cifar10")
 
 
-def synthetic_dataset(num_classes: int, n: int, seed: int, noise: float = 0.06) -> Dataset:
+def synthetic_dataset(num_classes: int, n: int, seed: int) -> Dataset:
     """Class-conditional 32x32 blobs: each class owns a Gaussian bump at a
     distinct position plus a grating at a distinct spatial frequency. Labels
     are assigned round-robin, so the class counts are balanced within one.
@@ -103,15 +107,15 @@ def synthetic_dataset(num_classes: int, n: int, seed: int, noise: float = 0.06) 
             patterns[c, ch] = base * (1.0 if ch == c % 3 else 0.6)
 
     labels = np.arange(n, dtype=np.int64) % num_classes
-    images = 0.5 + patterns[labels] + noise * rng.standard_normal((n, 3, size, size))
+    images = 0.5 + patterns[labels] + NOISE * rng.standard_normal((n, 3, size, size))
     images = np.clip(images, 0.0, 1.0).astype(np.float32)
     return Dataset(images, labels, num_classes=num_classes, provenance="synthetic")
 
 
-def split_train_val(dataset: Dataset, val_fraction: float = 0.1):
-    """Deterministic split: the last ``val_fraction`` of the set is validation."""
+def split_train_val(dataset: Dataset):
+    """Deterministic split: the last ``VAL_FRACTION`` of the set is validation."""
     n = len(dataset)
-    n_val = max(1, int(round(n * val_fraction)))
+    n_val = max(1, int(round(n * VAL_FRACTION)))
     if n_val >= n:
         raise InputError("validation split would consume the whole dataset")
     return dataset.subset(np.arange(0, n - n_val)), dataset.subset(np.arange(n - n_val, n))

@@ -254,11 +254,17 @@ class LocalRegularityResult:
         return self.passed
 
 
-def theorem_local_regularity_check(base: str, alpha: float, x0: float = 0.5,
-                                   offsets: Sequence[float] = (0.0, 0.01, 0.02, 0.05, 0.1),
-                                   scales: Sequence[float] = (2**-2, 2**-3, 2**-4, 2**-5),
-                                   grid_points: int = 1 << 14,
-                                   halving_tolerance: float = 0.2) -> LocalRegularityResult:
+# theorem_local_regularity_check: the probe's kink, the wavelet scales, the
+# coarsest integration grid and the allowed relative miss of each halving ratio
+REGULARITY_X0 = 0.5
+REGULARITY_SCALES = (2**-2, 2**-3, 2**-4, 2**-5)
+REGULARITY_GRID_POINTS = 1 << 14
+HALVING_TOLERANCE = 0.2
+
+
+def theorem_local_regularity_check(base: str, alpha: float,
+                                   offsets: Sequence[float] = (0.0, 0.01, 0.02, 0.05, 0.1)
+                                   ) -> LocalRegularityResult:
     """Check that |<f, psi_{a, x0+b}>| / (|a|^(1/2) (|a|^alpha + |b|^alpha))
     stays bounded across a grid of scales and offsets and two grid
     refinements, and that the dyadic modulus of continuity halves like
@@ -268,8 +274,8 @@ def theorem_local_regularity_check(base: str, alpha: float, x0: float = 0.5,
         raise InputError("alpha must lie in (0, 1]")
     fb = filter_bank(base)
     grid, psi = cascade_wavelet(fb)
+    x0, scales = REGULARITY_X0, REGULARITY_SCALES  # scales decreasing
     probe = lambda x: np.abs(x - x0) ** alpha
-    scales = sorted(set(float(s) for s in scales), reverse=True)
     offsets = sorted(set(float(abs(o)) for o in offsets))
 
     span0 = x0 + min(offsets)
@@ -282,7 +288,7 @@ def theorem_local_regularity_check(base: str, alpha: float, x0: float = 0.5,
         for bb in offsets:
             for a in scales:
                 coef = _coefficient(probe, x0 + bb, a, grid, psi,
-                                       span0, span1, grid_points * refine)
+                                       span0, span1, REGULARITY_GRID_POINTS * refine)
                 bound = np.sqrt(a) * (a ** alpha + bb ** alpha)
                 ratios.append(abs(coef) / bound)
                 if refine == 4 and bb > 0 and abs(np.log(bb)) > 1e-9:
@@ -299,7 +305,7 @@ def theorem_local_regularity_check(base: str, alpha: float, x0: float = 0.5,
     values = [float(np.abs(probe(xs + d) - probe(xs)).max()) for d in deltas]
     halving = [values[i + 1] / values[i] for i in range(len(values) - 1)]
     target = 2.0 ** -alpha
-    halving_ok = all(abs(r - target) <= halving_tolerance * target for r in halving)
+    halving_ok = all(abs(r - target) <= HALVING_TOLERANCE * target for r in halving)
 
     return LocalRegularityResult(
         passed=bounded and halving_ok,

@@ -3,11 +3,12 @@
 Structure: 3x3 stem conv, three groups of pre-activation residual blocks
 (strides 1, 2, 2; widths 16k, 32k, 64k), final BN+ReLU, the configured
 wavelet pooling stage, a global average and a fully connected classifier.
-``forward`` checks once that its input is [N, 3, input_size, input_size];
-``_check_spatial`` has proven at construction that every pool then sees an
-even map. Every parameter and buffer name and shape comes from one table,
-``state_layout``, which reads neither the pooling position nor the base, so
-the variants share one state layout - only the pooling stage differs.
+``forward`` checks once that its input is [N, 3, 32, 32]: ``INPUT_SIZE`` is
+the CIFAR image size, at which every pool sees an even map (32x32 at the
+stem, 8x8 at a final position). Every parameter and buffer name and shape
+comes from one table, ``state_layout``, which reads neither the pooling
+position nor the base, so the variants share one state layout - only the
+pooling stage differs.
 
 A WAP whose filter is one tap at offset 0 (haar; ``wavelet.wap_decimation``
 gives its coefficient c) keeps only the even-even pixels of its input, times
@@ -58,6 +59,7 @@ from .wavelet import (
 WAP_POSITIONS = ("after_first_conv", "before_final_relu", "after_final_relu", "disabled")
 POOLING_VARIANTS = ("wap", "lpf")
 
+INPUT_SIZE = 32
 STEM_CHANNELS = 16
 GROUP_STRIDES = (1, 2, 2)
 
@@ -70,7 +72,6 @@ class ModelConfig:
     wavelet_base: Optional[str] = "haar"
     wap_position: str = "after_final_relu"
     pooling_variant: str = "wap"
-    input_size: int = 32
 
     def __post_init__(self):
         if self.depth < 1 or self.width < 1 or self.num_classes < 2:
@@ -84,24 +85,6 @@ class ModelConfig:
 
     def group_channels(self):
         return (STEM_CHANNELS * self.width, 32 * self.width, 64 * self.width)
-
-
-def _check_spatial(cfg: ModelConfig):
-    """Follow spatial sizes through the network; reject odd sizes at the
-    wavelet insertion point and inputs too small for the downsampling."""
-    size = cfg.input_size
-    if cfg.wap_position == "after_first_conv":
-        if size % 2:
-            raise ConfigError(f"odd spatial size {size} at the wavelet stage")
-        size //= 2
-    for stride in GROUP_STRIDES:
-        size = (size + 2 - 3) // stride + 1  # 3x3 conv, pad 1
-    if cfg.wap_position in ("before_final_relu", "after_final_relu"):
-        if size % 2:
-            raise ConfigError(f"odd spatial size {size} at the wavelet stage")
-        size //= 2
-    if size < 1:
-        raise ConfigError("input too small for this depth of downsampling")
 
 
 def _blocks(cfg: ModelConfig):
@@ -202,7 +185,6 @@ class Model:
         self.fb: Optional[FilterBank] = (
             filter_bank(cfg.wavelet_base) if cfg.wap_position != "disabled" else None
         )
-        _check_spatial(cfg)
         self._blocks = list(_blocks(cfg))
         # the coefficient of a one-tap WAP (haar), whose feeding convs then
         # compute only the pixels it keeps
@@ -279,9 +261,9 @@ class Model:
 
     def forward(self, x: Tensor, training: bool = False, return_features: bool = False):
         cfg = self.cfg
-        size = cfg.input_size
-        if x.data.shape[1:] != (3, size, size):
-            raise DimensionError(f"expected input [N,3,{size},{size}], got {x.data.shape}")
+        if x.data.shape[1:] != (3, INPUT_SIZE, INPUT_SIZE):
+            raise DimensionError(f"expected input [N,3,{INPUT_SIZE},{INPUT_SIZE}], "
+                                 f"got {x.data.shape}")
         # in eval mode bn_final and ReLU are pointwise, so a one-tap WAP at
         # a final position lets the last block compute only the pixels it
         # keeps; training-mode batch statistics and Grad-CAM read the full map

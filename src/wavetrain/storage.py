@@ -34,7 +34,7 @@ from .errors import ConfigError, DimensionError, FormatError, UnsupportedBaseErr
 from .model import Model, ModelConfig, check_state
 
 MAGIC = b"WWRN"
-VERSION = 1
+VERSION = 2
 
 _FIELDS = tuple(f.name for f in fields(ModelConfig))
 _SCHEMA = _section("", ModelConfig(), _FIELDS)
@@ -155,7 +155,7 @@ def load_checkpoint(path) -> Model:
     try:
         check_state(cfg, items)
         model = Model(cfg)
-    except (ConfigError, DimensionError, UnsupportedBaseError) as exc:
+    except (DimensionError, UnsupportedBaseError) as exc:
         raise FormatError(f"checkpoint does not describe a valid model: {exc}") from exc
     return model.load_state_arrays(items)
 

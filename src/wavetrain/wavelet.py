@@ -244,8 +244,9 @@ def _separable(x: Tensor, fh, fw) -> Tensor:
     _check_even_spatial(x)
     out = _correlate_down(_correlate_down(x.data, fw, -1), fh, -2)
     # the float32 result is stored with height as the fastest axis, the order
-    # the pooled map has always had: reductions over it downstream (batch
-    # statistics, norms, Parseval sums) then add in the same order, bit for bit
+    # the pooled map has always had. Batch norm copies its input into float64
+    # rows, so its results do not depend on this layout; wap_lipschitz_estimate's
+    # norm and `check wavelet`'s Parseval sums still add in this memory order
     res = np.empty(out.shape[:-2] + out.shape[:-3:-1], dtype=np.float32).swapaxes(-1, -2)
     res[...] = out
 
@@ -321,15 +322,21 @@ def wavelet_low_pass_pool(x: Tensor, fb: FilterBank) -> Tensor:
     return _separable(x, fb.lo_a, fb.lo_a)
 
 
-def wap_lipschitz_estimate(fb: FilterBank, spatial: int = 16, iters: int = 60, seed: int = 0) -> float:
+# wap_lipschitz_estimate's power iteration: map size, steps and start seed
+LIPSCHITZ_MAP = 16
+LIPSCHITZ_ITERS = 60
+LIPSCHITZ_SEED = 0
+
+
+def wap_lipschitz_estimate(fb: FilterBank) -> float:
     """Largest singular value of the pooling map, by power iteration on the
     composition of the layer with its adjoint (the adjoint comes from the
     registered backward rule, so this also exercises the gradient path)."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal((1, 1, spatial, spatial)).astype(np.float32)
+    rng = np.random.default_rng(LIPSCHITZ_SEED)
+    v = rng.standard_normal((1, 1, LIPSCHITZ_MAP, LIPSCHITZ_MAP)).astype(np.float32)
     v /= np.linalg.norm(v)
     sigma = 0.0
-    for _ in range(iters):
+    for _ in range(LIPSCHITZ_ITERS):
         vt = Tensor(v, requires_grad=True)
         y = wavelet_average_pool(vt, fb)
         sigma = float(np.linalg.norm(y.data))

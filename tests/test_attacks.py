@@ -276,6 +276,15 @@ class TestLabels:
         with pytest.raises(InputError, match="non-empty batch"):
             WHITE_BOX[kind](toy, x, np.zeros(0, dtype=np.int64), AttackConfig(epsilon=eps))
 
+    def test_nes_rejects_an_empty_batch(self):
+        # refused before any query, whatever the labels say
+        def oracle(x):
+            raise AssertionError("queried the oracle on an empty batch")
+
+        x = np.zeros((0, 3, 32, 32), dtype=np.float32)
+        with pytest.raises(InputError, match="non-empty batch"):
+            nes_attack(oracle, x, np.array([7, 8, 9]), NesConfig())
+
     @pytest.mark.parametrize("kind", list(WHITE_BOX) + ["nes"])
     def test_wrong_label_count_rejected(self, toy, batch, kind):
         x, y = batch

@@ -361,15 +361,17 @@ class TestErrors:
         assert "error[format]" in err and "'stem.weight' is extra" in err
         assert "Traceback" not in err
 
-    def test_checkpoint_for_another_image_size_exit_2(self, tmp_path, capsys):
-        # a valid 40x40 model asked to score the 32x32 validation images
-        path = tmp_path / "size40.ckpt"
-        save_checkpoint(build_model(ModelConfig(depth=1, width=1, num_classes=2,
-                                                input_size=40), seed=0), path)
+    def test_version_1_checkpoint_exit_3(self, tmp_path, capsys):
+        # a current checkpoint relabelled as version 1, its CRC fixed
+        path = tmp_path / "v1.ckpt"
+        save_checkpoint(build_model(ModelConfig(depth=1, width=1, num_classes=2), seed=0), path)
+        body = bytearray(path.read_bytes()[:-4])
+        struct.pack_into("<I", body, 4, 1)
+        path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
         rc = main(["eval", "--checkpoint", str(path), "--out-dir", str(tmp_path / "o")] + FAST)
         err = capsys.readouterr().err
-        assert rc == 2
-        assert "error[config]" in err and "input_size is 40" in err
+        assert rc == 3
+        assert "error[format]" in err and "checkpoint version 1" in err
         assert "Traceback" not in err
 
     def test_crc_valid_checkpoint_with_bad_config_exit_3(self, tmp_path, capsys):

@@ -185,15 +185,31 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="version"):
             load_checkpoint(path)
 
+    def test_version_1_refused(self, tmp_path):
+        """Version 1 files, whose config block also held input_size, have no
+        reader: a CRC-valid one is refused by its version field alone."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(self._model(), path)
+        blob = bytearray(path.read_bytes())
+        assert struct.unpack_from("<I", blob, 4) == (storage.VERSION,) == (2,)
+        struct.pack_into("<I", blob, 4, 1)
+        body = bytes(blob[:-4])
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(FormatError, match=r"checkpoint version 1 \(at offset 4\)"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("old,new,match", [
         (b"depth=1\n", b"depth=x\n", "not an integer"),
         (b"depth=1\n", b"depth=\xff\n", "config block is not UTF-8"),
         (b"depth=1\n", b"depth=0\n", "invalid model config"),
-        (b"input_size=32\n", b"input_size=34\n", "does not describe"),  # odd map at the pool
+        # an unsupported base (the value is stripped): Model(cfg) raises
+        # UnsupportedBaseError
+        (b"wavelet_base=haar\n", b"wavelet_base= db7\n",
+         "does not describe a valid model: unknown wavelet base 'db7'"),
         (b"num_classes=2\n", b"num_classes=3\n", "'fc.weight' has shape"),  # DimensionError
         # two keys swapped, then a blank line
         (b"depth=1\nwidth=1\n", b"width=1\ndepth=1\n", "are not the ModelConfig fields"),
-        (b"input_size=32\n", b"\ninput_size=32", "expected key=value, got ''"),
+        (b"pooling_variant=wap\n", b"\npooling_variant=wap", "expected key=value, got ''"),
         (b"stem.weight", b"stem.weigh\xff", "name is not UTF-8"),
         (b"stem.weight", b"stem.weighz", "is 'stem.weighz' where the layout has"),
         # rank 70 with a zero dim: an empty payload numpy cannot reshape
@@ -293,7 +309,7 @@ class TestCheckpoint:
 
 
 MODEL_KEYS = ("depth", "width", "num_classes", "wavelet_base", "wap_position",
-              "pooling_variant", "input_size")
+              "pooling_variant")
 config_values = st.one_of(
     st.integers(-3, 40).map(str),
     st.sampled_from(("none", "haar", "disabled", "wap", "lpf", "after_first_conv", "1.5", "")),
@@ -311,7 +327,6 @@ def model_configs(draw):
         depth=draw(st.integers(1, 1000)), width=draw(st.integers(1, 1000)),
         num_classes=draw(st.integers(2, 1000)), wavelet_base=draw(st.sampled_from(bases)),
         wap_position=position, pooling_variant=draw(st.sampled_from(POOLING_VARIANTS)),
-        input_size=draw(st.integers(-(2 ** 40), 2 ** 40)),
     )
 
 
@@ -335,7 +350,7 @@ class TestCheckpointConfigText:
                           wap_position="disabled")
         assert _config_to_text(cfg) == (
             "depth=1\nwidth=3\nnum_classes=7\nwavelet_base=none\nwap_position=disabled\n"
-            "pooling_variant=wap\ninput_size=32\n"
+            "pooling_variant=wap\n"
         )
 
 

@@ -6,7 +6,10 @@ from wavetrain import model as model_module
 from wavetrain.attacks import AttackConfig, pgd
 from wavetrain.autodiff import Tensor
 from wavetrain.errors import ConfigError, DimensionError
-from wavetrain.model import WAP_POSITIONS, ModelConfig, build_model, check_state, state_layout
+from wavetrain.model import (
+    POOLING_VARIANTS, WAP_POSITIONS, ModelConfig, build_model, check_state, state_layout,
+)
+from wavetrain.wavelet import SUPPORTED_BASES
 
 from gradcheck import relative_errors
 
@@ -156,10 +159,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ModelConfig(wap_position="in_the_middle")
 
-    def test_odd_size_at_wavelet_stage(self):
-        # 40 -> groups -> 10 -> ... sizes: 40,20,10 -> even; use 36: 36,18,9 -> odd
-        with pytest.raises(ConfigError):
-            build_model(small_cfg(input_size=36), seed=0)
+
+EVERY_STAGE = [(base, position, variant)
+               for position in WAP_POSITIONS
+               for base in ((None,) if position == "disabled" else SUPPORTED_BASES)
+               for variant in POOLING_VARIANTS]
 
 
 class TestBuild:
@@ -167,6 +171,16 @@ class TestBuild:
         model = build_model(small_cfg(wavelet_base=None, wap_position="disabled"), seed=0)
         x = Tensor(rng.random((2, 3, 32, 32)).astype(np.float32))
         assert model.forward(x).shape == (2, 10)
+
+    @pytest.mark.parametrize("base,position,variant", EVERY_STAGE)
+    def test_every_stage_runs_at_32(self, rng, base, position, variant):
+        # at 32x32 every pool of every configuration sees an even map
+        model = build_model(small_cfg(wavelet_base=base, wap_position=position,
+                                      pooling_variant=variant), seed=0)
+        x = Tensor(rng.random((2, 3, 32, 32)).astype(np.float32))
+        for training in (False, True):
+            logits = model.forward(x, training=training).data
+            assert logits.shape == (2, 10) and np.isfinite(logits).all()
 
     @pytest.mark.parametrize("position,expected", [
         ("after_final_relu", 4),
@@ -340,9 +354,9 @@ class TestForward:
             model.forward(Tensor(np.zeros((2, 1, 32, 32))))
 
     def test_input_of_another_size_rejected(self):
-        # 64x64: every pool would see an even map, but not the one input_size
-        # names; an odd input at a stem pool; 28x28, whose final map is 7x7 at
-        # a final pool. The one input check refuses each before any conv runs.
+        # 64x64: every pool would see an even map, but the input is not 32x32;
+        # an odd input at a stem pool; 28x28, whose final map is 7x7 at a
+        # final pool. The one input check refuses each before any conv runs.
         cases = [({}, (64, 64))]
         cases += [(dict(wap_position="after_first_conv"), hw) for hw in ((33, 32), (32, 31))]
         cases += [(dict(wap_position=p), (28, 28)) for p in FINAL_POSITIONS]

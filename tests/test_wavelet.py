@@ -512,7 +512,7 @@ class TestLipschitz:
 
     @pytest.mark.parametrize("name", SUPPORTED_BASES)
     def test_power_iteration_matches_polyphase_value(self, name):
-        got = wap_lipschitz_estimate(filter_bank(name), spatial=16)
+        got = wap_lipschitz_estimate(filter_bank(name))
         assert abs(got - self.EXPECTED[name]) < 1e-3
 
     def test_haar_is_half(self):
