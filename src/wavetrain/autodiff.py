@@ -1,14 +1,23 @@
 """Minimal deterministic reverse-mode automatic differentiation.
 
-Tensors hold row-major float32 buffers. Every primitive records its inputs
-and a backward rule on the implicit tape (the operation graph); calling
-``backward`` on a scalar replays the recorded rules in reverse topological
-order, visiting each node exactly once. The walk consumes the tape: as soon
-as a node's rule has run, the node lets go of its gradient, its rule (and
-with it the arrays the rule saved, such as padded inputs, batch norm's x-hat
-and relu masks) and its parents, so the graph is freed while it is walked and
-only leaves (parameters and inputs) keep ``grad``. Gradient that reaches a
-walked node raises UsageError rather than being summed a second time.
+Tensors hold row-major float32 buffers. Every primitive that takes a tensor
+requiring gradient records a node on the implicit tape (the operation graph):
+the output's gradient, its backward rule, the nodes of its parents that take
+gradient, and its shape. A leaf (a parameter or an input) is its own node.
+The node does not hold the output's array, and each rule keeps only the
+arrays it reads: conv2d its weight, plus its padded input when the weight
+trains; batch norm x-hat and its scale, plus its input for an eval-mode
+trainable gamma; relu a boolean mask; linear and mul the other operand; add,
+negation, sums, the global average and the pooling scales nothing but
+shapes. So an activation dies as soon as the forward drops its last
+reference, unless a rule reads that very array.
+
+Calling ``backward`` on a scalar replays the recorded rules in reverse
+topological order, visiting each node exactly once. The walk consumes the
+tape: as soon as a node's rule has run, the node lets go of its gradient, its
+rule (and with it the arrays the rule saved) and its parents, so the graph is
+freed while it is walked and only leaves keep ``grad``. Gradient that reaches
+a walked node raises UsageError rather than being summed a second time.
 
 Reductions (sums, means, batch statistics, losses), dense products and a
 convolution whose columns fit in one block accumulate in float64 before
@@ -64,17 +73,46 @@ def _f32(x):
     return np.asarray(x, dtype=np.float32)
 
 
-class Tensor:
-    """Dense float32 array with an optional gradient buffer."""
+class _Node:
+    """What the tape keeps of one recorded output: its gradient, its rule,
+    the nodes of its parents that take gradient, and its shape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("grad", "_backward", "_parents", "shape")
+
+    def __init__(self, shape, parents, backward):
+        self.grad = None
+        self._backward = backward
+        self._parents = parents
+        self.shape = shape
+
+    def _accumulate(self, g, fresh=False):
+        """Add ``g`` into ``grad``. A ``fresh`` float32 array, built by the
+        caller and referenced nowhere else, becomes the first gradient as is;
+        any other array is copied in its own memory order, since it may be a
+        view of another buffer."""
+        g = _f32(g)
+        if g.shape != self.shape:
+            raise DimensionError(
+                f"gradient shape {g.shape} does not match tensor shape {self.shape}"
+            )
+        if self.grad is None:
+            self.grad = g if fresh else g.copy(order="K")
+        else:
+            self.grad += g
+
+
+class Tensor:
+    """Dense float32 array with an optional gradient buffer. A recorded
+    output keeps ``grad``, ``_backward`` and ``_parents`` on its tape node; a
+    leaf is its own node, with no rule and no parents."""
+
+    __slots__ = ("data", "requires_grad", "_grad", "_node")
 
     def __init__(self, data, requires_grad=False):
         self.data = _f32(data)
         self.requires_grad = bool(requires_grad)
-        self.grad = None
-        self._parents = ()
-        self._backward = None
+        self._grad = None
+        self._node = None
 
     # -- basic introspection -------------------------------------------------
 
@@ -87,20 +125,34 @@ class Tensor:
 
     # -- autograd ------------------------------------------------------------
 
-    def _accumulate(self, g, fresh=False):
-        """Add ``g`` into ``grad``. A ``fresh`` float32 array, built by the
-        caller and referenced nowhere else, becomes the first gradient as is;
-        any other array is copied in its own memory order, since it may be a
-        view of another buffer."""
-        g = _f32(g)
-        if g.shape != self.data.shape:
-            raise DimensionError(
-                f"gradient shape {g.shape} does not match tensor shape {self.data.shape}"
-            )
-        if self.grad is None:
-            self.grad = g if fresh else g.copy(order="K")
+    @property
+    def grad(self):
+        return self._grad if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value):
+        if self._node is None:
+            self._grad = value
         else:
-            self.grad += g
+            self._node.grad = value
+
+    @property
+    def _backward(self):
+        return None if self._node is None else self._node._backward
+
+    @_backward.setter
+    def _backward(self, rule):
+        self._node._backward = rule
+
+    @property
+    def _parents(self):
+        return () if self._node is None else self._node._parents
+
+    @_parents.setter
+    def _parents(self, parents):
+        self._node._parents = parents
+
+    _accumulate = _Node._accumulate
 
     def backward(self):
         """Populate ``grad`` on every requires_grad leaf reachable from this
@@ -142,10 +194,11 @@ def _walked(g):
 
 
 def _topo_order(root):
-    """Iterative post-order over the recorded graph (no recursion limit)."""
+    """Iterative post-order over the tape nodes that the tensor ``root``
+    reaches (no recursion limit)."""
     order = []
     seen = set()
-    stack = [(root, False)]
+    stack = [(root if root._node is None else root._node, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -161,12 +214,24 @@ def _topo_order(root):
     return order
 
 
+def _grad_node(t):
+    """The tape node that gradient for ``t`` goes to, or None when ``t``
+    takes none. A rule captures these, never its parent tensors, so it keeps
+    no parent's array alive."""
+    if not t.requires_grad:
+        return None
+    return t if t._node is None else t._node
+
+
 def _make(data, parents, backward):
+    """The output tensor of a primitive. ``parents`` are the ``_grad_node``s
+    of its inputs; it is recorded when tape recording is on and one of them
+    takes gradient."""
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    parents = tuple(p for p in parents if p is not None)
+    if _grad_enabled and parents:
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
+        out._node = _Node(out.data.shape, parents, backward)
     return out
 
 
@@ -183,60 +248,62 @@ def _check_same_shape(a, b, what):
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise a + b of equal shapes."""
     _check_same_shape(a, b, "add")
-    data = a.data + b.data
+    na, nb = _grad_node(a), _grad_node(b)
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g)
-        if b.requires_grad:
-            b._accumulate(g)
+        if na is not None:
+            na._accumulate(g)
+        if nb is not None:
+            nb._accumulate(g)
 
-    return _make(data, (a, b), backward)
+    return _make(a.data + b.data, (na, nb), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise a * b of equal shapes."""
     _check_same_shape(a, b, "mul")
-    data = a.data * b.data
+    na, nb = _grad_node(a), _grad_node(b)
+    # each side's gradient reads only the other operand
+    a_data = a.data if nb is not None else None
+    b_data = b.data if na is not None else None
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * b.data)
-        if b.requires_grad:
-            b._accumulate(g * a.data)
+        if na is not None:
+            na._accumulate(g * b_data)
+        if nb is not None:
+            nb._accumulate(g * a_data)
 
-    return _make(data, (a, b), backward)
+    return _make(a.data * b.data, (na, nb), backward)
 
 
 def _neg(a: Tensor) -> Tensor:
-    data = -a.data
+    na = _grad_node(a)
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(-g)
+        na._accumulate(-g)
 
-    return _make(data, (a,), backward)
+    return _make(-a.data, (na,), backward)
 
 
 def relu(x: Tensor) -> Tensor:
-    data = np.maximum(x.data, 0.0, dtype=np.float32)
+    nx = _grad_node(x)
+    # in x's memory order, as the gradient it shapes
+    mask = x.data > 0 if nx is not None and _grad_enabled else None
 
     def backward(g):
-        if x.requires_grad:
-            # in x's memory order, whatever the order of g
-            x._accumulate(np.multiply(g, x.data > 0, out=np.empty_like(x.data)), fresh=True)
+        nx._accumulate(np.multiply(g, mask, out=np.empty_like(mask, dtype=np.float32)),
+                       fresh=True)
 
-    return _make(data, (x,), backward)
+    return _make(np.maximum(x.data, 0.0, dtype=np.float32), (nx,), backward)
 
 
 def sum_all(x: Tensor) -> Tensor:
-    data = np.float32(x.data.sum(dtype=np.float64))
+    nx, shape = _grad_node(x), x.data.shape
 
     def backward(g):
-        if x.requires_grad:
-            x._accumulate(np.broadcast_to(g, x.data.shape))
+        nx._accumulate(np.broadcast_to(g, shape))
 
-    return _make(data, (x,), backward)
+    return _make(np.float32(x.data.sum(dtype=np.float64)), (nx,), backward)
 
 
 # -- dense layers --------------------------------------------------------------
@@ -252,17 +319,21 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         )
     data = (x.data.astype(np.float64) @ w.data.astype(np.float64)).astype(np.float32)
     data += b.data
+    nx, nw, nb = _grad_node(x), _grad_node(w), _grad_node(b)
+    # each side's gradient reads only the other operand
+    x_data = x.data if nw is not None else None
+    w_data = w.data if nx is not None else None
 
     def backward(g):
         g64 = g.astype(np.float64)
-        if x.requires_grad:
-            x._accumulate((g64 @ w.data.astype(np.float64).T).astype(np.float32))
-        if w.requires_grad:
-            w._accumulate((x.data.astype(np.float64).T @ g64).astype(np.float32))
-        if b.requires_grad:
-            b._accumulate(g64.sum(axis=0).astype(np.float32))
+        if nx is not None:
+            nx._accumulate((g64 @ w_data.astype(np.float64).T).astype(np.float32))
+        if nw is not None:
+            nw._accumulate((x_data.astype(np.float64).T @ g64).astype(np.float32))
+        if nb is not None:
+            nb._accumulate(g64.sum(axis=0).astype(np.float32))
 
-    return _make(data, (x, w, b), backward)
+    return _make(data, (nx, nw, nb), backward)
 
 
 # -- convolution ----------------------------------------------------------------
@@ -284,7 +355,9 @@ def _nhwc(a):
 def _padded(a, top, bottom, left, right):
     """The (N, H, W, C) array ``a`` with zero rows and columns around it, in
     a new buffer whose border alone is zero-filled; without a border, ``a``
-    itself when it is contiguous."""
+    itself when it is contiguous. A channel-major ``a`` (such as the NCHW
+    model input) is copied one channel plane at a time, which reads it in
+    order."""
     n, h, w, c = a.shape
     if not (top or bottom or left or right):
         return np.ascontiguousarray(a)
@@ -293,7 +366,12 @@ def _padded(a, top, bottom, left, right):
     out[:, top + h :] = 0.0
     out[:, top : top + h, :left] = 0.0
     out[:, top : top + h, left + w :] = 0.0
-    out[:, top : top + h, left : left + w] = a
+    inner = out[:, top : top + h, left : left + w]
+    if a.strides[3] > a.strides[2]:
+        for ch in range(c):
+            inner[..., ch] = a[..., ch]
+    else:
+        inner[...] = a
     return out
 
 
@@ -305,15 +383,15 @@ def _windows(src, kh, kw, stride, out_h, out_w):
     n, c = src.shape[0], src.shape[3]
     sn, sh, sw, sc = src.strides
     rows = kh * kw * c
+    view = np.lib.stride_tricks.as_strided(
+        src,
+        shape=(n, out_h, out_w, kh, kw, c),
+        strides=(sn, sh * stride, sw * stride, sh, sw, sc),
+    )
     step = max(1, _BLOCK // (rows * out_h * out_w))
     for s0 in range(0, n, step):
         s1 = min(s0 + step, n)
-        cols = np.lib.stride_tricks.as_strided(
-            src[s0:s1],
-            shape=(s1 - s0, out_h, out_w, kh, kw, c),
-            strides=(sn, sh * stride, sw * stride, sh, sw, sc),
-        )
-        yield s0, s1, np.ascontiguousarray(cols).reshape(-1, rows)
+        yield s0, s1, np.ascontiguousarray(view[s0:s1]).reshape(-1, rows)
 
 
 def _gemm(a, b, wide):
@@ -387,23 +465,25 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     _correlate(xp, weight.data.transpose(2, 3, 1, 0).reshape(-1, k), kh, kw, stride, out,
                small)
 
+    nx, nw = _grad_node(x), _grad_node(weight)
     # the padded input is what dw re-gathers its columns from; dx needs only
     # the weight
-    saved = xp if weight.requires_grad else None
+    saved = xp if nw is not None else None
+    w_data = weight.data if nx is not None else None
     rows = list(_phases(h, kh, stride, padding))
     cols = list(_phases(w, kw, stride, padding))
 
     def backward(g):
         g = _nhwc(g)
-        if saved is not None and weight.requires_grad:
+        if nw is not None:
             dw = None
             for s0, s1, win in _windows(saved, kh, kw, stride, out_h, out_w):
                 part = _gemm(g[s0:s1].reshape(-1, k).T, win, small)
                 dw = part if dw is None else dw + part
             dw = dw.reshape(k, kh, kw, c).transpose(0, 3, 1, 2)
-            weight._accumulate(np.ascontiguousarray(dw), fresh=True)
-        if x.requires_grad:
-            x._accumulate(input_grad(g), fresh=True)
+            nw._accumulate(np.ascontiguousarray(dw), fresh=True)
+        if nx is not None:
+            nx._accumulate(input_grad(g), fresh=True)
 
     def input_grad(g):
         lo_h, hi_h = _pads(rows, kh, stride, out_h)
@@ -411,33 +491,32 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
         gp = _padded(g, lo_h, hi_h, lo_w, hi_w)
         every_pixel = len(rows) * len(cols) == stride * stride
         dx = (np.empty if every_pixel else np.zeros)((n, h, w, c), dtype=np.float32)
-        for a, y0, ny, oy in rows:
-            for b, x0, nx, ox in cols:
-                taps = weight.data[:, :, a::stride, b::stride][:, :, ::-1, ::-1]
+        for a, y0, py, oy in rows:
+            for b, x0, px, ox in cols:
+                taps = w_data[:, :, a::stride, b::stride][:, :, ::-1, ::-1]
                 th, tw = taps.shape[2:]
-                dst = dx if stride == 1 else np.empty((n, ny, nx, c), dtype=np.float32)
+                dst = dx if stride == 1 else np.empty((n, py, px, c), dtype=np.float32)
                 _correlate(gp[:, lo_h + oy :, lo_w + ox :],
                            taps.transpose(2, 3, 0, 1).reshape(-1, c), th, tw, 1, dst, False)
                 if stride > 1:
                     dx[:, y0::stride, x0::stride] = dst
         return dx.transpose(0, 3, 1, 2)
 
-    return _make(out.transpose(0, 3, 1, 2), (x, weight), backward)
+    return _make(out.transpose(0, 3, 1, 2), (nx, nw), backward)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
     """x[N,C,H,W] -> [N,C]: the mean over each channel's map, in float64."""
     if x.data.ndim != 4:
         raise DimensionError("global_avg_pool expects x[N,C,H,W]")
-    h, w = x.data.shape[2:]
+    nx, shape = _grad_node(x), x.data.shape
     out = x.data.mean(axis=(2, 3), dtype=np.float64).astype(np.float32)
 
     def backward(g):
-        if x.requires_grad:
-            x._accumulate(np.broadcast_to((g / np.float32(h * w))[:, :, None, None],
-                                          x.data.shape))
+        nx._accumulate(np.broadcast_to((g / np.float32(shape[2] * shape[3]))[:, :, None, None],
+                                       shape))
 
-    return _make(out, (x,), backward)
+    return _make(out, (nx,), backward)
 
 
 # -- batch normalisation ---------------------------------------------------------
@@ -452,12 +531,12 @@ def _channel_rows(a):
     return np.array(a.transpose(0, 2, 3, 1), dtype=np.float64, order="C").reshape(-1, a.shape[1])
 
 
-def _per_channel(v, like):
-    """v[C] repeated at every pixel of one sample of the NCHW-shaped array
-    ``like``, in channels-last memory. Broadcast against channels-last
+def _per_channel(v, shape):
+    """v[C] repeated at every pixel of one sample of an NCHW array of
+    ``shape``, in channels-last memory. Broadcast against channels-last
     activations it keeps numpy's inner loop over a whole sample instead of C
     values; the arithmetic is that of v[None, :, None, None]."""
-    tiled = np.empty(like.shape[2:] + (len(v),), dtype=np.float32)
+    tiled = np.empty(shape[2:] + (len(v),), dtype=np.float32)
     tiled[...] = v
     return tiled.transpose(2, 0, 1)[None]
 
@@ -498,8 +577,10 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
         mean = running_mean.astype(np.float64)
         var = running_var.astype(np.float64)
 
+    shape = x.data.shape
+
     def chan(v):
-        return _per_channel(v, x.data)
+        return _per_channel(v, shape)
 
     inv_std = (1.0 / np.sqrt(var + BN_EPS)).astype(np.float32)
     mean32 = mean.astype(np.float32)
@@ -514,24 +595,28 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
         out = x.data * chan(scale)
         out += chan(beta.data - mean32 * scale)
 
+    nx, ngamma, nbeta = _grad_node(x), _grad_node(gamma), _grad_node(beta)
+    # eval mode builds x-hat only in the backward, for gamma's gradient
+    x_data = x.data if xhat is None and ngamma is not None else None
+    gamma_data = gamma.data
+
     def backward(g):
-        if gamma.requires_grad:
-            # eval mode builds x-hat only here, for gamma's gradient
-            xh = xhat if xhat is not None else (x.data - chan(mean32)) * chan(inv_std)
-            gamma._accumulate(_channel_sums(_channel_rows(g * xh)).astype(np.float32))
-        if beta.requires_grad:
-            beta._accumulate(_channel_sums(_channel_rows(g)).astype(np.float32))
-        if x.requires_grad:
+        if ngamma is not None:
+            xh = xhat if xhat is not None else (x_data - chan(mean32)) * chan(inv_std)
+            ngamma._accumulate(_channel_sums(_channel_rows(g * xh)).astype(np.float32))
+        if nbeta is not None:
+            nbeta._accumulate(_channel_sums(_channel_rows(g)).astype(np.float32))
+        if nx is not None:
             if training:
-                gx = g * chan(gamma.data)
+                gx = g * chan(gamma_data)
                 s1 = (_channel_sums(_channel_rows(gx)) / m).astype(np.float32)
                 s2 = (_channel_sums(_channel_rows(gx * xhat)) / m).astype(np.float32)
                 dx = chan(inv_std) * (gx - chan(s1) - xhat * chan(s2))
             else:
                 dx = g * chan(scale)
-            x._accumulate(dx, fresh=True)
+            nx._accumulate(dx, fresh=True)
 
-    return _make(out, (x, gamma, beta), backward)
+    return _make(out, (nx, ngamma, nbeta), backward)
 
 
 # -- losses ----------------------------------------------------------------------
@@ -582,14 +667,14 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     n = len(labels)
     rows, probs = cross_entropy_rows(logits.data, labels)
     loss = np.float32(rows.mean())
+    node = _grad_node(logits)
 
     def backward(g):
-        if logits.requires_grad:
-            d = probs.copy()
-            d[np.arange(n), labels] -= 1.0
-            logits._accumulate((float(g.reshape(())) / n * d).astype(np.float32))
+        d = probs.copy()
+        d[np.arange(n), labels] -= 1.0
+        node._accumulate((float(g.reshape(())) / n * d).astype(np.float32))
 
-    return _make(loss, (logits,), backward)
+    return _make(loss, (node,), backward)
 
 
 def cw_margin_loss(logits: Tensor, labels, kappa: float = 0.0) -> Tensor:
@@ -604,17 +689,17 @@ def cw_margin_loss(logits: Tensor, labels, kappa: float = 0.0) -> Tensor:
     margin, best_other = margin_rows(logits.data, labels)
     clipped = margin <= -kappa
     loss = np.float32(np.maximum(margin, -kappa).mean())
+    node, shape = _grad_node(logits), logits.data.shape
 
     def backward(g):
-        if logits.requires_grad:
-            d = np.zeros(logits.data.shape)
-            live = ~clipped
-            rows = np.arange(n)[live]
-            d[rows, labels[live]] += 1.0
-            d[rows, best_other[live]] -= 1.0
-            logits._accumulate((float(g.reshape(())) / n * d).astype(np.float32))
+        d = np.zeros(shape)
+        live = ~clipped
+        rows = np.arange(n)[live]
+        d[rows, labels[live]] += 1.0
+        d[rows, best_other[live]] -= 1.0
+        node._accumulate((float(g.reshape(())) / n * d).astype(np.float32))
 
-    return _make(loss, (logits,), backward)
+    return _make(loss, (node,), backward)
 
 
 # -- optimiser ---------------------------------------------------------------------

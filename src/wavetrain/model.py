@@ -156,6 +156,7 @@ def _scale(x: Tensor, c: float) -> Tensor:
     the gradient, as the pool's adjoint gives it. The result keeps x's
     memory layout."""
     c = np.float64(c)
+    node = ad._grad_node(x)
 
     def scaled(a):
         out = a.astype(np.float64)
@@ -165,10 +166,9 @@ def _scale(x: Tensor, c: float) -> Tensor:
         return out.astype(np.float32)
 
     def backward(g):
-        if x.requires_grad:
-            x._accumulate(scaled(g), fresh=True)
+        node._accumulate(scaled(g), fresh=True)
 
-    return ad._make(scaled(x.data), (x,), backward)
+    return ad._make(scaled(x.data), (node,), backward)
 
 
 class Model:

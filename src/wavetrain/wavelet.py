@@ -250,12 +250,13 @@ def _separable(x: Tensor, fh, fw) -> Tensor:
     res = np.empty(out.shape[:-2] + out.shape[:-3:-1], dtype=np.float32).swapaxes(-1, -2)
     res[...] = out
 
-    def backward(grad):
-        if x.requires_grad:
-            d = _up_convolve(_up_convolve(grad, fh, -2), fw, -1)
-            x._accumulate(d.astype(np.float32), fresh=True)
+    node = ad._grad_node(x)
 
-    return ad._make(res, (x,), backward)
+    def backward(grad):
+        d = _up_convolve(_up_convolve(grad, fh, -2), fw, -1)
+        node._accumulate(d.astype(np.float32), fresh=True)
+
+    return ad._make(res, (node,), backward)
 
 
 def dwt2d(x: Tensor, fb: FilterBank) -> SubbandSet:

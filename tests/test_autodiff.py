@@ -2,6 +2,7 @@ import ctypes
 import gc
 import math
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -524,6 +525,7 @@ class TestGradientHandOver:
         grads, most_consumers = self._backward(monkeypatch, trainable)
         assert most_consumers >= 2
         monkeypatch.setattr(Tensor, "_accumulate", _copying_accumulate)
+        monkeypatch.setattr(ad._Node, "_accumulate", _copying_accumulate)
         ref, _ = self._backward(monkeypatch, trainable)
         assert len(ref) == len(grads)
         for got, want in zip(grads, ref):
@@ -556,10 +558,36 @@ class TestGradientHandOver:
 # 6-11 KB measured; the tape it releases is about 6 MB at batch 8)
 RELEASE_SLACK = 64 << 10
 
+# tracemalloc peak of one acceptance-model training step at batch 8 (forward,
+# backward, SGD step): 3.60 MiB measured, where a tape that kept every
+# activation until the walk peaked at 5.06 MiB
+TRAIN_STEP_PEAK = 4_500_000
+
+
+def rule_arrays(rule):
+    """Every array a backward rule's closure holds, through the nested
+    functions it calls."""
+    arrays, stack, seen = [], [rule], set()
+    while stack:
+        fn = stack.pop()
+        for cell in fn.__closure__ or ():
+            try:
+                value = cell.cell_contents
+            except ValueError:  # a name this rule's mode never binds
+                continue
+            if isinstance(value, np.ndarray):
+                arrays.append(value)
+            elif isinstance(value, types.FunctionType) and id(value) not in seen:
+                seen.add(id(value))
+                stack.append(value)
+    return arrays
+
 
 class TestTapeRelease:
-    """Backward frees each node's gradient, rule and parents once the rule
-    has run, so only leaves keep ``grad`` and the graph dies with the walk."""
+    """A node keeps only the arrays its rule reads, so an activation dies
+    when the forward drops it; backward frees each node's gradient, rule and
+    parents once the rule has run, so only leaves keep ``grad`` and the graph
+    dies with the walk."""
 
     @staticmethod
     def _loss():
@@ -578,17 +606,71 @@ class TestTapeRelease:
         assert {id(t) for t in leaves if t.grad is not None} == \
             {id(t) for t in [x, *model.params.values()]}
 
-    def test_intermediate_arrays_die_with_the_walk(self):
-        _, _, loss = self._loss()
-        refs = [weakref.ref(t.data) for t in ad._topo_order(loss)
-                if t._backward is not None and t is not loss]
-        assert len(refs) > 20
+    @pytest.mark.parametrize("training", [False, True], ids=["eval_frozen", "training"])
+    def test_activations_die_with_the_forward(self, monkeypatch, training):
+        # eval mode with frozen parameters is an attack's input-gradient
+        # pass: its rules read relu masks and nothing else activation-sized
+        outputs, relus = [], []
+        make, relu = ad._make, ad.relu
+
+        def recording_make(data, parents, backward):
+            out = make(data, parents, backward)
+            outputs.append(weakref.ref(out.data))
+            return out
+
+        def counting_relu(x):
+            relus.append(None)
+            return relu(x)
+
+        model, x, y = acceptance_batch(trainable=training)
+        params = {id(p.data) for p in model.params.values()}
         gc.disable()  # reference counting alone must free them
         try:
-            loss.backward()
-            assert [r for r in refs if r() is not None] == []
+            with monkeypatch.context() as m:
+                m.setattr(ad, "_make", recording_make)
+                m.setattr(ad, "relu", counting_relu)
+                logits = model.forward(x, training=training)
+            assert len(outputs) > 20
+            rules = [n._backward for n in ad._topo_order(logits) if n._backward is not None]
+            held = [a for rule in rules for a in rule_arrays(rule) if id(a) not in params]
+            alive = [r() for r in outputs[:-1] if r() is not None]
+            # an output outlives the forward only if a rule reads it
+            assert all(any(np.shares_memory(a, h) for h in held) for a in alive)
+            activations = [a for a in held if a.ndim == 4]
+            masks = [a for a in activations if a.dtype == np.bool_]
+            assert len(masks) == len(relus) == 7
+            if training:
+                # the 1x1 projections' unpadded inputs and the classifier's
+                # input, which the weight gradients read
+                assert sorted(a.ndim for a in alive) == [2, 4, 4]
+            else:
+                assert alive == [] and len(activations) == len(masks)
+            held_refs = [weakref.ref(a) for a in held]
+            del rules, held, activations, masks, alive
+            ad.softmax_cross_entropy(logits, y).backward()
+            del logits
+            assert [r for r in outputs + held_refs if r() is not None] == []
         finally:
             gc.enable()
+
+    def test_training_step_peak_memory(self):
+        model, x, y = acceptance_batch()
+        opt = SGDMomentum(model.params.values(), lr=0.1, momentum=0.9, weight_decay=5e-4)
+
+        def step():
+            opt.zero_grad()
+            ad.softmax_cross_entropy(model.forward(Tensor(x.data), training=True), y).backward()
+            opt.step()
+
+        step()  # the optimiser's velocities and numpy's caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            step()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < TRAIN_STEP_PEAK
 
     def test_memory_after_backward_is_the_leaf_gradients(self):
         model, x, y = acceptance_batch()
