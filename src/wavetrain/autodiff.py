@@ -1,16 +1,16 @@
 """Minimal deterministic reverse-mode automatic differentiation.
 
-Tensors hold row-major float32 buffers. Every primitive that takes a tensor
-requiring gradient records a node on the implicit tape (the operation graph):
-the output's gradient, its backward rule, the nodes of its parents that take
-gradient, and its shape. A leaf (a parameter or an input) is its own node.
-The node does not hold the output's array, and each rule keeps only the
-arrays it reads: conv2d its weight, plus its padded input when the weight
-trains; batch norm x-hat and its scale, plus its input for an eval-mode
-trainable gamma; relu a boolean mask; linear and mul the other operand; add,
-negation, sums, the global average and the pooling scales nothing but
-shapes. So an activation dies as soon as the forward drops its last
-reference, unless a rule reads that very array.
+Tensors hold row-major float32 buffers, and each owns a node of the implicit
+tape (the operation graph): its gradient, its backward rule, the nodes of its
+parents that take gradient, and its shape. A leaf's node (a parameter or an
+input) has no rule and no parents; a primitive that takes a tensor requiring
+gradient gives its output both. The node does not hold the output's array,
+and each rule keeps only the arrays it reads: conv2d its weight, plus its
+padded input when the weight trains; batch norm x-hat and its scale, plus
+its input for an eval-mode trainable gamma; relu a boolean mask; linear and
+mul the other operand; add, scale, sums, the global average and the wavelet
+filters nothing but shapes. So an activation dies as soon as the forward
+drops its last reference, unless a rule reads that very array.
 
 Calling ``backward`` on a scalar replays the recorded rules in reverse
 topological order, visiting each node exactly once. The walk consumes the
@@ -40,7 +40,8 @@ phases (a, b), a stride-1 correlation of the zero-padded output gradient
 with the flipped taps W[:, :, a::s, b::s] gives that phase's pixels.
 
 Elementwise ``add`` and ``mul`` take equal shapes only: there is no
-broadcasting, and Tensor operators take Tensors, not scalars.
+broadcasting. Only ``scale``, a float32 multiply, takes a constant; Tensor
+operators take Tensors, and ``-t`` is ``scale(t, -1)``.
 
 There is no GPU path, no higher-order differentiation and no mixed
 precision; single-sequence execution is bit-deterministic.
@@ -74,8 +75,8 @@ def _f32(x):
 
 
 class _Node:
-    """What the tape keeps of one recorded output: its gradient, its rule,
-    the nodes of its parents that take gradient, and its shape."""
+    """What the tape keeps of one tensor: its gradient, its rule, the nodes
+    of its parents that take gradient (a leaf has neither), and its shape."""
 
     __slots__ = ("grad", "_backward", "_parents", "shape")
 
@@ -102,17 +103,15 @@ class _Node:
 
 
 class Tensor:
-    """Dense float32 array with an optional gradient buffer. A recorded
-    output keeps ``grad``, ``_backward`` and ``_parents`` on its tape node; a
-    leaf is its own node, with no rule and no parents."""
+    """Dense float32 array and the tape node that holds its ``grad``: a
+    leaf's, or one a primitive recorded with a rule and parents."""
 
-    __slots__ = ("data", "requires_grad", "_grad", "_node")
+    __slots__ = ("data", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad=False):
         self.data = _f32(data)
         self.requires_grad = bool(requires_grad)
-        self._grad = None
-        self._node = None
+        self._node = _Node(self.data.shape, (), None)
 
     # -- basic introspection -------------------------------------------------
 
@@ -127,18 +126,15 @@ class Tensor:
 
     @property
     def grad(self):
-        return self._grad if self._node is None else self._node.grad
+        return self._node.grad
 
     @grad.setter
     def grad(self, value):
-        if self._node is None:
-            self._grad = value
-        else:
-            self._node.grad = value
+        self._node.grad = value
 
     @property
     def _backward(self):
-        return None if self._node is None else self._node._backward
+        return self._node._backward
 
     @_backward.setter
     def _backward(self, rule):
@@ -146,13 +142,7 @@ class Tensor:
 
     @property
     def _parents(self):
-        return () if self._node is None else self._node._parents
-
-    @_parents.setter
-    def _parents(self, parents):
-        self._node._parents = parents
-
-    _accumulate = _Node._accumulate
+        return self._node._parents
 
     def backward(self):
         """Populate ``grad`` on every requires_grad leaf reachable from this
@@ -164,7 +154,7 @@ class Tensor:
         if self.data.size != 1:
             raise UsageError("backward requires a scalar loss tensor")
         order = _topo_order(self)
-        self._accumulate(np.ones_like(self.data))
+        self._node._accumulate(np.ones_like(self.data))
         while order:
             node = order.pop()
             if node._backward is None:  # a leaf keeps its gradient
@@ -182,7 +172,7 @@ class Tensor:
         return mul(self, other) if isinstance(other, Tensor) else NotImplemented
 
     def __neg__(self):
-        return _neg(self)
+        return scale(self, -1.0)
 
     def sum(self):
         return sum_all(self)
@@ -198,7 +188,7 @@ def _topo_order(root):
     reaches (no recursion limit)."""
     order = []
     seen = set()
-    stack = [(root if root._node is None else root._node, False)]
+    stack = [(root._node, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -218,9 +208,7 @@ def _grad_node(t):
     """The tape node that gradient for ``t`` goes to, or None when ``t``
     takes none. A rule captures these, never its parent tensors, so it keeps
     no parent's array alive."""
-    if not t.requires_grad:
-        return None
-    return t if t._node is None else t._node
+    return t._node if t.requires_grad else None
 
 
 def _make(data, parents, backward):
@@ -276,13 +264,15 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data * b.data, (na, nb), backward)
 
 
-def _neg(a: Tensor) -> Tensor:
-    na = _grad_node(a)
+def scale(x: Tensor, s: float) -> Tensor:
+    """x * s in float32, in x's memory order; the gradient is the same
+    product."""
+    nx, s = _grad_node(x), np.float32(s)
 
     def backward(g):
-        na._accumulate(-g)
+        nx._accumulate(g * s, fresh=True)
 
-    return _make(-a.data, (na,), backward)
+    return _make(x.data * s, (nx,), backward)
 
 
 def relu(x: Tensor) -> Tensor:

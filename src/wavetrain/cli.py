@@ -6,8 +6,9 @@ one model per variant from the same seed: every wavelet base, WAP on and off,
 every WAP position, and adversarial against natural training. Every command
 resolves a flat key=value config (file plus --set overrides), echoes it to
 <out-dir>/resolved_config.txt, and emits CSV (and PGM for image-shaped
-results). Exit codes: 0 success, 2 config error, 3 format error, 4 numeric
-error.
+results). Exit codes: 0 success, 1 internal error (``UsageError`` and any
+other package error), 2 config error (including sizes too large for
+memory), 3 format error, 4 numeric error.
 """
 
 from __future__ import annotations
@@ -372,8 +373,8 @@ def main(argv=None) -> int:
         out_dir = _ensure_out(args.out_dir)
         _echo_config(cfg, out_dir)
         return COMMANDS[args.command, getattr(args, "target", None)](cfg, out_dir, args)
-    except (ConfigError, UnsupportedBaseError) as exc:
-        print(f"error[config]: {exc}", file=sys.stderr)
+    except (ConfigError, UnsupportedBaseError, MemoryError) as exc:
+        print(f"error[config]: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except (FormatError, OSError) as exc:
         print(f"error[format]: {exc}", file=sys.stderr)

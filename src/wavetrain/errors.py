@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
 Error categories map onto CLI exit codes: config errors exit 2, format
-errors exit 3, numeric errors exit 4.
+errors exit 3, numeric errors exit 4, any other package error 1.
 """
 
 

@@ -19,7 +19,10 @@ and with a projection on the last block (depth 1), that block's conv2 at
 stride 2 and its projection at twice its stride, with bn_final (running
 statistics) and ReLU on the 4x4 map. Training mode (batch statistics read
 the whole map), Grad-CAM's features, depth >= 2, LPF and the other bases run
-the full map, then the pool.
+the full map, then the pool. That scale is ``autodiff.scale`` by 0.5, one
+float32 multiply forward and back. It keeps the pool's bytes except that a
+kept -0.0 stays -0.0 (the pool adds taps into +0.0) and an odd subnormal's
+half, a tie, rounds to even (the pool's float64 taps round it toward zero).
 
 ``forward(..., return_features=True)`` runs the trunk without a tape and
 returns the final ReLU's output as a new ``requires_grad`` leaf, from which
@@ -149,28 +152,6 @@ def check_state(cfg: ModelConfig, items):
                                  f"the layout has {shape}")
 
 
-def _scale(x: Tensor, c: float) -> Tensor:
-    """c*(c*x), the arithmetic a one-tap WAP runs on the samples it keeps:
-    one float64 tap per axis added into a zeroed buffer (so -0.0 becomes
-    +0.0), then one rounding to float32. The backward is the same product on
-    the gradient, as the pool's adjoint gives it. The result keeps x's
-    memory layout."""
-    c = np.float64(c)
-    node = ad._grad_node(x)
-
-    def scaled(a):
-        out = a.astype(np.float64)
-        out *= c
-        out *= c
-        out += 0.0
-        return out.astype(np.float32)
-
-    def backward(g):
-        node._accumulate(scaled(g), fresh=True)
-
-    return ad._make(scaled(x.data), (node,), backward)
-
-
 class Model:
     """Named parameter tensors plus the forward graph implied by the config.
 
@@ -192,7 +173,10 @@ class Model:
                       if self.fb is not None and cfg.pooling_variant == "wap" else None)
         for name, shape, _ in state_layout(cfg):
             fill = np.ones if name.endswith((".gamma", ".var")) else np.zeros
-            array = fill(shape, dtype=np.float32)
+            try:
+                array = fill(shape, dtype=np.float32)
+            except ValueError as exc:  # numpy cannot index a shape this large
+                raise ConfigError(f"model state {name} of shape {shape}: {exc}") from None
             if name.startswith("buffer:"):
                 self.buffers[name[len("buffer:"):]] = array
             else:
@@ -236,7 +220,7 @@ class Model:
         """The configured wavelet stage; on a map whose convs kept only the
         pool's pixels, just its scale."""
         if decimated:
-            return _scale(x, self._keep)
+            return ad.scale(x, self._keep * self._keep)
         if self.cfg.pooling_variant == "lpf":
             return wavelet_low_pass_pool(x, self.fb)
         return wavelet_average_pool(x, self.fb)

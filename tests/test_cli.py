@@ -264,6 +264,10 @@ BAD_VALUES = [
     # numpy rejects these sizes before allocating anything
     "train --set data.n_train=99999999999999999999999",
     "eval --set data.n_val=9223372036854775807",
+    "train --set model.width=100000000000000",
+    "train --set model.width=100000000000000000000",
+    "attack --set attack.kind=nes --set nes.samples_per_step=1000000000000 "
+    "--set nes.max_queries=10000000000000",
     # a zero finite-difference step would divide by zero inside NES
     "attack --set attack.kind=nes --set nes.fd_eta=0",
 ]

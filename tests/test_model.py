@@ -494,10 +494,10 @@ class TestDecimatedStem:
             twin = build_model(ModelConfig(**STEM_HAAR), seed=0)
         # the cotangent that reaches the scaled stem map, for the dw oracle
         cotangents = []
-        scale = model_module._scale
+        scale = ad.scale
 
-        def recording_scale(t, c):
-            y = scale(t, c)
+        def recording_scale(t, s):
+            y = scale(t, s)
             rule = y._backward
 
             def backward(g):
@@ -507,7 +507,7 @@ class TestDecimatedStem:
             y._backward = backward
             return y
 
-        monkeypatch.setattr(model_module, "_scale", recording_scale)
+        monkeypatch.setattr(ad, "scale", recording_scale)
         x = rng.random((n, 3, 32, 32)).astype(np.float32)
         g = rng.standard_normal((n, 2)).astype(np.float32)
         got, want = [], []
@@ -561,24 +561,26 @@ class TestDecimatedStem:
         assert outs[0][0].tobytes() == outs[1][0].tobytes()
         assert relative_errors(outs[0][1], outs[1][1]).max() < 1e-4
 
-    def test_signed_zero_and_odd_subnormals_match_the_tap_loop(self):
-        # a float32 y * 0.5 would round the odd subnormals' ties to even and
-        # keep -0.0; the tap loop rounds c*(c*y) once and adds into +0.0
+    def test_signed_zero_and_odd_subnormals_are_a_float32_halving(self):
+        # the decimated stage is one float32 multiply by 0.5: -0.0 stays -0.0
+        # and an odd subnormal's half, a tie, rounds to even; the full pool
+        # adds float64 taps into +0.0 and rounds every such tie toward zero
         tiny = np.float32(np.finfo(np.float32).smallest_subnormal)
-        kept = np.array([[-0.0, tiny, 3 * tiny, -5 * tiny, 1.0, -0.75]], dtype=np.float32)
-        x = np.zeros((1, 1, 2, 2 * kept.shape[1]), dtype=np.float32)
-        x[0, 0, 0, ::2] = kept
-        haar = model_module.filter_bank("haar")
-        xt, kt = Tensor(x, requires_grad=True), Tensor(kept[None, None], requires_grad=True)
-        pooled = model_module.wavelet_average_pool(xt, haar)
-        scaled = model_module._scale(kt, model_module.wap_decimation(haar))
-        assert scaled.data.tobytes() == np.ascontiguousarray(pooled.data).tobytes()
-        assert not np.signbit(scaled.data[0, 0, 0, 0])
-        assert scaled.data.tobytes() != (kept * np.float32(0.5)).tobytes()
-        g = Tensor(kept[None, None])
-        ad.mul(pooled, g).sum().backward()
-        ad.mul(scaled, g).sum().backward()
-        assert kt.grad.tobytes() == np.ascontiguousarray(xt.grad[:, :, ::2, ::2]).tobytes()
+        kept = np.array([[-0.0, tiny, 3 * tiny, -5 * tiny, -7 * tiny, 1.0, -0.75]],
+                        dtype=np.float32)[None, None]
+        half = kept * np.float32(0.5)
+        model = build_model(ModelConfig(**STEM_HAAR), seed=0)
+        kt = Tensor(kept, requires_grad=True)
+        scaled = model._pool(kt, decimated=True)
+        assert scaled.data.tobytes() == half.tobytes()
+        assert np.signbit(scaled.data[0, 0, 0, 0])
+        x = np.zeros((1, 1, 2, 2 * kept.shape[3]), dtype=np.float32)
+        x[0, 0, 0, ::2] = kept[0, 0, 0]
+        pooled = np.ascontiguousarray(model_module.wavelet_average_pool(Tensor(x), model.fb).data)
+        moved = scaled.data.view(np.uint32) != pooled.view(np.uint32)
+        assert list(np.flatnonzero(moved)) == [0, 2, 4]
+        ad.mul(scaled, Tensor(kept)).sum().backward()
+        assert kt.grad.tobytes() == half.tobytes()
 
     @pytest.mark.parametrize("hw", [(33, 32), (32, 31)])
     def test_odd_input_rejected(self, hw):
