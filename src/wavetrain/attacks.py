@@ -7,6 +7,9 @@ Each returned batch satisfies ``|x_adv - x|_inf <= epsilon`` and
 ``x_adv in [0,1]`` elementwise. Restarts keep the candidate with the highest
 final loss per sample, never the first success.
 
+A white-box attack returns the batch it built and its gradient passes,
+``steps * restarts`` at every epsilon; ``evaluation.accuracy`` scores it.
+
 Attacks always query the model in eval mode, so they are pure functions of
 (model snapshot, batch, seed).
 """
@@ -52,9 +55,7 @@ class AttackConfig:
 @dataclass
 class AttackResult:
     x_adv: np.ndarray
-    success: np.ndarray          # per sample: prediction != true label (None unscored)
-    queries: np.ndarray          # per sample oracle queries (NES; zeros otherwise)
-    grad_calls: int = 0          # total input-gradient computations (white-box)
+    grad_calls: int              # input-gradient passes: steps * restarts
 
 
 def _box_then_ball(cand, x0, eps):
@@ -103,16 +104,6 @@ def _input_grad(model, x, y, kappa):
     return t.grad
 
 
-def _finish(logits, x_adv, y, grad_calls):
-    y = ad.check_labels(y, len(x_adv), logits.shape[1])
-    return AttackResult(
-        x_adv=x_adv,
-        success=logits.argmax(axis=1) != y,
-        queries=np.zeros(len(y), dtype=np.int64),
-        grad_calls=grad_calls,
-    )
-
-
 def fgsm(model, x, y, cfg: AttackConfig, seed: int = 0) -> AttackResult:
     """Single signed-gradient step of size epsilon on the cross-entropy loss:
     PGD with one step, no random start and no restarts."""
@@ -120,26 +111,19 @@ def fgsm(model, x, y, cfg: AttackConfig, seed: int = 0) -> AttackResult:
     return _iterated_signed_ascent(model, x, y, one_step, seed)
 
 
-def _iterated_signed_ascent(model, x, y, cfg, seed, momentum=None, kappa=None, score=True):
+def _iterated_signed_ascent(model, x, y, cfg, seed, momentum=None, kappa=None):
     """Shared FGSM/PGD/MIM/CW machinery; momentum=None gives plain PGD steps,
-    kappa=None ascends the cross-entropy and a kappa the CW margin.
-
-    The eval forward that scores each restart's final iterate also gives the
-    returned ``success``, so no forward runs twice on the same batch. With
-    ``score`` False and one restart there is nothing to choose between, so
-    that forward is skipped and ``success`` is None.
-    """
+    kappa=None ascends the cross-entropy and a kappa the CW margin. With one
+    restart it returns after the last step; with more, an eval forward scores
+    each restart's final iterate to choose between them."""
     x = np.asarray(x, dtype=np.float32)
     if len(x) == 0:
         raise InputError("an attack needs a non-empty batch")
-    if cfg.epsilon == 0.0:
-        # zero budget: every iterate projects back onto x
-        return _finish(eval_logits(model, x), x.copy(), y, grad_calls=0)
     rng = np.random.default_rng(seed)
     eps = np.float32(cfg.epsilon)
     alpha = np.float32(cfg.step_size)
 
-    best_loss = best_x = best_logits = None
+    best_loss = best_x = None
     grad_calls = 0
     for _ in range(cfg.restarts):
         if cfg.random_init:
@@ -159,9 +143,8 @@ def _iterated_signed_ascent(model, x, y, cfg, seed, momentum=None, kappa=None, s
             else:
                 direction = np.sign(grad, dtype=np.float32)
             x_adv = _box_then_ball(x_adv + alpha * direction, x, eps)
-        if not score and cfg.restarts == 1:
-            return AttackResult(x_adv=x_adv, success=None,
-                                queries=np.zeros(len(x), dtype=np.int64), grad_calls=grad_calls)
+        if cfg.restarts == 1:
+            return AttackResult(x_adv=x_adv, grad_calls=grad_calls)
         # per-sample ascent objective of the final iterate (higher = stronger)
         logits = eval_logits(model, x_adv)
         if kappa is None:
@@ -169,21 +152,17 @@ def _iterated_signed_ascent(model, x, y, cfg, seed, momentum=None, kappa=None, s
         else:
             final_loss = -np.maximum(ad.margin_rows(logits, y)[0], -kappa)
         if best_loss is None:
-            best_loss, best_x, best_logits = final_loss, x_adv, logits
+            best_loss, best_x = final_loss, x_adv
             continue
         better = final_loss > best_loss
         best_loss = np.where(better, final_loss, best_loss)
         best_x[better] = x_adv[better]
-        best_logits[better] = logits[better]
-    return _finish(best_logits, best_x, y, grad_calls)
+    return AttackResult(x_adv=best_x, grad_calls=grad_calls)
 
 
-def pgd(model, x, y, cfg: AttackConfig, seed: int = 0, *, _score=True) -> AttackResult:
-    """Projected signed-gradient ascent with optional random init/restarts.
-    ``_score=False`` is the trainer's: it reads only ``x_adv``, so a single
-    restart skips the forward that scores the final iterate and ``success``
-    is None."""
-    return _iterated_signed_ascent(model, x, y, cfg, seed, score=_score)
+def pgd(model, x, y, cfg: AttackConfig, seed: int = 0) -> AttackResult:
+    """Projected signed-gradient ascent with optional random init/restarts."""
+    return _iterated_signed_ascent(model, x, y, cfg, seed)
 
 
 def mim(model, x, y, cfg: AttackConfig, seed: int = 0) -> AttackResult:
@@ -221,6 +200,13 @@ class NesConfig:
             raise ConfigError("max_queries must cover at least one estimation step")
 
 
+@dataclass
+class NesResult:
+    x_adv: np.ndarray
+    success: np.ndarray          # per sample: the oracle's prediction on x_adv is off the label
+    queries: np.ndarray          # per sample: estimation queries spent
+
+
 def logits_oracle(model) -> Callable[[np.ndarray], np.ndarray]:
     """Wrap a model as a logits-only query interface (no gradients exposed)."""
 
@@ -230,7 +216,7 @@ def logits_oracle(model) -> Callable[[np.ndarray], np.ndarray]:
     return oracle
 
 
-def nes_attack(oracle, x, y, cfg: NesConfig, seed: int = 0) -> AttackResult:
+def nes_attack(oracle, x, y, cfg: NesConfig, seed: int = 0) -> NesResult:
     """Antithetic Gaussian gradient estimation + signed ascent, per sample.
 
     The query budget counts the 2k estimation evaluations of each step;
@@ -277,5 +263,5 @@ def nes_attack(oracle, x, y, cfg: NesConfig, seed: int = 0) -> AttackResult:
                 success[i] = True
                 break
         x_adv[i] = cur
-    return AttackResult(x_adv=x_adv, success=success, queries=queries, grad_calls=0)
+    return NesResult(x_adv=x_adv, success=success, queries=queries)
 

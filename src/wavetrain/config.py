@@ -197,9 +197,11 @@ def load_config(path=None, overrides=()) -> RunConfig:
     """Parse an optional config file, then apply key=value overrides."""
     items = []
     if path is not None:
-        with open(path, "r", encoding="utf-8") as f:
-            try:
+        try:
+            with open(path, "r", encoding="utf-8") as f:
                 items = _file_items(f.read())
-            except UnicodeDecodeError as exc:
-                raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+        except OSError as exc:
+            raise ConfigError(f"{path}: cannot read the config file ({exc.strerror})") from None
     return RunConfig(parse_pairs(split_items(items + list(overrides))))

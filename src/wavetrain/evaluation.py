@@ -29,20 +29,19 @@ from .wavelet import FilterBank, filter_bank
 
 def accuracy(model, dataset: Dataset, attack: Optional[AttackConfig] = None,
              attack_fn=pgd, seed: int = 0, batch_size: int = 256) -> float:
-    """Fraction of samples whose (attacked or clean) prediction matches the
-    label; under attack, the share the attack's ``success`` leaves unflipped."""
+    """Fraction of samples whose eval-mode prediction matches the label, on
+    the clean batch or, under ``attack``, on the batch ``attack_fn`` returns."""
     if batch_size < 1:
         raise InputError(f"batch_size must be >= 1, got {batch_size!r}")
     correct = 0
     for start in range(0, len(dataset), batch_size):
         xb = dataset.images[start : start + batch_size]
         yb = dataset.labels[start : start + batch_size]
-        if attack is None:
-            logits = eval_logits(model, xb)
-            yb = ad.check_labels(yb, len(xb), logits.shape[1])
-            correct += int((logits.argmax(axis=1) == yb).sum())
-        else:
-            correct += int((~attack_fn(model, xb, yb, attack, seed=seed + start).success).sum())
+        if attack is not None:
+            xb = attack_fn(model, xb, yb, attack, seed=seed + start).x_adv
+        logits = eval_logits(model, xb)
+        yb = ad.check_labels(yb, len(xb), logits.shape[1])
+        correct += int((logits.argmax(axis=1) == yb).sum())
     return correct / len(dataset)
 
 

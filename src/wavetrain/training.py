@@ -11,10 +11,11 @@ that key. On a balanced two-class set a constant predictor scores exactly
 0.5 robust, which an epoch that learned something can score below.
 
 A zero-budget training attack is natural training: such an epoch trains on
-the clean batches without calling the attack, and its robust validation
-accuracy is its clean accuracy. That is bitwise what running the attack
-would give, since PGD at epsilon 0 returns a copy of the batch before it
-draws from any generator, and the shuffling stream has its own.
+the clean batches without calling the attack, which saves its ``steps``
+gradient passes per batch, and its robust validation accuracy is its clean
+accuracy. That is bitwise what running the attack would give, since PGD at
+epsilon 0 projects every step back onto the batch and draws only from its
+own per-call generator, not from the shuffling stream.
 """
 
 from __future__ import annotations
@@ -144,9 +145,8 @@ def adversarial_train(model: Model, train_set: Dataset, val_set: Dataset,
             if natural:
                 adv = xb
             else:
-                # unscored: only x_adv is read, and the weights change next
                 adv = pgd(model, xb, yb, cfg.train_attack,
-                          seed=cfg.seed + 100_003 * epoch + step, _score=False).x_adv
+                          seed=cfg.seed + 100_003 * epoch + step).x_adv
             logits = model.forward(Tensor(adv), training=True)
             loss = ad.softmax_cross_entropy(logits, yb)
             loss_value = loss.item()

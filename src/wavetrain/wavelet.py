@@ -242,13 +242,7 @@ def _separable(x: Tensor, fh, fw) -> Tensor:
     """Filter-and-downsample with ``fw`` along width then ``fh`` along height;
     the backward is the adjoint, height first."""
     _check_even_spatial(x)
-    out = _correlate_down(_correlate_down(x.data, fw, -1), fh, -2)
-    # the float32 result is stored with height as the fastest axis, the order
-    # the pooled map has always had. Batch norm copies its input into float64
-    # rows, so its results do not depend on this layout; wap_lipschitz_estimate's
-    # norm and `check wavelet`'s Parseval sums still add in this memory order
-    res = np.empty(out.shape[:-2] + out.shape[:-3:-1], dtype=np.float32).swapaxes(-1, -2)
-    res[...] = out
+    res = _correlate_down(_correlate_down(x.data, fw, -1), fh, -2).astype(np.float32)
 
     node = ad._grad_node(x)
 

@@ -19,6 +19,7 @@ from wavetrain.attacks import (
 )
 from wavetrain.autodiff import Tensor
 from wavetrain.errors import ConfigError, InputError
+from wavetrain.evaluation import accuracy
 
 
 class LinearToyModel:
@@ -66,7 +67,7 @@ class TestFgsm:
         x, y = batch
         res = fgsm(toy, x, y, AttackConfig(epsilon=0.0))
         assert np.array_equal(res.x_adv, x)
-        assert res.grad_calls == 0  # one-step PGD: a zero budget needs no gradient
+        assert res.grad_calls == 1  # the step runs and projects back onto x
 
     def test_logistic_closed_form_sign_pattern(self, toy, batch):
         x, y = batch
@@ -197,7 +198,7 @@ class TestCwPgd:
                            random_init=True)
         res = cw_pgd(model, x, wrong, cfg)
         assert ball_and_box_ok(res, x, cfg.epsilon)
-        assert res.success.all()
+        assert (eval_logits(model, res.x_adv).argmax(axis=1) != wrong).all()
 
     def test_two_class_gradient_direction_matches_cross_entropy(self, toy, batch):
         # margins stay positive inside this small ball, so both losses give
@@ -221,52 +222,50 @@ class TestCwPgd:
         want = attacks._input_grad(model, x, y, 0.0), cw_pgd(model, x, y, cfg, seed=3)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].x_adv.tobytes() == want[1].x_adv.tobytes()
-        assert np.array_equal(got[1].success, want[1].success)
+        assert np.array_equal(eval_logits(model, got[1].x_adv).argmax(axis=1),
+                              eval_logits(model, want[1].x_adv).argmax(axis=1))
 
 
 class TestSuccess:
     @pytest.mark.parametrize("restarts", [1, 3])
     @pytest.mark.parametrize("kind", list(WHITE_BOX))
     def test_success_is_misprediction_on_x_adv(self, boundary_wrn, kind, restarts):
-        # success comes from the restart-scoring forward, selected per row;
-        # it must equal a fresh forward on the returned batch
+        # accuracy under an attack is the share a fresh forward on the
+        # returned batch still predicts right
         model, ds = boundary_wrn
-        x, y = ds.images[:8], ds.labels[:8]
+        sub = ds.subset(np.arange(8))
         cfg = AttackConfig(epsilon=1e-3, step_size=5e-4, steps=2, restarts=restarts)
-        res = WHITE_BOX[kind](model, x, y, cfg, seed=3)
-        fresh = eval_logits(model, res.x_adv).argmax(axis=1) != y
-        assert 0 < fresh.sum() < len(y)
-        assert np.array_equal(res.success, fresh)
+        acc = accuracy(model, sub, attack=cfg, attack_fn=WHITE_BOX[kind], seed=3)
+        x_adv = WHITE_BOX[kind](model, sub.images, sub.labels, cfg, seed=3).x_adv
+        fresh = eval_logits(model, x_adv).argmax(axis=1) != sub.labels
+        assert 0 < fresh.sum() < len(sub)
+        assert acc == (len(sub) - fresh.sum()) / len(sub)
 
 
-class TestUnscored:
-    """pgd(..., _score=False), the trainer's call, skips the forward that
-    scores the final iterate and returns the same x_adv bytes."""
+class TestWork:
+    """A white-box attack takes steps * restarts gradient passes at every
+    epsilon, and one forward per restart besides only when it has restarts
+    to choose between."""
 
     @pytest.mark.parametrize("restarts", [1, 2])
-    def test_same_x_adv_and_one_forward_fewer(self, boundary_wrn, monkeypatch, restarts):
-        model, ds = boundary_wrn
-        x, y = ds.images[:8], ds.labels[:8]
-        cfg = AttackConfig(epsilon=1e-3, step_size=5e-4, steps=2, restarts=restarts)
+    @pytest.mark.parametrize("eps", [0.0, 0.03])
+    @pytest.mark.parametrize("kind", list(WHITE_BOX))
+    def test_gradient_passes_and_forwards(self, toy, batch, monkeypatch, kind, eps, restarts):
+        x, y = batch
+        cfg = AttackConfig(epsilon=eps, steps=3, restarts=restarts)
         forwards = []
-        forward = model.forward
+        forward = toy.forward
 
         def counted(*args, **kwargs):
             forwards.append(1)
             return forward(*args, **kwargs)
 
-        monkeypatch.setattr(model, "forward", counted)
-        scored = pgd(model, x, y, cfg, seed=3)
-        calls = len(forwards)
-        unscored = pgd(model, x, y, cfg, seed=3, _score=False)
-        assert unscored.x_adv.tobytes() == scored.x_adv.tobytes()
-        assert unscored.grad_calls == scored.grad_calls
-        if restarts == 1:
-            assert unscored.success is None
-            assert len(forwards) - calls == calls - 1
-        else:  # choosing between restarts needs every score
-            assert np.array_equal(unscored.success, scored.success)
-            assert len(forwards) - calls == calls
+        monkeypatch.setattr(toy, "forward", counted)
+        res = WHITE_BOX[kind](toy, x, y, cfg, seed=3)
+        # FGSM is one step and one restart, whatever the config says
+        steps, restarts = (1, 1) if kind == "fgsm" else (cfg.steps, cfg.restarts)
+        assert res.grad_calls == steps * restarts
+        assert len(forwards) == steps * restarts + (restarts if restarts > 1 else 0)
 
 
 class TestLabels:

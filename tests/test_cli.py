@@ -306,6 +306,14 @@ class TestErrors:
         assert rc == 2
         assert "error[config]" in err
 
+    @pytest.mark.parametrize("name", ["missing.cfg", "."])
+    def test_unreadable_config_file_exit_2(self, tmp_path, capsys, name):
+        # a missing path, and a directory in place of a file
+        rc = main(["train", "--config", str(tmp_path / name), "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "error[config]" in err and "config file" in err
+
     def test_unallocatable_data_size_exit_2(self, tmp_path, capsys, monkeypatch):
         def refuse(num_classes, n, seed):
             raise MemoryError(f"Unable to allocate {n} samples")

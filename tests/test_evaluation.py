@@ -146,8 +146,8 @@ class TestAccuracy:
     @pytest.mark.parametrize("steps", [1, 3])
     def test_attacked_batch_costs_one_forward_per_step_plus_one(self, boundary_wrn, steps,
                                                                  monkeypatch):
-        # k gradient passes, then one forward that scores the final iterate
-        # and gives both success and the prediction accuracy counts
+        # k gradient passes in the attack, then accuracy's one forward on the
+        # batch it returns
         model, ds = boundary_wrn
         calls = []
         forward = model.forward

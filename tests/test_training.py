@@ -113,19 +113,33 @@ class TestGradientNorm:
 
 class TestAdversarialTrain:
     def test_training_attack_runs_unscored(self, monkeypatch):
-        # the trainer reads only x_adv; validation's attack still scores
+        # the trainer reads only x_adv, so its attacks run their gradient
+        # passes and no other forward
         data = synthetic_dataset(2, 96, seed=0)
         train, val = split_train_val(data)
-        results = []
+        model = tiny_model()
+        cfg = tiny_train_cfg(epochs=1, batch_size=32)
+        forwards = []
+        forward = model.forward
+
+        def counted(*args, **kwargs):
+            forwards.append(1)
+            return forward(*args, **kwargs)
+
+        work = []
         real = training.pgd
 
         def recording(*args, **kwargs):
-            results.append(real(*args, **kwargs))
-            return results[-1]
+            before = len(forwards)
+            result = real(*args, **kwargs)
+            work.append((len(forwards) - before, result.grad_calls))
+            return result
 
+        monkeypatch.setattr(model, "forward", counted)
         monkeypatch.setattr(training, "pgd", recording)
-        adversarial_train(tiny_model(), train, val, tiny_train_cfg(epochs=1, batch_size=32))
-        assert [r.success is None for r in results] == [True, True, True, False]
+        adversarial_train(model, train, val, cfg)
+        steps = cfg.train_attack.steps
+        assert work == [(steps, steps)] * 4  # 3 training batches, 1 validation batch
 
     def test_natural_training_reduces_loss_on_separable_toy(self):
         data = synthetic_dataset(2, 192, seed=0)
@@ -279,8 +293,7 @@ class TestBestEpoch:
         values = iter(v for pair in scores for v in pair)
         monkeypatch.setattr(training, "accuracy", lambda *args, **kw: next(values))
         monkeypatch.setattr(training, "pgd",
-                            lambda model, xb, yb, cfg, seed, _score=True:
-                            SimpleNamespace(x_adv=xb))
+                            lambda model, xb, yb, cfg, seed: SimpleNamespace(x_adv=xb))
         cfg = tiny_train_cfg(epochs=len(scores), early_stop_patience=2)
         _, history = adversarial_train(tiny_model(), train, val, cfg)
         assert history.epochs_completed() == ran
