@@ -27,11 +27,15 @@ from .autodiff import Tensor
 from .errors import ConfigError, InputError, NumericError
 
 
+# every float setting is cast to float32, where a larger value is inf
+FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
 def _check_finite_nonnegative(cfg, *names):
     for name in names:
         value = getattr(cfg, name)
-        if not (0 <= value < math.inf):
-            raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
+        if not (0 <= value <= FLOAT32_MAX):
+            raise ConfigError(f"{name} must be finite in float32 and >= 0, got {value!r}")
 
 
 @dataclass
@@ -71,9 +75,14 @@ def _box_then_ball(cand, x0, eps):
 
 def eval_logits(model, x) -> np.ndarray:
     """Logits of one eval-mode forward pass with no tape: the single way the
-    package asks a model for predictions without gradients."""
+    package asks a model for predictions without gradients. A non-finite
+    logit raises NumericError: a float64 sum cannot overflow on float32
+    values and carries any NaN or inf through."""
     with ad.no_grad():
-        return model.forward(Tensor(x), training=False).data
+        logits = model.forward(Tensor(x), training=False).data
+    if not math.isfinite(logits.sum(dtype=np.float64)):
+        raise NumericError("non-finite logits in an eval forward")
+    return logits
 
 
 def _frozen_params(model):
@@ -192,8 +201,8 @@ class NesConfig:
 
     def __post_init__(self):
         _check_finite_nonnegative(self, "epsilon", "lr")
-        if not (0 < self.fd_eta < math.inf):
-            raise ConfigError(f"fd_eta must be finite and > 0, got {self.fd_eta!r}")
+        if not (0 < self.fd_eta <= FLOAT32_MAX):
+            raise ConfigError(f"fd_eta must be finite in float32 and > 0, got {self.fd_eta!r}")
         if self.samples_per_step < 1:
             raise ConfigError("samples_per_step must be >= 1")
         if self.max_queries < 2 * self.samples_per_step:

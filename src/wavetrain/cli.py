@@ -7,8 +7,9 @@ every WAP position, and adversarial against natural training. Every command
 resolves a flat key=value config (file plus --set overrides), echoes it to
 <out-dir>/resolved_config.txt, and emits CSV (and PGM for image-shaped
 results). Exit codes: 0 success, 1 internal error (``UsageError`` and any
-other package error), 2 config error (including sizes too large for
-memory), 3 format error, 4 numeric error.
+other package error), 2 config error (including float values that are not
+finite in float32 and sizes too large for memory), 3 format error, 4
+numeric error (including a non-finite logit).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .evaluation import (
 )
 from .model import WAP_POSITIONS, ModelConfig, build_model
 from .storage import load_checkpoint, save_checkpoint, write_csv, write_pgm
-from .training import TrainConfig, adversarial_train
+from .training import EpochRecord, TrainConfig, adversarial_train
 from .wavelet import (
     SUPPORTED_BASES,
     dwt2d,
@@ -52,12 +53,8 @@ from .wavelet import (
 )
 
 
-def _ensure_out(path) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 def _echo_config(cfg: RunConfig, out_dir: str):
+    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "resolved_config.txt"), "w", encoding="utf-8") as f:
         f.write(cfg.to_text())
 
@@ -70,7 +67,8 @@ def _load_datasets(cfg: RunConfig):
             full = synthetic_dataset(cfg["data.num_classes"], total, seed=cfg["seed"])
         except (ValueError, MemoryError) as exc:
             # numpy rejects a size it cannot index or the OS cannot allocate
-            raise ConfigError(f"data.n_train + data.n_val = {total} samples do not fit "
+            raise ConfigError(f"data.num_classes = {cfg['data.num_classes']} classes and "
+                              f"data.n_train + data.n_val = {total} samples do not fit "
                               f"in memory: {exc}") from None
         train = full.subset(np.arange(cfg["data.n_train"]))
         val = full.subset(np.arange(cfg["data.n_train"], total))
@@ -132,16 +130,10 @@ def cmd_train(cfg: RunConfig, out_dir: str, args) -> int:
     model = build_model(model_cfg, seed=cfg["seed"])
     best, history = adversarial_train(model, train, val, train_cfg)
     save_checkpoint(best, os.path.join(out_dir, "model.ckpt"))
-    rows = [
-        (e, history.train_loss[e], history.clean_val_acc[e],
-         history.robust_val_acc[e], history.grad_norm[e])
-        for e in range(history.epochs_completed())
-    ]
-    write_csv(os.path.join(out_dir, "history.csv"), "train-history",
-              ("epoch", "train_loss", "clean_val_acc", "robust_val_acc", "grad_norm"),
-              rows)
-    print(f"trained {history.epochs_completed()} epochs; "
-          f"best robust val acc {history.robust_val_acc[history.best_epoch]:.4f} "
+    write_csv(os.path.join(out_dir, "history.csv"), "train-history", EpochRecord._fields,
+              history.epochs)
+    print(f"trained {len(history.epochs)} epochs; "
+          f"best robust val acc {history.epochs[history.best_epoch].robust_val_acc:.4f} "
           f"(epoch {history.best_epoch})")
     return 0
 
@@ -355,8 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", default="out", help="output directory")
         if command in ("eval", "attack", "heatmap", "gradcam"):
             p.add_argument("--checkpoint", required=True)
-        if command == "attack":
-            p.add_argument("--epsilon", type=float, default=None)
         targets = [t for c, t in COMMANDS if c == command and t is not None]
         if targets:
             p.add_argument("target", choices=targets)
@@ -365,14 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = list(args.set)
-    if getattr(args, "epsilon", None) is not None:
-        overrides += [f"{key}={args.epsilon!r}" for key in ("attack.epsilon", "nes.epsilon")]
     try:
-        cfg = load_config(args.config, overrides)
-        out_dir = _ensure_out(args.out_dir)
-        _echo_config(cfg, out_dir)
-        return COMMANDS[args.command, getattr(args, "target", None)](cfg, out_dir, args)
+        cfg = load_config(args.config, args.set)
+        _echo_config(cfg, args.out_dir)
+        return COMMANDS[args.command, getattr(args, "target", None)](cfg, args.out_dir, args)
     except (ConfigError, UnsupportedBaseError, MemoryError) as exc:
         print(f"error[config]: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2

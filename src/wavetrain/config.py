@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, get_type_hints
 
-from .attacks import AttackConfig, NesConfig
+from .attacks import FLOAT32_MAX, AttackConfig, NesConfig
 from .errors import ConfigError
 from .model import ModelConfig
 from .training import TrainConfig
@@ -93,7 +93,8 @@ SCHEMA = {
 # Allowed interval of a numeric key, checked as a RunConfig is built. Every
 # other int and float key lies in [0,inf), or in the tighter range that
 # ModelConfig, TrainConfig, AttackConfig or NesConfig enforce with a
-# ConfigError. Each upper end is open, so NaN and +-inf fall outside them all.
+# ConfigError. Each upper end is open, so NaN and +-inf fall outside them all;
+# a float value must also be finite in float32, where the package computes.
 RANGES = {
     "data.num_classes": "[2,inf)",
     "data.n_train": "[1,inf)",
@@ -110,6 +111,8 @@ def _check_range(key, value):
     lo, hi = (float(v) for v in spec[1:-1].split(","))
     if not ((lo <= value if spec[0] == "[" else lo < value) and value < hi):
         raise ConfigError(f"{key}={value!r} lies outside {spec}")
+    if isinstance(value, float) and value > FLOAT32_MAX:
+        raise ConfigError(f"{key}={value!r} is not finite in float32")
 
 
 @dataclass

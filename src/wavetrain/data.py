@@ -29,7 +29,6 @@ class Dataset:
     images: np.ndarray      # [N,3,32,32] float32 in [0,1]
     labels: np.ndarray      # [N] int64
     num_classes: int
-    provenance: str         # "cifar10" | "synthetic"
 
     def __post_init__(self):
         self.images = np.asarray(self.images, dtype=np.float32)
@@ -48,8 +47,7 @@ class Dataset:
         return self.images.shape[0]
 
     def subset(self, indices):
-        return Dataset(self.images[indices], self.labels[indices],
-                       self.num_classes, self.provenance)
+        return Dataset(self.images[indices], self.labels[indices], self.num_classes)
 
 
 def data_root() -> str:
@@ -78,7 +76,7 @@ def load_cifar10(path) -> Dataset:
             offset=int(bad[0]) * CIFAR10_RECORD_BYTES,
         )
     images = records[:, 1:].reshape(-1, 3, 32, 32).astype(np.float32) / 255.0
-    return Dataset(images, labels, num_classes=10, provenance="cifar10")
+    return Dataset(images, labels, num_classes=10)
 
 
 def synthetic_dataset(num_classes: int, n: int, seed: int) -> Dataset:
@@ -109,7 +107,7 @@ def synthetic_dataset(num_classes: int, n: int, seed: int) -> Dataset:
     labels = np.arange(n, dtype=np.int64) % num_classes
     images = 0.5 + patterns[labels] + NOISE * rng.standard_normal((n, 3, size, size))
     images = np.clip(images, 0.0, 1.0).astype(np.float32)
-    return Dataset(images, labels, num_classes=num_classes, provenance="synthetic")
+    return Dataset(images, labels, num_classes=num_classes)
 
 
 def split_train_val(dataset: Dataset):

@@ -10,14 +10,13 @@ are never asserted, only exponents and boundedness.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .attacks import AttackConfig, eval_logits, pgd
+from .attacks import FLOAT32_MAX, AttackConfig, eval_logits, pgd
 from .autodiff import Tensor
 from .data import Dataset
 from .errors import DimensionError, InputError, ResolutionError
@@ -82,8 +81,8 @@ def fourier_heat_map(model, dataset: Dataset, eps_f: float = 4.0,
     half-spectrum: rows 0..H/2, all W columns (the remaining rows are the
     conjugate completion of these).
     """
-    if not (0 < eps_f < math.inf):
-        raise InputError(f"eps_f must be finite and positive, got {eps_f!r}")
+    if not (0 < eps_f <= FLOAT32_MAX):
+        raise InputError(f"eps_f must be finite in float32 and positive, got {eps_f!r}")
     if samples_per_cell < 1:
         raise InputError(f"samples_per_cell must be >= 1, got {samples_per_cell!r}")
     h, w = dataset.images.shape[2:]

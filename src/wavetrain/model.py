@@ -42,6 +42,7 @@ partial sums OpenBLAS orders by their depth.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Optional
@@ -85,6 +86,14 @@ class ModelConfig:
             raise ConfigError(f"pooling_variant must be one of {POOLING_VARIANTS}")
         if self.wap_position != "disabled" and not self.wavelet_base:
             raise ConfigError("an enabled wavelet stage requires a wavelet_base")
+        # refused before anything is allocated: numpy never sees one
+        # impossible size when a huge depth makes many small arrays
+        state_bytes = 4 * state_size(self)
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if state_bytes > memory:
+            raise ConfigError(f"depth {self.depth}, width {self.width} and {self.num_classes} "
+                              f"classes need {state_bytes} bytes of model state, more than "
+                              f"the {memory} bytes of physical memory")
 
     def group_channels(self):
         return (STEM_CHANNELS * self.width, 32 * self.width, 64 * self.width)
@@ -133,6 +142,23 @@ def state_layout(cfg: ModelConfig):
     yield "buffer:bn_final.var", (last,), None
 
 
+def _block_size(cin, cout, has_proj):
+    # bn1 and bn2 (gamma, beta, mean, var), conv1, conv2 and the projection
+    return 4 * (cin + cout) + 9 * cout * (cin + cout) + (cin * cout if has_proj else 0)
+
+
+def state_size(cfg: ModelConfig) -> int:
+    """The number of float32 values in ``state_layout(cfg)``, in closed form:
+    each group's first block, then depth - 1 blocks of ``cout`` channels."""
+    total, cin = STEM_CHANNELS * 3 * 9, STEM_CHANNELS
+    for cout, stride in zip(cfg.group_channels(), GROUP_STRIDES):
+        total += _block_size(cin, cout, stride != 1 or cin != cout)
+        total += (cfg.depth - 1) * _block_size(cout, cout, False)
+        cin = cout
+    # bn_final (gamma, beta, mean, var) and fc
+    return total + 4 * cin + (cin + 1) * cfg.num_classes
+
+
 def check_state(cfg: ModelConfig, items):
     """Raise DimensionError at the first (name, array) pair of ``items`` that
     differs from ``state_layout(cfg)`` in name or shape, or at the first entry
@@ -173,10 +199,7 @@ class Model:
                       if self.fb is not None and cfg.pooling_variant == "wap" else None)
         for name, shape, _ in state_layout(cfg):
             fill = np.ones if name.endswith((".gamma", ".var")) else np.zeros
-            try:
-                array = fill(shape, dtype=np.float32)
-            except ValueError as exc:  # numpy cannot index a shape this large
-                raise ConfigError(f"model state {name} of shape {shape}: {exc}") from None
+            array = fill(shape, dtype=np.float32)
             if name.startswith("buffer:"):
                 self.buffers[name[len("buffer:"):]] = array
             else:

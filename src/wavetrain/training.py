@@ -1,6 +1,6 @@
 """Adversarial training: min-max ERM with PGD-generated batches, a multi-step
 learning-rate schedule, early stopping on robust validation accuracy, and
-per-epoch loss/gradient logging.
+one ``EpochRecord`` of loss, accuracies and gradient norm per epoch.
 
 The kept checkpoint is the epoch with the largest key (clean validation
 accuracy above the validation set's majority-class rate, robust validation
@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
-from .attacks import AttackConfig, pgd
+from .attacks import FLOAT32_MAX, AttackConfig, pgd
 from .autodiff import SGDMomentum, Tensor
 from .data import Dataset
 from .errors import ConfigError, NumericError, UsageError
@@ -68,34 +69,44 @@ class TrainConfig:
         if self.early_stop_patience < 0:
             raise ConfigError(f"early_stop_patience must be >= 0, got "
                               f"{self.early_stop_patience!r}")
-        if not (0 < self.lr_initial < math.inf):
-            raise ConfigError(f"lr_initial must be finite and > 0, got {self.lr_initial!r}")
+        if not (0 < self.lr_initial <= FLOAT32_MAX):
+            raise ConfigError(f"lr_initial must be finite in float32 and > 0, got "
+                              f"{self.lr_initial!r}")
         if not (0 <= self.momentum < 1):
             raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum!r}")
-        if not (0 <= self.weight_decay < math.inf):
-            raise ConfigError(f"weight_decay must be finite and >= 0, got "
+        if not (0 <= self.weight_decay <= FLOAT32_MAX):
+            raise ConfigError(f"weight_decay must be finite in float32 and >= 0, got "
                               f"{self.weight_decay!r}")
+
+
+class EpochRecord(NamedTuple):
+    """One epoch's numbers; the fields are the ``history.csv`` columns."""
+    epoch: int
+    train_loss: float
+    clean_val_acc: float
+    robust_val_acc: float
+    grad_norm: float
+
+
+def _column(name):
+    """A read-only view: one EpochRecord field of every epoch, as a list."""
+    return property(lambda history: [getattr(r, name) for r in history.epochs])
 
 
 @dataclass
 class TrainHistory:
-    train_loss: list = field(default_factory=list)
-    clean_val_acc: list = field(default_factory=list)
-    robust_val_acc: list = field(default_factory=list)
-    grad_norm: list = field(default_factory=list)
+    epochs: list = field(default_factory=list)   # one EpochRecord per epoch run
     best_epoch: int = -1
 
-    def record(self, loss, clean, robust, gnorm):
-        for v in (loss, clean, robust, gnorm):
-            if not math.isfinite(v):
-                raise NumericError("non-finite value in training history")
-        self.train_loss.append(loss)
-        self.clean_val_acc.append(clean)
-        self.robust_val_acc.append(robust)
-        self.grad_norm.append(gnorm)
+    # the columns perfbench reads and hashes into its advtrain-stem digest
+    train_loss = _column("train_loss")
+    robust_val_acc = _column("robust_val_acc")
+    grad_norm = _column("grad_norm")
 
-    def epochs_completed(self):
-        return len(self.train_loss)
+    def append(self, record: EpochRecord):
+        if not all(math.isfinite(v) for v in record):
+            raise NumericError(f"non-finite value in training history: {record}")
+        self.epochs.append(record)
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:
@@ -164,7 +175,8 @@ def adversarial_train(model: Model, train_set: Dataset, val_set: Dataset,
         # pgd as this module binds it, not accuracy's default argument
         robust = clean if natural else accuracy(model, val_set, attack=cfg.train_attack,
                                                 attack_fn=pgd, seed=cfg.seed + 777)
-        history.record(float(np.mean(losses)), clean, robust, float(np.mean(gnorms)))
+        history.append(EpochRecord(epoch, float(np.mean(losses)), clean, robust,
+                                   float(np.mean(gnorms))))
 
         key = (clean > majority, robust)
         if key > best_key:

@@ -251,7 +251,7 @@ def test_criterion_7_fourier_heat_map(experiment, tmp_path):
         # hand-built high-frequency thresholder errs only in high cells
         n, hw = 8, 32
         flat = Dataset(np.full((n, 3, hw, hw), 0.5, dtype=np.float32),
-                       np.zeros(n, dtype=np.int64), 2, "synthetic")
+                       np.zeros(n, dtype=np.int64), 2)
         eps_f = 4.0
         thresh = HighFreqEnergyModel(radius=8.0, threshold=eps_f ** 2 / 6.0)
         grid = fourier_heat_map(thresh, flat, eps_f=eps_f, samples_per_cell=4,

@@ -339,8 +339,9 @@ class TestNes:
 
     @pytest.mark.parametrize("field,value", [
         ("fd_eta", 0.0), ("fd_eta", -0.01), ("fd_eta", float("nan")), ("fd_eta", float("inf")),
-        ("epsilon", -0.01), ("epsilon", float("nan")), ("epsilon", float("inf")),
-        ("lr", -0.01), ("lr", float("nan")), ("lr", float("inf")),
+        ("fd_eta", 1e300), ("epsilon", -0.01), ("epsilon", float("nan")),
+        ("epsilon", float("inf")), ("epsilon", 1e39), ("lr", -0.01), ("lr", float("nan")),
+        ("lr", float("inf")), ("lr", 1e39),
     ])
     def test_invalid_setting_rejected(self, field, value):
         """A zero finite-difference step would divide by zero and count NaN
@@ -349,14 +350,14 @@ class TestNes:
             NesConfig(**{field: value})
 
 
-@pytest.mark.parametrize("value", [-0.01, float("nan"), float("inf")])
+@pytest.mark.parametrize("value", [-0.01, float("nan"), float("inf"), 1e39])
 def test_attack_config_rejects_invalid_epsilon(value):
     with pytest.raises(ConfigError, match="epsilon"):
         AttackConfig(epsilon=value)
 
 
 @pytest.mark.parametrize("field", ["step_size", "decay", "kappa"])
-@pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf"), 1e300])
 def test_attack_config_rejects_invalid_setting(field, value):
     """A NaN step size used to return NaN images counted as successes, and a
     negative one descended the loss."""

@@ -77,7 +77,8 @@ class TestEvalAndAttack:
     def test_attack_epsilon_zero_equals_clean(self, trained_dir, tmp_path):
         out = tmp_path / "atk"
         rc = main(["attack", "--checkpoint", str(trained_dir / "model.ckpt"),
-                   "--epsilon", "0", "--out-dir", str(out)] + FAST)
+                   "--set", "attack.epsilon=0", "--set", "nes.epsilon=0",
+                   "--out-dir", str(out)] + FAST)
         assert rc == 0
         header, rows = read_csv(out / "attack.csv")
         clean = float(rows[0][header.index("clean_acc")])
@@ -249,7 +250,7 @@ BAD_VALUES = [
     "eval --set data.n_val=-2",
     "heatmap --set heatmap.samples_per_cell=0",
     "attack --set attack.step_size=nan",
-    "attack --epsilon nan",
+    "attack --set attack.epsilon=nan --set nes.epsilon=nan",
     "heatmap --set heatmap.eps_f=0",
     "gradcam --set gradcam.class_id=7",
     "eval --set data.n_val=0",
@@ -270,6 +271,12 @@ BAD_VALUES = [
     "--set nes.max_queries=10000000000000",
     # a zero finite-difference step would divide by zero inside NES
     "attack --set attack.kind=nes --set nes.fd_eta=0",
+    # finite as Python floats, inf in float32: NES then scored NaN logits
+    # as flips, and CW returned NaN pixels
+    "attack --set attack.kind=nes --set nes.fd_eta=1e300",
+    "attack --set attack.kind=cw --set attack.step_size=1e300",
+    "train --set train.attack_step_size=1e300",
+    "heatmap --set heatmap.eps_f=1e39",
 ]
 
 
@@ -323,6 +330,14 @@ class TestErrors:
         err = capsys.readouterr().err
         assert rc == 2
         assert "error[config]" in err and "data.n_train" in err
+
+    def test_class_count_too_large_for_memory_names_its_key(self, tmp_path, capsys):
+        # the class centers fail to allocate before any sample does
+        rc = main(["train", "--out-dir", str(tmp_path / "o"),
+                   "--set", "data.num_classes=1000000000000"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "error[config]" in err and "data.num_classes" in err
 
     def test_unknown_config_key_exit_2(self, tmp_path):
         rc = main(["check", "wavelet", "--out-dir", str(tmp_path / "x"),

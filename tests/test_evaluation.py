@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from wavetrain import autodiff as ad
-from wavetrain.attacks import AttackConfig, eval_logits, pgd
+from wavetrain.attacks import (
+    AttackConfig, NesConfig, eval_logits, logits_oracle, nes_attack, pgd,
+)
 from wavetrain.autodiff import Tensor
 from wavetrain.data import Dataset, synthetic_dataset
-from wavetrain.errors import InputError, ResolutionError
+from wavetrain.errors import InputError, NumericError, ResolutionError
 from wavetrain.evaluation import (
     DecayFit,
     HeatMapGrid,
@@ -33,6 +35,19 @@ class ConstantModel:
     def forward(self, x, training=False):
         logits = np.zeros((x.shape[0], self.num_classes), dtype=np.float32)
         logits[:, self.class_id] = 1.0
+        return Tensor(logits)
+
+
+class NonFiniteLogitModel(ConstantModel):
+    """Predicts class 0 of 2, with ``value`` as every class-1 logit."""
+
+    def __init__(self, value):
+        super().__init__(0, 2)
+        self.value = value
+
+    def forward(self, x, training=False):
+        logits = super().forward(x).data
+        logits[:, 1] = self.value
         return Tensor(logits)
 
 
@@ -162,6 +177,28 @@ class TestAccuracy:
         assert len(calls) == steps + 1
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+class TestNonFiniteLogitsRaise:
+    """argmax of a NaN row is 0, so each of these used to score such logits
+    as a prediction and return a number."""
+
+    def test_accuracy(self, value):
+        ds = synthetic_dataset(2, 8, seed=0)
+        with pytest.raises(NumericError, match="non-finite logits"):
+            accuracy(NonFiniteLogitModel(value), ds)
+
+    def test_heat_map(self, value):
+        ds = synthetic_dataset(2, 8, seed=0)
+        with pytest.raises(NumericError, match="non-finite logits"):
+            fourier_heat_map(NonFiniteLogitModel(value), ds, rows=1, cols=1)
+
+    def test_nes_oracle(self, value):
+        ds = synthetic_dataset(2, 4, seed=0)
+        cfg = NesConfig(max_queries=4, samples_per_step=2)
+        with pytest.raises(NumericError, match="non-finite logits"):
+            nes_attack(logits_oracle(NonFiniteLogitModel(value)), ds.images, ds.labels, cfg)
+
+
 class TestFourierHeatMap:
     def test_basis_images_unit_norm(self):
         for (i, j) in [(0, 1), (3, 5), (16, 0), (7, 31)]:
@@ -185,7 +222,7 @@ class TestFourierHeatMap:
     def test_high_frequency_thresholder_flips_only_high_cells(self):
         n, hw = 12, 32
         images = np.full((n, 3, hw, hw), 0.5, dtype=np.float32)
-        ds = Dataset(images, np.zeros(n, dtype=np.int64), 2, "synthetic")
+        ds = Dataset(images, np.zeros(n, dtype=np.int64), 2)
         eps_f = 4.0
         # per-channel added HF energy is eps_f^2/3; threshold sits halfway
         model = HighFreqEnergyModel(radius=8.0, threshold=eps_f ** 2 / 6.0)

@@ -8,6 +8,7 @@ from wavetrain.autodiff import Tensor
 from wavetrain.errors import ConfigError, DimensionError
 from wavetrain.model import (
     POOLING_VARIANTS, WAP_POSITIONS, ModelConfig, build_model, check_state, state_layout,
+    state_size,
 )
 from wavetrain.wavelet import SUPPORTED_BASES
 
@@ -158,6 +159,22 @@ class TestConfig:
     def test_bad_position(self):
         with pytest.raises(ConfigError):
             ModelConfig(wap_position="in_the_middle")
+
+    @pytest.mark.parametrize("depth,width,num_classes",
+                             [(1, 1, 2), (2, 1, 10), (1, 2, 7), (3, 3, 5), (4, 2, 100)])
+    def test_state_size_is_the_layout_total(self, depth, width, num_classes):
+        cfg = ModelConfig(depth=depth, width=width, num_classes=num_classes)
+        assert state_size(cfg) == sum(int(np.prod(shape)) for _, shape, _ in state_layout(cfg))
+
+    @pytest.mark.parametrize("kw", [dict(depth=10 ** 12), dict(width=10 ** 7),
+                                    dict(num_classes=10 ** 12)])
+    def test_state_beyond_physical_memory_refused_before_allocation(self, monkeypatch, kw):
+        def no_layout(cfg):
+            raise AssertionError("walked the state layout")
+
+        monkeypatch.setattr(model_module, "state_layout", no_layout)
+        with pytest.raises(ConfigError, match="physical memory"):
+            ModelConfig(**kw)
 
 
 EVERY_STAGE = [(base, position, variant)
@@ -582,12 +599,6 @@ class TestDecimatedStem:
         ad.mul(scaled, Tensor(kept)).sum().backward()
         assert kt.grad.tobytes() == half.tobytes()
 
-    @pytest.mark.parametrize("hw", [(33, 32), (32, 31)])
-    def test_odd_input_rejected(self, hw):
-        model = build_model(ModelConfig(**STEM_HAAR), seed=0)
-        with pytest.raises(DimensionError):
-            model.forward(Tensor(np.zeros((1, 3) + hw)))
-
 
 TAIL_HAAR = dict(depth=1, width=1, num_classes=10, wavelet_base="haar")
 
@@ -678,11 +689,3 @@ class TestDecimatedTail:
         full = {"conv2": [1], "proj": [2]}
         assert strides == {name: full[name] for name in strides}
         assert len(pools) == pool_calls
-
-    @pytest.mark.parametrize("position", FINAL_POSITIONS)
-    def test_odd_final_map_rejected(self, position):
-        # 28x28 input: 28 -> 28 -> 14 -> 7 at the wavelet stage; the input
-        # check refuses it before any conv runs
-        model = build_model(ModelConfig(**TAIL_HAAR, wap_position=position), seed=0)
-        with pytest.raises(DimensionError):
-            model.forward(Tensor(np.zeros((1, 3, 28, 28))))

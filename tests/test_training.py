@@ -10,11 +10,13 @@ from wavetrain.attacks import AttackConfig, pgd
 from wavetrain.autodiff import SGDMomentum, Tensor
 from wavetrain.cli import main
 from wavetrain.data import split_train_val, synthetic_dataset
-from wavetrain.errors import ConfigError, UsageError
+from wavetrain.errors import ConfigError, NumericError, UsageError
 from wavetrain.evaluation import accuracy
 from wavetrain.model import ModelConfig, build_model
 from wavetrain.storage import load_checkpoint
-from wavetrain.training import TrainConfig, adversarial_train, gradient_norm, lr_at
+from wavetrain.training import (
+    EpochRecord, TrainConfig, TrainHistory, adversarial_train, gradient_norm, lr_at,
+)
 
 
 def tiny_model(seed=0):
@@ -63,6 +65,8 @@ class TestTrainConfigBounds:
         ("lr_initial", float("inf")),
         ("momentum", -0.1), ("momentum", 1.0), ("momentum", float("nan")),
         ("weight_decay", -1e-4), ("weight_decay", float("nan")), ("weight_decay", float("inf")),
+        # finite as Python floats, inf in float32
+        ("lr_initial", 1e39), ("weight_decay", 1e39),
     ])
     def test_invalid_optimiser_setting_rejected(self, field, value):
         """Each of these used to fail only after a full attacked batch, as a
@@ -78,6 +82,25 @@ class TestTrainConfigBounds:
         """-1 used to stop training after the first epoch that did not improve."""
         with pytest.raises(ConfigError, match="early_stop_patience"):
             TrainConfig(epochs=3, early_stop_patience=-1)
+
+
+class TestTrainHistory:
+    def test_non_finite_record_refused(self):
+        history = TrainHistory()
+        history.append(EpochRecord(0, 0.5, 1.0, 0.75, 2.0))
+        with pytest.raises(NumericError):
+            history.append(EpochRecord(1, float("nan"), 1.0, 0.75, 2.0))
+        assert history.epochs == [EpochRecord(0, 0.5, 1.0, 0.75, 2.0)]
+
+    def test_column_views_are_read_only_lists(self):
+        history = TrainHistory()
+        for e in range(2):
+            history.append(EpochRecord(e, 0.5 - e / 4, 1.0, 0.75, 2.0 + e))
+        assert history.train_loss == [0.5, 0.25]
+        assert history.robust_val_acc == [0.75, 0.75]
+        assert history.grad_norm == [2.0, 3.0]
+        with pytest.raises(AttributeError):
+            history.train_loss = []
 
 
 class TestGradientNorm:
@@ -201,8 +224,8 @@ class TestAdversarialTrain:
         cfg = tiny_train_cfg(
             epochs=3, train_attack=AttackConfig(epsilon=0.0, steps=1, random_init=False))
         _, history = adversarial_train(tiny_model(seed=9), train, val, cfg)
-        assert history.epochs_completed() == 3
-        assert history.robust_val_acc == history.clean_val_acc
+        assert len(history.epochs) == 3
+        assert all(r.robust_val_acc == r.clean_val_acc for r in history.epochs)
 
     def test_attacks_run_through_this_module_binding(self, monkeypatch):
         # one training batch and one validation batch, both through
@@ -226,8 +249,7 @@ class TestAdversarialTrain:
         cfg = tiny_train_cfg(epochs=3)
         best, history = adversarial_train(tiny_model(seed=1), train, val, cfg)
         majority = np.bincount(val.labels).max() / len(val)
-        keys = [(clean > majority, robust)
-                for clean, robust in zip(history.clean_val_acc, history.robust_val_acc)]
+        keys = [(r.clean_val_acc > majority, r.robust_val_acc) for r in history.epochs]
         assert history.best_epoch == keys.index(max(keys))
         recomputed = accuracy(best, val, attack=cfg.train_attack, seed=cfg.seed + 777)
         assert recomputed == history.robust_val_acc[history.best_epoch]
@@ -258,12 +280,8 @@ class TestAdversarialTrain:
         train, val = split_train_val(data)
         cfg = tiny_train_cfg()
         _, history = adversarial_train(tiny_model(), train, val, cfg)
-        n = history.epochs_completed()
-        assert n == cfg.epochs
-        for series in (history.train_loss, history.clean_val_acc,
-                       history.robust_val_acc, history.grad_norm):
-            assert len(series) == n
-            assert all(np.isfinite(v) for v in series)
+        assert [r.epoch for r in history.epochs] == list(range(cfg.epochs))
+        assert all(np.isfinite(v) for r in history.epochs for v in r)
 
     def test_empty_dataset_unconstructible(self):
         # the Dataset invariant (N > 0) fires before the training loop can
@@ -296,7 +314,7 @@ class TestBestEpoch:
                             lambda model, xb, yb, cfg, seed: SimpleNamespace(x_adv=xb))
         cfg = tiny_train_cfg(epochs=len(scores), early_stop_patience=2)
         _, history = adversarial_train(tiny_model(), train, val, cfg)
-        assert history.epochs_completed() == ran
+        assert len(history.epochs) == ran
         assert history.best_epoch == kept
 
     def test_cli_run_keeps_the_epoch_that_beats_a_constant_predictor(self, tmp_path,
