@@ -24,18 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, InputError, NumericError
-
-
-# every float setting is cast to float32, where a larger value is inf
-FLOAT32_MAX = float(np.finfo(np.float32).max)
-
-
-def _check_finite_nonnegative(cfg, *names):
-    for name in names:
-        value = getattr(cfg, name)
-        if not (0 <= value <= FLOAT32_MAX):
-            raise ConfigError(f"{name} must be finite in float32 and >= 0, got {value!r}")
+from .errors import InputError, NumericError, check_range
 
 
 @dataclass
@@ -49,11 +38,10 @@ class AttackConfig:
     kappa: float = 0.0           # CW margin confidence; the other attacks ignore it
 
     def __post_init__(self):
-        _check_finite_nonnegative(self, "epsilon", "step_size", "decay", "kappa")
-        if self.steps < 1:
-            raise ConfigError("steps must be >= 1")
-        if self.restarts < 1:
-            raise ConfigError("restarts must be >= 1")
+        for name in ("epsilon", "step_size", "decay", "kappa"):
+            check_range(name, getattr(self, name), "[0,inf)")
+        check_range("steps", self.steps, "[1,inf)")
+        check_range("restarts", self.restarts, "[1,inf)")
 
 
 @dataclass
@@ -78,7 +66,8 @@ def eval_logits(model, x) -> np.ndarray:
     package asks a model for predictions without gradients. A non-finite
     logit raises NumericError: a float64 sum cannot overflow on float32
     values and carries any NaN or inf through."""
-    with ad.no_grad():
+    # the check below reports any overflow, so numpy need not warn first
+    with ad.no_grad(), np.errstate(over="ignore", invalid="ignore"):
         logits = model.forward(Tensor(x), training=False).data
     if not math.isfinite(logits.sum(dtype=np.float64)):
         raise NumericError("non-finite logits in an eval forward")
@@ -98,13 +87,15 @@ def _input_grad(model, x, y, kappa):
     for p in params:
         p.requires_grad = False
     try:
-        t = Tensor(x, requires_grad=True)
-        logits = model.forward(t, training=False)
-        if kappa is None:
-            loss = ad.softmax_cross_entropy(logits, y)
-        else:
-            loss = -ad.cw_margin_loss(logits, y, kappa)
-        loss.backward()
+        # the finiteness check below reports any overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = Tensor(x, requires_grad=True)
+            logits = model.forward(t, training=False)
+            if kappa is None:
+                loss = ad.softmax_cross_entropy(logits, y)
+            else:
+                loss = -ad.cw_margin_loss(logits, y, kappa)
+            loss.backward()
     finally:
         for p, flag in zip(params, flags):
             p.requires_grad = flag
@@ -200,13 +191,12 @@ class NesConfig:
     samples_per_step: int = 25
 
     def __post_init__(self):
-        _check_finite_nonnegative(self, "epsilon", "lr")
-        if not (0 < self.fd_eta <= FLOAT32_MAX):
-            raise ConfigError(f"fd_eta must be finite in float32 and > 0, got {self.fd_eta!r}")
-        if self.samples_per_step < 1:
-            raise ConfigError("samples_per_step must be >= 1")
-        if self.max_queries < 2 * self.samples_per_step:
-            raise ConfigError("max_queries must cover at least one estimation step")
+        check_range("epsilon", self.epsilon, "[0,inf)")
+        check_range("lr", self.lr, "[0,inf)")
+        check_range("fd_eta", self.fd_eta, "(0,inf)")
+        check_range("samples_per_step", self.samples_per_step, "[1,inf)")
+        # the budget covers at least one estimation step
+        check_range("max_queries", self.max_queries, f"[{2 * self.samples_per_step},inf)")
 
 
 @dataclass
@@ -260,8 +250,10 @@ def nes_attack(oracle, x, y, cfg: NesConfig, seed: int = 0) -> NesResult:
         label = np.full(k, y[i])
         while queries[i] + 2 * k <= cfg.max_queries:
             u = rng.standard_normal((k,) + xi.shape).astype(np.float32)
-            plus = ad.cross_entropy_rows(oracle(cur[None] + sigma * u), label)[0]
-            minus = ad.cross_entropy_rows(oracle(cur[None] - sigma * u), label)[0]
+            # a query that overflows yields a non-finite logit the oracle reports
+            with np.errstate(over="ignore"):
+                plus = ad.cross_entropy_rows(oracle(cur[None] + sigma * u), label)[0]
+                minus = ad.cross_entropy_rows(oracle(cur[None] - sigma * u), label)[0]
             queries[i] += 2 * k
             ghat = np.tensordot((plus - minus) / (2.0 * sigma * k), u, axes=(0, 0))
             cur = _box_then_ball(

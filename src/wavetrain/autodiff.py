@@ -53,7 +53,7 @@ import contextlib
 
 import numpy as np
 
-from .errors import DimensionError, InputError, UsageError
+from .errors import DimensionError, InputError, UsageError, check_range
 
 _grad_enabled = True
 
@@ -435,8 +435,7 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     result is an NCHW view of channels-last (N, H, W, K) memory."""
     if x.data.ndim != 4 or weight.data.ndim != 4:
         raise DimensionError("conv2d expects x[N,C,H,W] and weight[K,C,kh,kw]")
-    if stride < 1:
-        raise DimensionError(f"stride must be >= 1, got {stride}")
+    check_range("stride", stride, "[1,inf)", DimensionError)
     n, c, h, w = x.data.shape
     k, cw, kh, kw = weight.data.shape
     if cw != c:
@@ -701,12 +700,9 @@ class SGDMomentum:
     v <- momentum*v + g + weight_decay*p, then p <- p - lr*v."""
 
     def __init__(self, params, lr, momentum=0.9, weight_decay=0.0):
-        if not (lr > 0):
-            raise InputError(f"lr must be positive, got {lr}")
-        if not (0 <= momentum < 1):
-            raise InputError(f"momentum must be in [0,1), got {momentum}")
-        if not (weight_decay >= 0):
-            raise InputError(f"weight_decay must be >= 0, got {weight_decay}")
+        check_range("lr", lr, "(0,inf)", InputError)
+        check_range("momentum", momentum, "[0,1)", InputError)
+        check_range("weight_decay", weight_decay, "[0,inf)", InputError)
         self.params = list(params)
         self.lr = lr
         self.momentum = momentum

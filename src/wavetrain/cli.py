@@ -6,10 +6,10 @@ one model per variant from the same seed: every wavelet base, WAP on and off,
 every WAP position, and adversarial against natural training. Every command
 resolves a flat key=value config (file plus --set overrides), echoes it to
 <out-dir>/resolved_config.txt, and emits CSV (and PGM for image-shaped
-results). Exit codes: 0 success, 1 internal error (``UsageError`` and any
-other package error), 2 config error (including float values that are not
-finite in float32 and sizes too large for memory), 3 format error, 4
-numeric error (including a non-finite logit).
+results). The error class alone picks the exit code: 0 success, 2
+``ConfigError`` (an unsupported wavelet base among them) or ``MemoryError``,
+3 ``FormatError`` or ``OSError``, 4 ``NumericError`` (a non-finite logit or
+a too-coarse quadrature grid among them), 1 any other package error.
 """
 
 from __future__ import annotations
@@ -25,15 +25,7 @@ from .attacks import WHITE_BOX, AttackConfig, NesConfig, eval_logits, logits_ora
 from .autodiff import Tensor
 from .config import SCHEMA, RunConfig, load_config
 from .data import data_root, load_cifar10, split_train_val, synthetic_dataset
-from .errors import (
-    ConfigError,
-    FormatError,
-    InputError,
-    NumericError,
-    ResolutionError,
-    UnsupportedBaseError,
-    WavetrainError,
-)
+from .errors import ConfigError, FormatError, InputError, NumericError, WavetrainError, check_range
 from .evaluation import (
     accuracy,
     fourier_heat_map,
@@ -182,8 +174,9 @@ def cmd_heatmap(cfg: RunConfig, out_dir: str, args) -> int:
     h, w = val.images.shape[2:]
     rows = cfg["heatmap.rows"] or h // 2 + 1
     cols = cfg["heatmap.cols"] or w
-    if rows > h // 2 + 1 or cols > w:
-        raise ConfigError(f"heatmap grid {rows}x{cols} exceeds the {h}x{w} image half-spectrum")
+    # the cell grid lies within the image half-spectrum
+    check_range("heatmap.rows", rows, f"[1,{h // 2 + 1}]")
+    check_range("heatmap.cols", cols, f"[1,{w}]")
     grid = fourier_heat_map(model, val, eps_f=cfg["heatmap.eps_f"],
                             samples_per_cell=cfg["heatmap.samples_per_cell"],
                             seed=cfg["seed"], rows=rows, cols=cols)
@@ -203,13 +196,10 @@ def cmd_heatmap(cfg: RunConfig, out_dir: str, args) -> int:
 def cmd_gradcam(cfg: RunConfig, out_dir: str, args) -> int:
     model, val = _checkpoint_and_val(cfg, args)
     index = cfg["gradcam.index"]
-    if index >= len(val):
-        raise ConfigError(f"gradcam.index {index} out of range")
+    check_range("gradcam.index", index, f"[0,{len(val)})")
     image = val.images[index]
     class_id = cfg["gradcam.class_id"]
-    if class_id >= model.cfg.num_classes:
-        raise ConfigError(f"gradcam.class_id {class_id} out of range for "
-                          f"{model.cfg.num_classes} classes")
+    check_range("gradcam.class_id", class_id, f"[-1,{model.cfg.num_classes})")
     if class_id < 0:
         class_id = int(eval_logits(model, image[None]).argmax(axis=1)[0])
     cam = gradcam(model, image, class_id)
@@ -359,13 +349,13 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.set)
         _echo_config(cfg, args.out_dir)
         return COMMANDS[args.command, getattr(args, "target", None)](cfg, args.out_dir, args)
-    except (ConfigError, UnsupportedBaseError, MemoryError) as exc:
+    except (ConfigError, MemoryError) as exc:
         print(f"error[config]: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except (FormatError, OSError) as exc:
         print(f"error[format]: {exc}", file=sys.stderr)
         return 3
-    except (NumericError, ResolutionError) as exc:
+    except NumericError as exc:
         print(f"error[numeric]: {exc}", file=sys.stderr)
         return 4
     except WavetrainError as exc:

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, get_type_hints
 
-from .attacks import FLOAT32_MAX, AttackConfig, NesConfig
-from .errors import ConfigError
+from .attacks import AttackConfig, NesConfig
+from .errors import ConfigError, check_range
 from .model import ModelConfig
 from .training import TrainConfig
 
@@ -90,11 +90,11 @@ SCHEMA = {
     "theorem.grid_points": (int, 1 << 16),
 }
 
-# Allowed interval of a numeric key, checked as a RunConfig is built. Every
-# other int and float key lies in [0,inf), or in the tighter range that
-# ModelConfig, TrainConfig, AttackConfig or NesConfig enforce with a
-# ConfigError. Each upper end is open, so NaN and +-inf fall outside them all;
-# a float value must also be finite in float32, where the package computes.
+# Allowed interval of a numeric key, checked by errors.check_range as a
+# RunConfig is built; every other int and float key lies in [0,inf). The
+# model.*, train.*, attack.* and nes.* keys also meet the tighter bounds that
+# ModelConfig, TrainConfig, AttackConfig and NesConfig check with the same
+# function as they are built.
 RANGES = {
     "data.num_classes": "[2,inf)",
     "data.n_train": "[1,inf)",
@@ -104,15 +104,6 @@ RANGES = {
     "gradcam.class_id": "[-1,inf)",
     "theorem.grid_points": "[1,inf)",
 }
-
-
-def _check_range(key, value):
-    spec = RANGES.get(key, "[0,inf)")
-    lo, hi = (float(v) for v in spec[1:-1].split(","))
-    if not ((lo <= value if spec[0] == "[" else lo < value) and value < hi):
-        raise ConfigError(f"{key}={value!r} lies outside {spec}")
-    if isinstance(value, float) and value > FLOAT32_MAX:
-        raise ConfigError(f"{key}={value!r} is not finite in float32")
 
 
 @dataclass
@@ -125,7 +116,7 @@ class RunConfig:
             if key not in SCHEMA:
                 raise ConfigError(f"unknown config key {key!r}")
             if SCHEMA[key][0] in (int, float):
-                _check_range(key, value)
+                check_range(key, value, RANGES.get(key, "[0,inf)"))
             resolved[key] = value
         self.values = resolved
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, InputError
+from .errors import FormatError, InputError, check_range
 
 CIFAR10_RECORD_BYTES = 3073
 DATA_ROOT_ENV = "WAVETRAIN_DATA"
@@ -84,10 +84,8 @@ def synthetic_dataset(num_classes: int, n: int, seed: int) -> Dataset:
     distinct position plus a grating at a distinct spatial frequency. Labels
     are assigned round-robin, so the class counts are balanced within one.
     """
-    if num_classes < 2:
-        raise InputError("num_classes must be >= 2")
-    if n < 1:
-        raise InputError("n must be >= 1")
+    check_range("num_classes", num_classes, "[2,inf)", InputError)
+    check_range("n", n, "[1,inf)", InputError)
     rng = np.random.default_rng(seed)
     size = 32
     yy, xx = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")

@@ -1,8 +1,19 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the one bound checker.
 
-Error categories map onto CLI exit codes: config errors exit 2, format
-errors exit 3, numeric errors exit 4, any other package error 1.
+The error class alone decides the CLI exit code: config errors exit 2,
+format errors 3, numeric errors 4, any other package error 1.
+
+Every scalar bound on a setting or an argument is one ``check_range`` call
+at the place that takes the value; only relations between values (such as
+increasing milestones) are written out by hand.
 """
+
+from numbers import Integral
+
+import numpy as np
+
+# every float setting is cast to float32, where a larger magnitude is inf
+FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 class WavetrainError(Exception):
@@ -40,9 +51,22 @@ class NumericError(WavetrainError, ArithmeticError):
     """Non-finite values where finite ones are required."""
 
 
-class UnsupportedBaseError(WavetrainError, ValueError):
+class UnsupportedBaseError(ConfigError):
     """Requested wavelet base is not in the supported catalog."""
 
 
-class ResolutionError(WavetrainError, ValueError):
+class ResolutionError(NumericError):
     """Quadrature grid too coarse for the requested scale."""
+
+
+def check_range(name, value, interval, error=ConfigError):
+    """Raise ``error`` unless ``value`` lies in ``interval``, written like
+    ``"[1,inf)"`` or ``"(0,1]"`` with either bracket at either end. NaN lies
+    in no interval, and a float must also be finite in float32; an integer
+    is compared exactly and never cast."""
+    lo, hi = (float(v) for v in interval[1:-1].split(","))
+    if not ((lo <= value if interval[0] == "[" else lo < value)
+            and (value <= hi if interval[-1] == "]" else value < hi)):
+        raise error(f"{name}={value!r} lies outside {interval}")
+    if not isinstance(value, Integral) and abs(value) > FLOAT32_MAX:
+        raise error(f"{name}={value!r} is not finite in float32")

@@ -16,10 +16,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .attacks import FLOAT32_MAX, AttackConfig, eval_logits, pgd
+from .attacks import AttackConfig, eval_logits, pgd
 from .autodiff import Tensor
 from .data import Dataset
-from .errors import DimensionError, InputError, ResolutionError
+from .errors import DimensionError, InputError, ResolutionError, check_range
 from .wavelet import FilterBank, filter_bank
 
 
@@ -30,8 +30,7 @@ def accuracy(model, dataset: Dataset, attack: Optional[AttackConfig] = None,
              attack_fn=pgd, seed: int = 0, batch_size: int = 256) -> float:
     """Fraction of samples whose eval-mode prediction matches the label, on
     the clean batch or, under ``attack``, on the batch ``attack_fn`` returns."""
-    if batch_size < 1:
-        raise InputError(f"batch_size must be >= 1, got {batch_size!r}")
+    check_range("batch_size", batch_size, "[1,inf)", InputError)
     correct = 0
     for start in range(0, len(dataset), batch_size):
         xb = dataset.images[start : start + batch_size]
@@ -81,16 +80,14 @@ def fourier_heat_map(model, dataset: Dataset, eps_f: float = 4.0,
     half-spectrum: rows 0..H/2, all W columns (the remaining rows are the
     conjugate completion of these).
     """
-    if not (0 < eps_f <= FLOAT32_MAX):
-        raise InputError(f"eps_f must be finite in float32 and positive, got {eps_f!r}")
-    if samples_per_cell < 1:
-        raise InputError(f"samples_per_cell must be >= 1, got {samples_per_cell!r}")
+    check_range("eps_f", eps_f, "(0,inf)", InputError)
+    check_range("samples_per_cell", samples_per_cell, "[1,inf)", InputError)
     h, w = dataset.images.shape[2:]
     rows = rows if rows is not None else h // 2 + 1
     cols = cols if cols is not None else w
-    if not (1 <= rows <= h // 2 + 1 and 1 <= cols <= w):
-        raise DimensionError(f"cell grid {rows}x{cols} is empty or exceeds the {h}x{w} "
-                             f"image half-spectrum")
+    # the cell grid lies within the image half-spectrum
+    check_range("rows", rows, f"[1,{h // 2 + 1}]", DimensionError)
+    check_range("cols", cols, f"[1,{w}]", DimensionError)
     rng = np.random.default_rng(seed)
     channels = dataset.images.shape[1]
     per_channel = eps_f / np.sqrt(channels)
@@ -119,8 +116,7 @@ def gradcam(model, x, class_id: int) -> np.ndarray:
         x = x[None]
     if x.shape[0] != 1:
         raise InputError("gradcam expects a single image")
-    if not (0 <= class_id < model.cfg.num_classes):
-        raise InputError(f"class_id {class_id} out of range")
+    check_range("class_id", class_id, f"[0,{model.cfg.num_classes})", InputError)
 
     logits, features = model.forward(Tensor(x), training=False, return_features=True)
     onehot = np.zeros(logits.shape, dtype=np.float32)
@@ -212,10 +208,8 @@ def theorem_decay_check(base: str, alpha: float, scales: Sequence[float],
     probe that is one-sided polynomial over the support (kink at the edge),
     so they need the kink strictly inside.
     """
-    if not (0 < alpha <= 1):
-        raise InputError("alpha must lie in (0, 1]")
-    if not (0 <= kink_frac < 1):
-        raise InputError("kink_frac must lie in [0, 1)")
+    check_range("alpha", alpha, "(0,1]", InputError)
+    check_range("kink_frac", kink_frac, "[0,1)", InputError)
     scales = sorted(set(float(s) for s in scales), reverse=True)
     if len(scales) < 2 or scales[-1] <= 0:
         raise InputError("need at least two positive scales")
@@ -268,8 +262,7 @@ def theorem_local_regularity_check(base: str, alpha: float,
     refinements, and that the dyadic modulus of continuity halves like
     2**-alpha.
     """
-    if not (0 < alpha <= 1):
-        raise InputError("alpha must lie in (0, 1]")
+    check_range("alpha", alpha, "(0,1]", InputError)
     fb = filter_bank(base)
     grid, psi = cascade_wavelet(fb)
     x0, scales = REGULARITY_X0, REGULARITY_SCALES  # scales decreasing

@@ -51,7 +51,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, check_range
 from .wavelet import (
     FilterBank,
     filter_bank,
@@ -78,8 +78,9 @@ class ModelConfig:
     pooling_variant: str = "wap"
 
     def __post_init__(self):
-        if self.depth < 1 or self.width < 1 or self.num_classes < 2:
-            raise ConfigError("depth/width must be >= 1 and num_classes >= 2")
+        check_range("depth", self.depth, "[1,inf)")
+        check_range("width", self.width, "[1,inf)")
+        check_range("num_classes", self.num_classes, "[2,inf)")
         if self.wap_position not in WAP_POSITIONS:
             raise ConfigError(f"wap_position must be one of {WAP_POSITIONS}")
         if self.pooling_variant not in POOLING_VARIANTS:

@@ -27,10 +27,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff as ad
-from .attacks import FLOAT32_MAX, AttackConfig, pgd
+from .attacks import AttackConfig, pgd
 from .autodiff import SGDMomentum, Tensor
 from .data import Dataset
-from .errors import ConfigError, NumericError, UsageError
+from .errors import ConfigError, NumericError, UsageError, check_range
 from .evaluation import accuracy
 from .model import Model
 
@@ -56,27 +56,18 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
+        check_range("epochs", self.epochs, "[1,inf)")
         ms = tuple(int(m) for m in self.lr_milestones)
         if any(b <= a for a, b in zip(ms, ms[1:])):
             raise ConfigError("lr_milestones must be strictly increasing")
-        if any(m < 0 or m >= self.epochs for m in ms):
-            raise ConfigError("lr_milestones must lie in [0, epochs)")
+        for m in ms:
+            check_range("lr_milestones", m, f"[0,{self.epochs})")
         self.lr_milestones = ms
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.early_stop_patience < 0:
-            raise ConfigError(f"early_stop_patience must be >= 0, got "
-                              f"{self.early_stop_patience!r}")
-        if not (0 < self.lr_initial <= FLOAT32_MAX):
-            raise ConfigError(f"lr_initial must be finite in float32 and > 0, got "
-                              f"{self.lr_initial!r}")
-        if not (0 <= self.momentum < 1):
-            raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum!r}")
-        if not (0 <= self.weight_decay <= FLOAT32_MAX):
-            raise ConfigError(f"weight_decay must be finite in float32 and >= 0, got "
-                              f"{self.weight_decay!r}")
+        check_range("batch_size", self.batch_size, "[1,inf)")
+        check_range("early_stop_patience", self.early_stop_patience, "[0,inf)")
+        check_range("lr_initial", self.lr_initial, "(0,inf)")
+        check_range("momentum", self.momentum, "[0,1)")
+        check_range("weight_decay", self.weight_decay, "[0,inf)")
 
 
 class EpochRecord(NamedTuple):
@@ -111,8 +102,7 @@ class TrainHistory:
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:
     """lr_initial decayed by LR_DECAY once per milestone already passed."""
-    if epoch < 0:
-        raise ConfigError("epoch must be >= 0")
+    check_range("epoch", epoch, "[0,inf)")
     passed = sum(1 for m in cfg.lr_milestones if m <= epoch)
     return cfg.lr_initial * (LR_DECAY ** passed)
 

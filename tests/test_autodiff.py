@@ -921,6 +921,12 @@ class TestSgdMomentum:
         with pytest.raises(InputError):
             SGDMomentum([_sgd_param([0.0])], lr=lr, momentum=mom, weight_decay=wd)
 
+    @pytest.mark.parametrize("kwargs", [{"lr": 1e300}, {"weight_decay": 1e300}])
+    def test_refuses_hyperparameters_beyond_float32(self, kwargs):
+        """Finite as Python floats, these step in float32 as inf."""
+        with pytest.raises(InputError, match=next(iter(kwargs))):
+            SGDMomentum([_sgd_param([0.0])], **{"lr": 0.1, **kwargs})
+
     def test_optimizer_class_steps_params(self, rng):
         p = Tensor(rng.standard_normal(4).astype(np.float32), requires_grad=True)
         opt = SGDMomentum([p], lr=0.1, momentum=0.0)

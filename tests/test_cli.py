@@ -1,5 +1,7 @@
 import os
 import struct
+import subprocess
+import sys
 import zlib
 
 import numpy as np
@@ -426,3 +428,38 @@ class TestErrors:
         assert rc == 3
         assert "error[format]" in err and "invalid model config" in err
         assert "Traceback" not in err
+
+    def test_unsupported_base_exit_2(self, tmp_path, capsys):
+        rc = main(["train", "--out-dir", str(tmp_path / "o"),
+                   "--set", "model.wavelet_base=dmey"] + FAST)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "error[config]" in err and "dmey" in err
+
+    def test_too_coarse_quadrature_grid_exit_4(self, tmp_path, capsys):
+        rc = main(["check", "theorems", "--out-dir", str(tmp_path / "o"),
+                   "--set", "theorem.grid_points=64"])
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert "error[numeric]" in err and "quadrature samples" in err
+
+    @pytest.mark.parametrize("command", [
+        # a finite-difference step that overflows the query batch
+        "attack --set attack.kind=nes --set nes.fd_eta=3e38",
+        # a learning rate that overflows the weights after one step
+        "train --set train.lr_initial=3e38",
+    ])
+    def test_overflow_exit_4_with_only_the_error_line(self, trained_dir, tmp_path, command):
+        """Run in a child process, so that any numpy warning reaches its
+        stderr as it would a user's terminal."""
+        words = command.split()
+        argv = words[:1] + FAST + words[1:] + ["--out-dir", str(tmp_path / "o")]
+        if argv[0] == "attack":
+            argv += ["--checkpoint", str(trained_dir / "model.ckpt")]
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run([sys.executable, "-m", "wavetrain.cli"] + argv, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 4
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error[numeric]: "), proc.stderr
