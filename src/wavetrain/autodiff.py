@@ -24,7 +24,10 @@ convolution whose columns fit in one block accumulate in float64 before
 rounding back to float32, which keeps finite-difference gradient checks
 stable. Larger convolutions stream their im2col columns through batch blocks
 of at most ``_BLOCK`` elements with float32 BLAS, so no full column matrix is
-ever built or kept on the tape.
+ever built or kept on the tape. Each block is zero-padded on its own, so a
+conv holds one padded block and one column block at a time; only a conv
+whose weight takes gradient pads the whole batch, into the buffer its rule
+keeps. With tape recording off nothing takes gradient, so no rule is built.
 
 Convolution activations are channels-last: ``conv2d`` returns an NCHW view
 of (N, H, W, K) memory, and the pointwise ops, batch norm and the global
@@ -206,18 +209,17 @@ def _topo_order(root):
 
 def _grad_node(t):
     """The tape node that gradient for ``t`` goes to, or None when ``t``
-    takes none. A rule captures these, never its parent tensors, so it keeps
-    no parent's array alive."""
-    return t._node if t.requires_grad else None
+    takes none or tape recording is off. A rule captures these, never its
+    parent tensors, so it keeps no parent's array alive."""
+    return t._node if _grad_enabled and t.requires_grad else None
 
 
 def _make(data, parents, backward):
     """The output tensor of a primitive. ``parents`` are the ``_grad_node``s
-    of its inputs; it is recorded when tape recording is on and one of them
-    takes gradient."""
+    of its inputs; it is recorded when one of them takes gradient."""
     out = Tensor(data)
     parents = tuple(p for p in parents if p is not None)
-    if _grad_enabled and parents:
+    if parents:
         out.requires_grad = True
         out._node = _Node(out.data.shape, parents, backward)
     return out
@@ -278,7 +280,7 @@ def scale(x: Tensor, s: float) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     nx = _grad_node(x)
     # in x's memory order, as the gradient it shapes
-    mask = x.data > 0 if nx is not None and _grad_enabled else None
+    mask = x.data > 0 if nx is not None else None
 
     def backward(g):
         nx._accumulate(np.multiply(g, mask, out=np.empty_like(mask, dtype=np.float32)),
@@ -342,46 +344,47 @@ def _nhwc(a):
     return np.ascontiguousarray(a.transpose(0, 2, 3, 1))
 
 
-def _padded(a, top, bottom, left, right):
-    """The (N, H, W, C) array ``a`` with zero rows and columns around it, in
-    a new buffer whose border alone is zero-filled; without a border, ``a``
-    itself when it is contiguous. A channel-major ``a`` (such as the NCHW
-    model input) is copied one channel plane at a time, which reads it in
-    order."""
-    n, h, w, c = a.shape
-    if not (top or bottom or left or right):
-        return np.ascontiguousarray(a)
-    out = np.empty((n, top + h + bottom, left + w + right, c), dtype=np.float32)
-    out[:, :top] = 0.0
-    out[:, top + h :] = 0.0
-    out[:, top : top + h, :left] = 0.0
-    out[:, top : top + h, left + w :] = 0.0
-    inner = out[:, top : top + h, left : left + w]
-    if a.strides[3] > a.strides[2]:
-        for ch in range(c):
-            inner[..., ch] = a[..., ch]
-    else:
-        inner[...] = a
-    return out
-
-
-def _windows(src, kh, kw, stride, out_h, out_w):
-    """Yield (s0, s1, cols) per batch block of the NHWC array ``src``: cols is
-    the contiguous (nb*out_h*out_w, kh*kw*C) copy of the windows at
+def _windows(src, kh, kw, stride, out_h, out_w, pads=(0, 0, 0, 0), into=None):
+    """Yield (s0, s1, cols) per batch block of the NHWC array ``src``, padded
+    by ``pads`` (top, bottom, left, right) one block at a time: cols is the
+    contiguous (nb*out_h*out_w, kh*kw*C) copy of the block's windows at
     (y*stride, x*stride), one row per output pixel, taps in (kh, kw, C)
-    order."""
-    n, c = src.shape[0], src.shape[3]
-    sn, sh, sw, sc = src.strides
+    order. A block is padded into ``into[s0:s1]`` when given (a whole padded
+    batch that a backward rule keeps), else into one block buffer; every
+    block's cols reuse one buffer, so a caller is done with them before it
+    asks for the next block. A channel-major ``src`` (such as the NCHW model
+    input) is copied one channel plane at a time, which reads it in order."""
+    n, h, w, c = src.shape
+    top, bottom, left, right = pads
     rows = kh * kw * c
-    view = np.lib.stride_tricks.as_strided(
-        src,
-        shape=(n, out_h, out_w, kh, kw, c),
-        strides=(sn, sh * stride, sw * stride, sh, sw, sc),
-    )
-    step = max(1, _BLOCK // (rows * out_h * out_w))
+    step = min(n, max(1, _BLOCK // (rows * out_h * out_w)))
+    whole = into is not None
+    if any(pads):
+        if not whole:
+            into = np.empty((step, top + h + bottom, left + w + right, c), dtype=np.float32)
+        # only the border is zero-filled, once; each block fills the inside
+        into[:, :top] = 0.0
+        into[:, top + h :] = 0.0
+        into[:, top : top + h, :left] = 0.0
+        into[:, top : top + h, left + w :] = 0.0
+    buf = np.empty((step, out_h, out_w, kh, kw, c), dtype=np.float32)
     for s0 in range(0, n, step):
         s1 = min(s0 + step, n)
-        yield s0, s1, np.ascontiguousarray(view[s0:s1]).reshape(-1, rows)
+        block = src[s0:s1]
+        if any(pads):
+            padded = into[s0:s1] if whole else into[: s1 - s0]
+            inner = padded[:, top : top + h, left : left + w]
+            if block.strides[3] > block.strides[2]:
+                for ch in range(c):
+                    inner[..., ch] = block[..., ch]
+            else:
+                inner[...] = block
+            block = padded
+        sn, sh, sw, sc = block.strides
+        cols = buf[: s1 - s0]
+        cols[...] = np.lib.stride_tricks.as_strided(
+            block, cols.shape, (sn, sh * stride, sw * stride, sh, sw, sc))
+        yield s0, s1, cols.reshape(-1, rows)
 
 
 def _gemm(a, b, wide):
@@ -391,43 +394,44 @@ def _gemm(a, b, wide):
     return a @ b
 
 
-def _correlate(src, w2, kh, kw, stride, out, wide):
-    """out[n, y, x] = the (kh, kw) window of the NHWC array ``src`` at
-    (y*stride, x*stride), flattened in (kh, kw, C) order, times
-    w2[kh*kw*C, K]: one gather and one pixel-major GEMM per batch block,
-    written into the contiguous (N, out_h, out_w, K) array ``out``."""
+def _correlate(src, w2, kh, kw, stride, out, wide, pads=(0, 0, 0, 0), into=None):
+    """out[n, y, x] = the (kh, kw) window at (y*stride, x*stride) of the NHWC
+    array ``src`` padded by ``pads``, flattened in (kh, kw, C) order, times
+    w2[kh*kw*C, K]: one gather and one pixel-major GEMM per batch block of
+    ``_windows``, written into the contiguous (N, out_h, out_w, K) array
+    ``out``. The float64 GEMM of ``wide`` runs in row chunks that are
+    rounded into ``out`` as they come."""
     k = out.shape[3]
-    for s0, s1, cols in _windows(src, kh, kw, stride, *out.shape[1:3]):
+    w64 = w2.astype(np.float64) if wide else None
+    for s0, s1, cols in _windows(src, kh, kw, stride, *out.shape[1:3], pads, into):
         dst = out[s0:s1].reshape(-1, k)
         if wide:
-            dst[...] = _gemm(cols, w2, True)
+            step = max(1, (_BLOCK >> 3) // (cols.shape[1] + k))
+            for r0 in range(0, len(cols), step):
+                dst[r0 : r0 + step] = cols[r0 : r0 + step].astype(np.float64) @ w64
         else:
             np.matmul(cols, w2, out=dst)
 
 
-def _phases(size, ksize, stride, padding):
+def _phases(size, ksize, stride, padding, out_size):
     """The input-gradient phases along one axis. Input pixel y sits at padded
     position y + padding, which tap i of output y' reads when y + padding =
     y'*stride + i. So the pixels of phase a (y + padding = a mod stride) get a
     full convolution of the output gradient with the taps a::stride, i.e. a
-    correlation with those taps flipped. Yields (a, first, pixels, offset):
-    the phase's pixels first, first + stride, ... correlate output-gradient
-    rows from ``offset`` on, zero outside the output. A phase no tap reaches
-    (ksize < stride) gets no gradient."""
+    correlation with those taps flipped. Yields (a, first, pixels, read,
+    pads): the phase's pixels first, first + stride, ... correlate the
+    output-gradient rows ``read`` (a slice) with ``pads`` zero rows before
+    and after them. A phase no tap reaches (ksize < stride) gets no
+    gradient."""
     for a in range(min(ksize, stride)):
         first = (a - padding) % stride
         pixels = len(range(first, size, stride))
         taps = len(range(a, ksize, stride))
         if pixels:
-            yield a, first, pixels, (first + padding - a) // stride - (taps - 1)
-
-
-def _pads(phases, ksize, stride, out_size):
-    """Zero rows before and after the output gradient that every phase's
-    correlation windows (``_phases``) stay inside."""
-    lo = max(0, -min(p[3] for p in phases))
-    hi = max(p[3] + p[2] + len(range(p[0], ksize, stride)) - 1 for p in phases) - out_size
-    return lo, max(0, hi)
+            lo = (first + padding - a) // stride - (taps - 1)
+            hi = lo + pixels + taps - 1
+            read = slice(max(lo, 0), min(hi, out_size))
+            yield a, first, pixels, read, (max(-lo, 0), max(hi - out_size, 0))
 
 
 def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -448,19 +452,20 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     out_h = (hp - kh) // stride + 1
     out_w = (wp - kw) // stride + 1
 
-    xp = _padded(x.data.transpose(0, 2, 3, 1), padding, padding, padding, padding)
-    small = n * kh * kw * c * out_h * out_w <= _BLOCK
-    out = np.empty((n, out_h, out_w, k), dtype=np.float32)
-    _correlate(xp, weight.data.transpose(2, 3, 1, 0).reshape(-1, k), kh, kw, stride, out,
-               small)
-
     nx, nw = _grad_node(x), _grad_node(weight)
+    xs = x.data.transpose(0, 2, 3, 1)
     # the padded input is what dw re-gathers its columns from; dx needs only
     # the weight
-    saved = xp if nw is not None else None
+    saved = None
+    if nw is not None:
+        saved = np.empty((n, hp, wp, c), dtype=np.float32) if padding else np.ascontiguousarray(xs)
+    small = n * kh * kw * c * out_h * out_w <= _BLOCK
+    out = np.empty((n, out_h, out_w, k), dtype=np.float32)
+    _correlate(xs, weight.data.transpose(2, 3, 1, 0).reshape(-1, k), kh, kw, stride, out,
+               small, (padding,) * 4, saved)
     w_data = weight.data if nx is not None else None
-    rows = list(_phases(h, kh, stride, padding))
-    cols = list(_phases(w, kw, stride, padding))
+    rows = list(_phases(h, kh, stride, padding, out_h))
+    cols = list(_phases(w, kw, stride, padding, out_w))
 
     def backward(g):
         g = _nhwc(g)
@@ -475,18 +480,15 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
             nx._accumulate(input_grad(g), fresh=True)
 
     def input_grad(g):
-        lo_h, hi_h = _pads(rows, kh, stride, out_h)
-        lo_w, hi_w = _pads(cols, kw, stride, out_w)
-        gp = _padded(g, lo_h, hi_h, lo_w, hi_w)
         every_pixel = len(rows) * len(cols) == stride * stride
         dx = (np.empty if every_pixel else np.zeros)((n, h, w, c), dtype=np.float32)
-        for a, y0, py, oy in rows:
-            for b, x0, px, ox in cols:
+        for a, y0, py, read_h, pad_h in rows:
+            for b, x0, px, read_w, pad_w in cols:
                 taps = w_data[:, :, a::stride, b::stride][:, :, ::-1, ::-1]
                 th, tw = taps.shape[2:]
                 dst = dx if stride == 1 else np.empty((n, py, px, c), dtype=np.float32)
-                _correlate(gp[:, lo_h + oy :, lo_w + ox :],
-                           taps.transpose(2, 3, 0, 1).reshape(-1, c), th, tw, 1, dst, False)
+                _correlate(g[:, read_h, read_w], taps.transpose(2, 3, 0, 1).reshape(-1, c), th,
+                           tw, 1, dst, False, pad_h + pad_w)
                 if stride > 1:
                     dx[:, y0::stride, x0::stride] = dst
         return dx.transpose(0, 3, 1, 2)

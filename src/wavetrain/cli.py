@@ -62,9 +62,7 @@ def _load_datasets(cfg: RunConfig):
             raise ConfigError(f"data.num_classes = {cfg['data.num_classes']} classes and "
                               f"data.n_train + data.n_val = {total} samples do not fit "
                               f"in memory: {exc}") from None
-        train = full.subset(np.arange(cfg["data.n_train"]))
-        val = full.subset(np.arange(cfg["data.n_train"], total))
-        return train, val
+        return full.split(cfg["data.n_train"])
     if cfg["data.source"] == "cifar10":
         rel = cfg["data.path"]
         if rel is None:

@@ -1,5 +1,7 @@
 """Dataset ingestion: the CIFAR-10 binary layout and a seeded synthetic
-generator used for desk-scale experiments."""
+generator used for desk-scale experiments. The generator streams: it fills
+its float32 images one block of ``SYNTHETIC_BLOCK`` samples at a time, so
+its float64 temporaries stay one block in size whatever the set's size."""
 
 from __future__ import annotations
 
@@ -22,6 +24,8 @@ GRATING_AMPLITUDE = 0.06
 NOISE = 0.06
 # the share of a loaded set that split_train_val holds out for validation
 VAL_FRACTION = 0.1
+# samples per block of the synthetic generator's float64 arithmetic (~0.8 MB)
+SYNTHETIC_BLOCK = 32
 
 
 @dataclass
@@ -48,6 +52,11 @@ class Dataset:
 
     def subset(self, indices):
         return Dataset(self.images[indices], self.labels[indices], self.num_classes)
+
+    def split(self, n):
+        """The first ``n`` samples and the rest, as views of this set's arrays."""
+        return (Dataset(self.images[:n], self.labels[:n], self.num_classes),
+                Dataset(self.images[n:], self.labels[n:], self.num_classes))
 
 
 def data_root() -> str:
@@ -103,8 +112,14 @@ def synthetic_dataset(num_classes: int, n: int, seed: int) -> Dataset:
             patterns[c, ch] = base * (1.0 if ch == c % 3 else 0.6)
 
     labels = np.arange(n, dtype=np.int64) % num_classes
-    images = 0.5 + patterns[labels] + NOISE * rng.standard_normal((n, 3, size, size))
-    images = np.clip(images, 0.0, 1.0).astype(np.float32)
+    images = np.empty((n, 3, size, size), dtype=np.float32)
+    # successive draws continue one standard-normal stream, so the blocks
+    # hold the same noise as one draw of the whole set
+    for s0 in range(0, n, SYNTHETIC_BLOCK):
+        s1 = min(s0 + SYNTHETIC_BLOCK, n)
+        noise = rng.standard_normal((s1 - s0, 3, size, size))
+        block = 0.5 + patterns[labels[s0:s1]] + NOISE * noise
+        images[s0:s1] = np.clip(block, 0.0, 1.0, out=block)
     return Dataset(images, labels, num_classes=num_classes)
 
 
@@ -114,4 +129,4 @@ def split_train_val(dataset: Dataset):
     n_val = max(1, int(round(n * VAL_FRACTION)))
     if n_val >= n:
         raise InputError("validation split would consume the whole dataset")
-    return dataset.subset(np.arange(0, n - n_val)), dataset.subset(np.arange(n - n_val, n))
+    return dataset.split(n - n_val)

@@ -226,19 +226,14 @@ class Model:
             training,
         )
 
-    def _block(self, prefix, x, stride, training, has_proj, step=1):
-        """One residual block; ``step`` 2 computes only its even-even output
-        pixels: conv2 and the projection at twice their strides."""
-        o = ad.relu(self._bn(f"{prefix}.bn1", x, training))
-        y = ad.conv2d(o, self.params[f"{prefix}.conv1.weight"], stride=stride, padding=1)
-        y = ad.relu(self._bn(f"{prefix}.bn2", y, training))
-        y = ad.conv2d(y, self.params[f"{prefix}.conv2.weight"], stride=step, padding=1)
-        if has_proj:
-            shortcut = ad.conv2d(o, self.params[f"{prefix}.proj.weight"], stride=stride * step,
-                                 padding=0)
-        else:
-            shortcut = x
-        return y + shortcut
+    @staticmethod
+    def _relu(h):
+        """ReLU of an activation the forward has just made. Without a tape
+        nothing else holds its map, so it is overwritten in place."""
+        if h.requires_grad:
+            return ad.relu(h)
+        np.maximum(h.data, 0.0, out=h.data)
+        return h
 
     def _pool(self, x, decimated):
         """The configured wavelet stage; on a map whose convs kept only the
@@ -260,12 +255,24 @@ class Model:
             h = self._pool(h, decimated)
         last = len(self._blocks) - 1
         for i, (prefix, _, _, stride, has_proj) in enumerate(self._blocks):
-            h = self._block(prefix, h, stride, training, has_proj,
-                            step=2 if tail and i == last else 1)
+            # a residual block; the last one of ``tail`` computes only its
+            # even-even pixels: conv2 and the projection at twice their strides
+            step = 2 if tail and i == last else 1
+            o = self._relu(self._bn(f"{prefix}.bn1", h, training))
+            y = ad.conv2d(o, self.params[f"{prefix}.conv1.weight"], stride=stride, padding=1)
+            if has_proj:
+                # the shortcut replaces the input, which bn1 read last
+                h = ad.conv2d(o, self.params[f"{prefix}.proj.weight"], stride=stride * step,
+                              padding=0)
+            del o
+            y = self._relu(self._bn(f"{prefix}.bn2", y, training))
+            y = ad.conv2d(y, self.params[f"{prefix}.conv2.weight"], stride=step, padding=1)
+            h = y + h
+            del y
         h = self._bn("bn_final", h, training)
         if cfg.wap_position == "before_final_relu":
             h = self._pool(h, tail)
-        return ad.relu(h)
+        return self._relu(h)
 
     def forward(self, x: Tensor, training: bool = False, return_features: bool = False):
         cfg = self.cfg

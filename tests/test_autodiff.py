@@ -1,3 +1,4 @@
+import contextlib
 import ctypes
 import gc
 import math
@@ -137,6 +138,32 @@ def input_grad_reference(w, g, stride, padding, h, wd):
     return dx.transpose(0, 3, 1, 2)
 
 
+def weight_grad_reference(x, g, wshape, stride, padding):
+    """conv2d's weight gradient in plain numpy: the whole batch padded at
+    once, then per batch block of the forward's columns the block's output
+    gradient rows, transposed, times its columns (float64-accumulated when
+    the columns fit in one block), the blocks' products summed in float32 in
+    batch order."""
+    n, c = x.shape[:2]
+    k, _, kh, kw = wshape
+    xp = np.pad(x.transpose(0, 2, 3, 1), ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    win = win[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)  # (N, oh, ow, kh, kw, C)
+    cols = win.reshape(n, -1, kh * kw * c)
+    rows = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n, -1, k)
+    step = max(1, ad._BLOCK // (cols.shape[1] * cols.shape[2]))
+    dw = None
+    for s0 in range(0, n, step):
+        a = rows[s0 : s0 + step].reshape(-1, k).T
+        b = cols[s0 : s0 + step].reshape(-1, cols.shape[2])
+        if n <= step:
+            part = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.float32)
+        else:
+            part = a @ b
+        dw = part if dw is None else dw + part
+    return dw.reshape(k, kh, kw, c).transpose(0, 3, 1, 2)
+
+
 def assert_input_grad_matches_reference(rng, n, cin_hw, wshape, stride, padding):
     x = rng.standard_normal((n,) + tuple(cin_hw)).astype(np.float32)
     w = (rng.standard_normal(wshape) / np.sqrt(np.prod(wshape[1:]))).astype(np.float32)
@@ -273,6 +300,38 @@ class TestConv2d:
             ad.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))), 1, 0)
 
 
+class TestConvBlockEdges:
+    """conv2d pads one batch block at a time; its output, weight gradient and
+    input gradient equal, bit for bit, the references that pad the whole
+    batch at once. Batch sizes: one sample and the largest batch whose
+    columns fit in one float64-accumulated block, then two float32 blocks
+    and a one-sample remainder."""
+
+    @pytest.mark.parametrize("ksize", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_matches_whole_batch_padding(self, rng, ksize, stride, padding):
+        c, h, k = 16, 24, 8
+        out_h = (h + 2 * padding - ksize) // stride + 1
+        step = ad._BLOCK // (c * ksize * ksize * out_h * out_h)
+        for n in (1, step, 2 * step + 1):
+            x = rng.standard_normal((n, c, h, h)).astype(np.float32)
+            w = (rng.standard_normal((k, c, ksize, ksize)) / np.sqrt(c * ksize * ksize)).astype(
+                np.float32)
+            g = rng.standard_normal((n, k, out_h, out_h)).astype(np.float32)
+            want = conv2d_reference(x, w, stride, padding)
+            dx = input_grad_reference(w, g, stride, padding, h, h)
+            for trainable in (False, True):
+                xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=trainable)
+                out = ad.conv2d(xt, wt, stride=stride, padding=padding)
+                assert out.data.strides == want.strides, (n, trainable)
+                assert out.data.tobytes() == want.tobytes(), (n, trainable)
+                ad.mul(out, Tensor(g)).sum().backward()
+                assert xt.grad.tobytes() == dx.tobytes(), (n, trainable)
+            dw = weight_grad_reference(x, g, w.shape, stride, padding)
+            assert wt.grad.tobytes() == dw.tobytes(), n
+
+
 def _has_mallopt():
     try:
         return hasattr(ctypes.CDLL(None), "mallopt")
@@ -280,7 +339,35 @@ def _has_mallopt():
         return False
 
 
+# tracemalloc's allowance, beyond a conv forward's output, one padded block
+# and one column block, for the views and shapes numpy and Python make: 12 KB
+# measured, where padding the whole batch at once added 4.6 MB at (64, 16,
+# 32, 32)
+CONV_FORWARD_SLACK = 32 << 10
+
+
 class TestConvMemory:
+    @pytest.mark.parametrize("no_tape", [False, True], ids=["frozen", "no_grad"])
+    def test_forward_holds_one_padded_block(self, rng, no_tape):
+        # frozen: the weight takes no gradient; no_grad: it would, but no tape
+        # is recorded, so neither keeps a padded input
+        x = Tensor(rng.standard_normal((64, 16, 32, 32)).astype(np.float32))
+        w = Tensor(rng.standard_normal((16, 16, 3, 3)).astype(np.float32), requires_grad=no_tape)
+        # one sample's 32x32 output pixels of 3*3*16 taps fill a block
+        assert ad._BLOCK // (32 * 32 * 144) == 1
+        out_bytes, padded_block, column_block = x.data.nbytes, 34 * 34 * 16 * 4, 32 * 32 * 144 * 4
+        with ad.no_grad() if no_tape else contextlib.nullcontext():
+            ad.conv2d(x, w, stride=1, padding=1)  # numpy's caches
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                out = ad.conv2d(x, w, stride=1, padding=1)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert not out.requires_grad
+        assert peak < out_bytes + padded_block + column_block + CONV_FORWARD_SLACK
+
     def test_frozen_weight_keeps_no_column_matrix(self, rng):
         x = Tensor(rng.standard_normal((16, 16, 32, 32)).astype(np.float32), requires_grad=True)
         w = Tensor(rng.standard_normal((16, 16, 3, 3)).astype(np.float32))
