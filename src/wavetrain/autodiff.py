@@ -6,11 +6,15 @@ parents that take gradient, and its shape. A leaf's node (a parameter or an
 input) has no rule and no parents; a primitive that takes a tensor requiring
 gradient gives its output both. The node does not hold the output's array,
 and each rule keeps only the arrays it reads: conv2d its weight, plus its
-padded input when the weight trains; batch norm x-hat and its scale, plus
-its input for an eval-mode trainable gamma; relu a boolean mask; linear and
-mul the other operand; add, scale, sums, the global average and the wavelet
-filters nothing but shapes. So an activation dies as soon as the forward
-drops its last reference, unless a rule reads that very array.
+input when the weight trains; batch norm x-hat and its scale, plus its input
+for an eval-mode trainable gamma; relu a boolean mask; linear and mul the
+other operand; add, scale, sums, the global average and the wavelet filters
+nothing but shapes. So an activation dies as soon as the forward drops its
+last reference, unless a rule reads that very array. A rule keeps such an
+array by reference, not as a copy, so nothing may write to an array after a
+primitive has read it until the backward is done: the model's in-place ReLU
+overwrites only an activation the forward has just made, before any
+primitive reads it, and the optimiser steps after the backward.
 
 Calling ``backward`` on a scalar replays the recorded rules in reverse
 topological order, visiting each node exactly once. The walk consumes the
@@ -25,9 +29,9 @@ rounding back to float32, which keeps finite-difference gradient checks
 stable. Larger convolutions stream their im2col columns through batch blocks
 of at most ``_BLOCK`` elements with float32 BLAS, so no full column matrix is
 ever built or kept on the tape. Each block is zero-padded on its own, so a
-conv holds one padded block and one column block at a time; only a conv
-whose weight takes gradient pads the whole batch, into the buffer its rule
-keeps. With tape recording off nothing takes gradient, so no rule is built.
+conv holds one padded block and one column block at a time, in the forward
+and in each gradient; no padded copy of a whole batch is made. With tape
+recording off nothing takes gradient, so no rule is built.
 
 Convolution activations are channels-last: ``conv2d`` returns an NCHW view
 of (N, H, W, K) memory, and the pointwise ops, batch norm and the global
@@ -344,42 +348,38 @@ def _nhwc(a):
     return np.ascontiguousarray(a.transpose(0, 2, 3, 1))
 
 
-def _windows(src, kh, kw, stride, out_h, out_w, pads=(0, 0, 0, 0), into=None):
+def _windows(src, kh, kw, stride, out_h, out_w, pads=(0, 0, 0, 0)):
     """Yield (s0, s1, cols) per batch block of the NHWC array ``src``, padded
-    by ``pads`` (top, bottom, left, right) one block at a time: cols is the
-    contiguous (nb*out_h*out_w, kh*kw*C) copy of the block's windows at
-    (y*stride, x*stride), one row per output pixel, taps in (kh, kw, C)
-    order. A block is padded into ``into[s0:s1]`` when given (a whole padded
-    batch that a backward rule keeps), else into one block buffer; every
-    block's cols reuse one buffer, so a caller is done with them before it
-    asks for the next block. A channel-major ``src`` (such as the NCHW model
-    input) is copied one channel plane at a time, which reads it in order."""
+    by ``pads`` (top, bottom, left, right) one block at a time into one block
+    buffer: cols is the contiguous (nb*out_h*out_w, kh*kw*C) copy of the
+    block's windows at (y*stride, x*stride), one row per output pixel, taps
+    in (kh, kw, C) order. Every block's cols reuse one buffer, so a caller is
+    done with them before it asks for the next block. A channel-major ``src``
+    (such as the NCHW model input) is copied one channel plane at a time,
+    which reads it in order."""
     n, h, w, c = src.shape
     top, bottom, left, right = pads
     rows = kh * kw * c
     step = min(n, max(1, _BLOCK // (rows * out_h * out_w)))
-    whole = into is not None
     if any(pads):
-        if not whole:
-            into = np.empty((step, top + h + bottom, left + w + right, c), dtype=np.float32)
+        padded = np.empty((step, top + h + bottom, left + w + right, c), dtype=np.float32)
         # only the border is zero-filled, once; each block fills the inside
-        into[:, :top] = 0.0
-        into[:, top + h :] = 0.0
-        into[:, top : top + h, :left] = 0.0
-        into[:, top : top + h, left + w :] = 0.0
+        padded[:, :top] = 0.0
+        padded[:, top + h :] = 0.0
+        padded[:, top : top + h, :left] = 0.0
+        padded[:, top : top + h, left + w :] = 0.0
     buf = np.empty((step, out_h, out_w, kh, kw, c), dtype=np.float32)
     for s0 in range(0, n, step):
         s1 = min(s0 + step, n)
         block = src[s0:s1]
         if any(pads):
-            padded = into[s0:s1] if whole else into[: s1 - s0]
-            inner = padded[:, top : top + h, left : left + w]
+            inner = padded[: s1 - s0, top : top + h, left : left + w]
             if block.strides[3] > block.strides[2]:
                 for ch in range(c):
                     inner[..., ch] = block[..., ch]
             else:
                 inner[...] = block
-            block = padded
+            block = padded[: s1 - s0]
         sn, sh, sw, sc = block.strides
         cols = buf[: s1 - s0]
         cols[...] = np.lib.stride_tricks.as_strided(
@@ -394,7 +394,7 @@ def _gemm(a, b, wide):
     return a @ b
 
 
-def _correlate(src, w2, kh, kw, stride, out, wide, pads=(0, 0, 0, 0), into=None):
+def _correlate(src, w2, kh, kw, stride, out, wide, pads=(0, 0, 0, 0)):
     """out[n, y, x] = the (kh, kw) window at (y*stride, x*stride) of the NHWC
     array ``src`` padded by ``pads``, flattened in (kh, kw, C) order, times
     w2[kh*kw*C, K]: one gather and one pixel-major GEMM per batch block of
@@ -403,7 +403,7 @@ def _correlate(src, w2, kh, kw, stride, out, wide, pads=(0, 0, 0, 0), into=None)
     rounded into ``out`` as they come."""
     k = out.shape[3]
     w64 = w2.astype(np.float64) if wide else None
-    for s0, s1, cols in _windows(src, kh, kw, stride, *out.shape[1:3], pads, into):
+    for s0, s1, cols in _windows(src, kh, kw, stride, *out.shape[1:3], pads):
         dst = out[s0:s1].reshape(-1, k)
         if wide:
             step = max(1, (_BLOCK >> 3) // (cols.shape[1] + k))
@@ -454,15 +454,14 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
 
     nx, nw = _grad_node(x), _grad_node(weight)
     xs = x.data.transpose(0, 2, 3, 1)
-    # the padded input is what dw re-gathers its columns from; dx needs only
-    # the weight
-    saved = None
-    if nw is not None:
-        saved = np.empty((n, hp, wp, c), dtype=np.float32) if padding else np.ascontiguousarray(xs)
+    pads = (padding,) * 4
+    # dw re-gathers its columns from the input, padded block by block as in
+    # the forward; dx needs only the weight
+    saved = xs if nw is not None else None
     small = n * kh * kw * c * out_h * out_w <= _BLOCK
     out = np.empty((n, out_h, out_w, k), dtype=np.float32)
     _correlate(xs, weight.data.transpose(2, 3, 1, 0).reshape(-1, k), kh, kw, stride, out,
-               small, (padding,) * 4, saved)
+               small, pads)
     w_data = weight.data if nx is not None else None
     rows = list(_phases(h, kh, stride, padding, out_h))
     cols = list(_phases(w, kw, stride, padding, out_w))
@@ -471,7 +470,7 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
         g = _nhwc(g)
         if nw is not None:
             dw = None
-            for s0, s1, win in _windows(saved, kh, kw, stride, out_h, out_w):
+            for s0, s1, win in _windows(saved, kh, kw, stride, out_h, out_w, pads):
                 part = _gemm(g[s0:s1].reshape(-1, k).T, win, small)
                 dw = part if dw is None else dw + part
             dw = dw.reshape(k, kh, kw, c).transpose(0, 3, 1, 2)

@@ -169,15 +169,10 @@ def cmd_attack(cfg: RunConfig, out_dir: str, args) -> int:
 
 def cmd_heatmap(cfg: RunConfig, out_dir: str, args) -> int:
     model, val = _checkpoint_and_val(cfg, args)
-    h, w = val.images.shape[2:]
-    rows = cfg["heatmap.rows"] or h // 2 + 1
-    cols = cfg["heatmap.cols"] or w
-    # the cell grid lies within the image half-spectrum
-    check_range("heatmap.rows", rows, f"[1,{h // 2 + 1}]")
-    check_range("heatmap.cols", cols, f"[1,{w}]")
     grid = fourier_heat_map(model, val, eps_f=cfg["heatmap.eps_f"],
                             samples_per_cell=cfg["heatmap.samples_per_cell"],
-                            seed=cfg["seed"], rows=rows, cols=cols)
+                            seed=cfg["seed"], rows=cfg["heatmap.rows"] or None,
+                            cols=cfg["heatmap.cols"] or None)
     write_pgm(os.path.join(out_dir, "heatmap.pgm"), grid.error_rates)
     csv_rows = [
         (i, j, grid.error_rates[i, j])

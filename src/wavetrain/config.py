@@ -16,7 +16,7 @@ from typing import Optional, get_type_hints
 
 from .attacks import AttackConfig, NesConfig
 from .errors import ConfigError, check_range
-from .model import ModelConfig
+from .model import INPUT_SIZE, ModelConfig
 from .training import TrainConfig
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
@@ -101,6 +101,9 @@ RANGES = {
     "data.n_val": "[1,inf)",
     "heatmap.eps_f": "(0,inf)",
     "heatmap.samples_per_cell": "[1,inf)",
+    # the cell grid lies within the input's half-spectrum
+    "heatmap.rows": f"[0,{INPUT_SIZE // 2 + 1}]",
+    "heatmap.cols": f"[0,{INPUT_SIZE}]",
     "gradcam.class_id": "[-1,inf)",
     "theorem.grid_points": "[1,inf)",
 }

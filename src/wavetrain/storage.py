@@ -141,7 +141,8 @@ def load_checkpoint(path) -> Model:
         start = r.pos
         payload = r.take(4 * size, f"payload of {name}")
         try:
-            arr = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+            # a read-only view: load_state_arrays copies it into the model
+            arr = np.frombuffer(payload, dtype="<f4").reshape(dims)
         except ValueError as exc:  # a rank numpy cannot represent
             raise FormatError(f"record {name!r}: {exc}", offset=start) from None
         items.append((name, arr))

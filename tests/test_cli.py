@@ -249,6 +249,7 @@ BAD_VALUES = [
     "train --set seed=-1",
     "heatmap --set heatmap.rows=-1",
     "heatmap --set heatmap.rows=40",
+    "heatmap --set heatmap.cols=33",
     "eval --set data.n_val=-2",
     "heatmap --set heatmap.samples_per_cell=0",
     "attack --set attack.step_size=nan",
