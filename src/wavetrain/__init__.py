@@ -13,10 +13,11 @@ import os
 import sys
 
 # single-sequence determinism is the contract, and one BLAS thread is faster
-# than two on small desk-scale GEMMs; honored only if the user has not chosen
+# than two on small desk-scale GEMMs; honored only if the user has set
+# neither variable, since OpenBLAS prefers its own over OMP_NUM_THREADS
 _BLAS_CHOSEN = "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-os.environ.setdefault("OMP_NUM_THREADS", "1")
+if not _BLAS_CHOSEN:
+    os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = "1"
 
 
 def _pin_loaded_blas():

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import InputError, NumericError, check_range
+from .errors import InputError, NumericError, check_range, physical_memory
 
 
 @dataclass
@@ -74,31 +74,17 @@ def eval_logits(model, x) -> np.ndarray:
     return logits
 
 
-def _frozen_params(model):
-    params = getattr(model, "params", None)
-    return list(params.values()) if isinstance(params, dict) else []
-
-
 def _input_grad(model, x, y, kappa):
-    # parameters do not need gradients here; freezing them skips the weight
-    # gradient computation in every layer's backward rule
-    params = _frozen_params(model)
-    flags = [p.requires_grad for p in params]
-    for p in params:
-        p.requires_grad = False
-    try:
-        # the finiteness check below reports any overflow
-        with np.errstate(over="ignore", invalid="ignore"):
-            t = Tensor(x, requires_grad=True)
-            logits = model.forward(t, training=False)
-            if kappa is None:
-                loss = ad.softmax_cross_entropy(logits, y)
-            else:
-                loss = -ad.cw_margin_loss(logits, y, kappa)
-            loss.backward()
-    finally:
-        for p, flag in zip(params, flags):
-            p.requires_grad = flag
+    t = Tensor(x, requires_grad=True)
+    # the tape records only the paths from the input, so no rule builds a
+    # weight gradient; the finiteness check below reports any overflow
+    with ad.no_grad(t), np.errstate(over="ignore", invalid="ignore"):
+        logits = model.forward(t, training=False)
+        if kappa is None:
+            loss = ad.softmax_cross_entropy(logits, y)
+        else:
+            loss = -ad.cw_margin_loss(logits, y, kappa)
+        loss.backward()
     if not np.all(np.isfinite(t.grad)):
         raise NumericError("non-finite input gradient during attack")
     return t.grad
@@ -194,7 +180,8 @@ class NesConfig:
         check_range("epsilon", self.epsilon, "[0,inf)")
         check_range("lr", self.lr, "[0,inf)")
         check_range("fd_eta", self.fd_eta, "(0,inf)")
-        check_range("samples_per_step", self.samples_per_step, "[1,inf)")
+        # one step draws this many float64 perturbations of one input
+        check_range("samples_per_step", self.samples_per_step, f"[1,{physical_memory() // 8}]")
         # the budget covers at least one estimation step
         check_range("max_queries", self.max_queries, f"[{2 * self.samples_per_step},inf)")
 

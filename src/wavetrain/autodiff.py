@@ -16,6 +16,11 @@ primitive has read it until the backward is done: the model's in-place ReLU
 overwrites only an activation the forward has just made, before any
 primitive reads it, and the optimiser steps after the backward.
 
+``no_grad(*leaves)`` is the one tape switch: inside it a primitive is
+recorded only when one of its inputs is one of ``leaves`` or was recorded
+from them there, so a gradient for one tensor (an attack's input, Grad-CAM's
+features) builds no rule for any other; ``no_grad()`` records nothing.
+
 Calling ``backward`` on a scalar replays the recorded rules in reverse
 topological order, visiting each node exactly once. The walk consumes the
 tape: as soon as a node's rule has run, the node lets go of its gradient, its
@@ -30,8 +35,7 @@ stable. Larger convolutions stream their im2col columns through batch blocks
 of at most ``_BLOCK`` elements with float32 BLAS, so no full column matrix is
 ever built or kept on the tape. Each block is zero-padded on its own, so a
 conv holds one padded block and one column block at a time, in the forward
-and in each gradient; no padded copy of a whole batch is made. With tape
-recording off nothing takes gradient, so no rule is built.
+and in each gradient; no padded copy of a whole batch is made.
 
 Convolution activations are channels-last: ``conv2d`` returns an NCHW view
 of (N, H, W, K) memory, and the pointwise ops, batch norm and the global
@@ -62,19 +66,20 @@ import numpy as np
 
 from .errors import DimensionError, InputError, UsageError, check_range
 
-_grad_enabled = True
+_recordable = None  # inside no_grad: the nodes the tape records from
 
 
 @contextlib.contextmanager
-def no_grad():
-    """Disable tape recording inside the context (eval-only forward passes)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+def no_grad(*leaves):
+    """Record only the paths from ``leaves`` inside the context; with no
+    leaves, record nothing (eval-only forward passes)."""
+    global _recordable
+    prev = _recordable
+    _recordable = {t._node for t in leaves}
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _recordable = prev
 
 
 def _f32(x):
@@ -213,9 +218,10 @@ def _topo_order(root):
 
 def _grad_node(t):
     """The tape node that gradient for ``t`` goes to, or None when ``t``
-    takes none or tape recording is off. A rule captures these, never its
-    parent tensors, so it keeps no parent's array alive."""
-    return t._node if _grad_enabled and t.requires_grad else None
+    takes none or the tape does not record from it. A rule captures these,
+    never its parent tensors, so it keeps no parent's array alive."""
+    recorded = t.requires_grad if _recordable is None else t._node in _recordable
+    return t._node if recorded else None
 
 
 def _make(data, parents, backward):
@@ -226,6 +232,8 @@ def _make(data, parents, backward):
     if parents:
         out.requires_grad = True
         out._node = _Node(out.data.shape, parents, backward)
+        if _recordable is not None:
+            _recordable.add(out._node)
     return out
 
 
@@ -635,7 +643,7 @@ def margin_rows(logits, labels):
 
 def check_labels(labels, n, num_classes):
     """``labels`` as int64 of shape ``(n,)``, each in ``[0, num_classes)``: the
-    one label check of the losses, the attacks and clean accuracy."""
+    one label check of the losses, the attacks, clean accuracy and datasets."""
     labels = np.asarray(labels)
     if labels.shape != (n,):
         raise InputError(f"labels must have shape ({n},), got {labels.shape}")

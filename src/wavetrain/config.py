@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional, get_type_hints
 
 from .attacks import AttackConfig, NesConfig
-from .errors import ConfigError, check_range
+from .errors import ConfigError, check_range, physical_memory
 from .model import INPUT_SIZE, ModelConfig
 from .training import TrainConfig
 
@@ -105,7 +105,8 @@ RANGES = {
     "heatmap.rows": f"[0,{INPUT_SIZE // 2 + 1}]",
     "heatmap.cols": f"[0,{INPUT_SIZE}]",
     "gradcam.class_id": "[-1,inf)",
-    "theorem.grid_points": "[1,inf)",
+    # the float64 quadrature grid fits in physical memory
+    "theorem.grid_points": f"[1,{physical_memory() // 8}]",
 }
 
 

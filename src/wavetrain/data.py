@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import check_labels
 from .errors import FormatError, InputError, check_range
 
 CIFAR10_RECORD_BYTES = 3073
@@ -36,13 +37,10 @@ class Dataset:
 
     def __post_init__(self):
         self.images = np.asarray(self.images, dtype=np.float32)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.images.ndim != 4 or self.images.shape[0] == 0:
             raise InputError("dataset images must be a non-empty [N,C,H,W] array")
-        if self.labels.shape != (self.images.shape[0],):
-            raise InputError("labels must align with images")
-        if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
-            raise InputError(f"labels must lie in [0,{self.num_classes})")
+        self.labels = check_labels(np.asarray(self.labels, dtype=np.int64),
+                                   self.images.shape[0], self.num_classes)
         lo, hi = float(self.images.min()), float(self.images.max())
         if not (0.0 <= lo and hi <= 1.0):  # false for NaN too
             raise InputError(f"image values must lie in [0,1], got [{lo},{hi}]")

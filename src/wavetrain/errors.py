@@ -5,9 +5,12 @@ format errors 3, numeric errors 4, any other package error 1.
 
 Every scalar bound on a setting or an argument is one ``check_range`` call
 at the place that takes the value; only relations between values (such as
-increasing milestones) are written out by hand.
+increasing milestones) are written out by hand. A size whose arrays could
+not fit in ``physical_memory()`` is refused the same way, before numpy is
+asked for them.
 """
 
+import os
 from numbers import Integral
 
 import numpy as np
@@ -70,3 +73,8 @@ def check_range(name, value, interval, error=ConfigError):
         raise error(f"{name}={value!r} lies outside {interval}")
     if not isinstance(value, Integral) and abs(value) > FLOAT32_MAX:
         raise error(f"{name}={value!r} is not finite in float32")
+
+
+def physical_memory():
+    """Bytes of physical memory: no array a setting asks for may exceed it."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")

@@ -25,9 +25,10 @@ kept -0.0 stays -0.0 (the pool adds taps into +0.0) and an odd subnormal's
 half, a tie, rounds to even (the pool's float64 taps round it toward zero).
 
 ``forward(..., return_features=True)`` runs the trunk without a tape and
-returns the final ReLU's output as a new ``requires_grad`` leaf, from which
-the head (the wavelet stage at ``after_final_relu``, the average, the
-classifier) is built; a backward from the logits stops there.
+returns the final ReLU's output as a new ``requires_grad`` leaf. The head
+(the wavelet stage at ``after_final_relu``, the average, the classifier) runs
+under ``no_grad(features)``: a backward from the logits stops at the
+features and gives no parameter a gradient.
 
 Both decimations give the full graph's logits bytes at most batch sizes, but
 conv2d picks its blocking from the conv's own size (width 1): the stride-2
@@ -42,7 +43,6 @@ partial sums OpenBLAS orders by their depth.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Optional
@@ -51,7 +51,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, DimensionError, check_range
+from .errors import ConfigError, DimensionError, check_range, physical_memory
 from .wavelet import (
     FilterBank,
     filter_bank,
@@ -90,7 +90,7 @@ class ModelConfig:
         # refused before anything is allocated: numpy never sees one
         # impossible size when a huge depth makes many small arrays
         state_bytes = 4 * state_size(self)
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        memory = physical_memory()
         if state_bytes > memory:
             raise ConfigError(f"depth {self.depth}, width {self.width} and {self.num_classes} "
                               f"classes need {state_bytes} bytes of model state, more than "
@@ -274,6 +274,12 @@ class Model:
             h = self._pool(h, tail)
         return self._relu(h)
 
+    def _head(self, h, tail):
+        """The wavelet stage at ``after_final_relu``, the average, the classifier."""
+        if self.cfg.wap_position == "after_final_relu":
+            h = self._pool(h, tail)
+        return ad.linear(ad.global_avg_pool(h), self.params["fc.weight"], self.params["fc.bias"])
+
     def forward(self, x: Tensor, training: bool = False, return_features: bool = False):
         cfg = self.cfg
         if x.data.shape[1:] != (3, INPUT_SIZE, INPUT_SIZE):
@@ -285,21 +291,14 @@ class Model:
         tail = (self._keep is not None and self._blocks[-1][4] and not training
                 and not return_features
                 and cfg.wap_position in ("before_final_relu", "after_final_relu"))
-        if return_features:
-            # no tape for the trunk: the head's graph starts from a leaf, so
-            # backward from the logits stops at the features
-            with ad.no_grad():
-                h = self._features(x, training, tail)
-            h = features = Tensor(h.data, requires_grad=True)
-        else:
-            h = self._features(x, training, tail)
-        if cfg.wap_position == "after_final_relu":
-            h = self._pool(h, tail)
-        logits = ad.linear(ad.global_avg_pool(h), self.params["fc.weight"],
-                           self.params["fc.bias"])
-        if return_features:
-            return logits, features
-        return logits
+        if not return_features:
+            return self._head(self._features(x, training, tail), tail)
+        # no tape for the trunk and only the features' paths in the head, so
+        # backward from the logits stops at the features
+        with ad.no_grad():
+            features = Tensor(self._features(x, training, tail).data, requires_grad=True)
+        with ad.no_grad(features):
+            return self._head(features, tail), features
 
     # -- bookkeeping ----------------------------------------------------------
 

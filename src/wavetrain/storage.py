@@ -79,6 +79,8 @@ def save_checkpoint(model: Model, path) -> None:
 
 
 class _Reader:
+    """Sequential reads of a memoryview: each read is a view, not a copy."""
+
     def __init__(self, blob):
         self.blob = blob
         self.pos = 0
@@ -96,7 +98,7 @@ class _Reader:
     def text(self, n, what):
         start = self.pos
         try:
-            return self.take(n, what).decode("utf-8")
+            return str(self.take(n, what), "utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"{what} is not UTF-8", offset=start + exc.start) from None
 
@@ -114,15 +116,18 @@ def load_checkpoint(path) -> Model:
     if len(blob) < 8:
         raise FormatError("truncated before version", offset=4)
 
+    # one view of the file: the CRC, the header and every record read it
+    # in place
+    body = memoryview(blob)[:-4]
     stored_crc = struct.unpack("<I", blob[-4:])[0]
-    actual_crc = zlib.crc32(blob[:-4]) & 0xFFFFFFFF
+    actual_crc = zlib.crc32(body) & 0xFFFFFFFF
     if stored_crc != actual_crc:
         raise FormatError(
             f"CRC mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}",
             offset=len(blob) - 4,
         )
 
-    r = _Reader(blob[:-4])
+    r = _Reader(body)
     r.take(4, "magic")
     version = r.u32("version")
     if version != VERSION:

@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,8 +20,10 @@ from wavetrain.attacks import (
     pgd,
 )
 from wavetrain.autodiff import Tensor
+from wavetrain.data import synthetic_dataset
 from wavetrain.errors import ConfigError, InputError
 from wavetrain.evaluation import accuracy
+from wavetrain.model import ModelConfig, build_model
 
 
 class LinearToyModel:
@@ -224,6 +228,21 @@ class TestCwPgd:
         assert got[1].x_adv.tobytes() == want[1].x_adv.tobytes()
         assert np.array_equal(eval_logits(model, got[1].x_adv).argmax(axis=1),
                               eval_logits(model, want[1].x_adv).argmax(axis=1))
+
+
+class TestParameterGradients:
+    @pytest.mark.parametrize("kind", list(WHITE_BOX))
+    def test_wrapper_without_params_gets_no_parameter_gradient(self, kind):
+        # a model object with only ``forward`` and ``cfg``: the attack cannot
+        # see its parameters, and still leaves none of them a gradient
+        model = build_model(ModelConfig(depth=1, width=1, num_classes=2), seed=0)
+        wrapper = types.SimpleNamespace(forward=model.forward, cfg=model.cfg)
+        ds = synthetic_dataset(2, 4, seed=2)
+        cfg = AttackConfig(epsilon=0.03, steps=2, restarts=2)
+        got = WHITE_BOX[kind](wrapper, ds.images, ds.labels, cfg, seed=3)
+        assert [name for name, p in model.params.items() if p.grad is not None] == []
+        want = WHITE_BOX[kind](model, ds.images, ds.labels, cfg, seed=3)
+        assert got.x_adv.tobytes() == want.x_adv.tobytes()
 
 
 class TestSuccess:

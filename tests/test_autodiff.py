@@ -457,6 +457,41 @@ class TestSimpleOps:
         assert t.grad.tobytes() == (g * minus_one).tobytes()
 
 
+class TestTapeSwitch:
+    """``no_grad(*leaves)`` records only the paths from its leaves."""
+
+    def test_only_the_leaves_take_gradient(self, rng):
+        x = Tensor(rng.standard_normal((3, 4)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 2)).astype(np.float32), requires_grad=True)
+        b = Tensor(rng.standard_normal(2).astype(np.float32), requires_grad=True)
+        ad.relu(ad.linear(x, w, b)).sum().backward()
+        want = x.grad
+        x.grad = w.grad = b.grad = None
+        with ad.no_grad(x):
+            ad.relu(ad.linear(x, w, b)).sum().backward()
+        assert x.grad.tobytes() == want.tobytes()
+        assert w.grad is None and b.grad is None
+
+    def test_a_node_recorded_elsewhere_is_not_recorded_from(self, rng):
+        w = Tensor(rng.standard_normal(3).astype(np.float32), requires_grad=True)
+        h = ad.relu(w)  # recorded outside the context
+        x = Tensor(rng.standard_normal(3).astype(np.float32), requires_grad=True)
+        with ad.no_grad(x):
+            out = ad.mul(x, h)
+            assert not ad.relu(h).requires_grad
+        out.sum().backward()
+        assert np.array_equal(x.grad, h.data)
+        assert w.grad is None
+
+    def test_no_leaves_record_nothing_and_contexts_nest(self, rng):
+        x = Tensor(rng.standard_normal(3).astype(np.float32), requires_grad=True)
+        with ad.no_grad(x):
+            with ad.no_grad():
+                assert not ad.relu(x).requires_grad
+            assert ad.relu(x).requires_grad
+        assert ad.relu(x).requires_grad and not ad.relu(Tensor(x.data)).requires_grad
+
+
 class TestSoftmaxCrossEntropy:
     def test_uniform_two_class(self):
         loss = ad.softmax_cross_entropy(Tensor([[0.0, 0.0]]), np.array([0]))

@@ -272,6 +272,12 @@ BAD_VALUES = [
     "train --set model.width=100000000000000000000",
     "attack --set attack.kind=nes --set nes.samples_per_step=1000000000000 "
     "--set nes.max_queries=10000000000000",
+    # sizes numpy cannot hold: refused while the config is built, where
+    # numpy raised (or linspace returned an empty grid)
+    "check theorems --set theorem.grid_points=4611686018427387904",
+    "check theorems --set theorem.grid_points=9223372036854775808",
+    "attack --set attack.kind=nes --set nes.samples_per_step=10000000000000000000 "
+    "--set nes.max_queries=20000000000000000000",
     # a zero finite-difference step would divide by zero inside NES
     "attack --set attack.kind=nes --set nes.fd_eta=0",
     # finite as Python floats, inf in float32: NES then scored NaN logits

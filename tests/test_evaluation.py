@@ -344,6 +344,12 @@ class TestGradCam:
                 h.update(cam.tobytes())
         assert h.hexdigest()[:32] == digest
 
+    def test_leaves_no_parameter_gradient(self, rng):
+        model = build_model(ModelConfig(depth=1, width=1, num_classes=2), seed=2)
+        for class_id in (0, 1):
+            gradcam(model, rng.random((3, 32, 32)).astype(np.float32), class_id)
+        assert [name for name, p in model.params.items() if p.grad is not None] == []
+
     def test_class_out_of_range(self, rng):
         model = SpatialMeanModel()
         with pytest.raises(InputError):

@@ -66,6 +66,12 @@ def test_explicit_thread_count_is_kept_after_numpy():
     assert blas_threads("import numpy, wavetrain", OPENBLAS_NUM_THREADS="2") == want
 
 
+@pytest.mark.parametrize("imports", ["import wavetrain, numpy", "import numpy, wavetrain"])
+def test_omp_thread_count_alone_is_kept_whatever_the_import_order(imports):
+    want = blas_threads("import numpy", OMP_NUM_THREADS="2")
+    assert blas_threads(imports, OMP_NUM_THREADS="2") == want
+
+
 def test_pgd_bytes_do_not_depend_on_the_import_order():
     assert (run("import wavetrain, numpy", PGD_DIGEST)
             == run("import numpy, wavetrain", PGD_DIGEST))
