@@ -22,7 +22,31 @@ from wavetrain.evaluation import (
     theorem_local_regularity_check,
 )
 from wavetrain.model import ModelConfig, build_model
-from wavetrain.wavelet import filter_bank
+from wavetrain.wavelet import SUPPORTED_BASES, filter_bank
+
+
+def cascade_oracle(fb, levels):
+    """The cascade by linear convolution: ``levels - 1`` upsample-and-convolve
+    steps with the synthesis lowpass give phi, then each highpass tap adds a
+    copy of phi at its dyadic shift."""
+    lo, hi = fb.lo_s, fb.hi_s
+    sqrt2 = np.sqrt(2.0)
+    phi = np.array([1.0])
+    for _ in range(levels - 1):
+        up = np.zeros(2 * len(phi) - 1)
+        up[::2] = phi
+        phi = sqrt2 * np.convolve(up, lo)
+    shift = 1 << (levels - 1)
+    length = (len(lo) - 1) * (1 << levels) + 1
+    psi = np.zeros(length)
+    for k, g in enumerate(hi):
+        if g == 0.0:
+            continue
+        start = k * shift
+        stop = min(start + len(phi), length)
+        psi[start:stop] += sqrt2 * g * phi[: stop - start]
+    grid = np.arange(length) / float(1 << levels)
+    return grid, psi
 
 
 class ConstantModel:
@@ -417,6 +441,15 @@ class TestLocalRegularity:
         target = 2 ** -0.5
         for ratio in res.modulus_halving_ratios:
             assert abs(ratio - target) <= 0.2 * target
+
+    @pytest.mark.parametrize("name", SUPPORTED_BASES)
+    @pytest.mark.parametrize("levels", [5, 12])
+    def test_cascade_wavelet_matches_convolution_oracle(self, name, levels):
+        fb = filter_bank(name)
+        grid, psi = cascade_wavelet(fb, levels)
+        want_grid, want = cascade_oracle(fb, levels)
+        assert np.array_equal(grid, want_grid) and psi.shape == want.shape
+        assert np.abs(psi - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_cascade_wavelet_haar_is_square_wave(self):
         grid, psi = cascade_wavelet(filter_bank("haar"), levels=5)

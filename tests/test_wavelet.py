@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavetrain import autodiff as ad
+from wavetrain import wavelet
 from wavetrain.autodiff import Tensor
 from wavetrain.errors import DimensionError, UnsupportedBaseError
 from wavetrain.wavelet import (
@@ -141,6 +142,49 @@ class TestFilterBank:
                 if 0 <= n + 2 * k < length
             )
             assert abs(acc - (2.0 if k == 0 else 0.0)) < 1e-10
+
+
+# every stored coefficient table: (base, 0) is its lo_a, (base, 1) its lo_s
+_TABLES = [(name, 0) for name in SUPPORTED_BASES] + [("bior3.1", 1), ("rbio2.2", 1)]
+
+
+def _edit_table(monkeypatch, name, side, deltas):
+    """Put a copy of one catalog table with ``deltas`` ({tap: change}) added
+    in the catalog; return the edited table."""
+    entry = list(wavelet._CATALOG[name])
+    table = np.array(entry[side], dtype=np.float64)
+    for tap, change in deltas.items():
+        table[tap] += change
+    entry[side] = list(table)
+    monkeypatch.setitem(wavelet._CATALOG, name, tuple(entry))
+    return table
+
+
+class TestValidation:
+    """A transcription error in any table is refused when the bank is built."""
+
+    @pytest.mark.parametrize("name,side", _TABLES)
+    def test_every_moved_coefficient_refused(self, monkeypatch, name, side):
+        for tap in np.flatnonzero(wavelet._CATALOG[name][side]):
+            _edit_table(monkeypatch, name, side, {tap: 1e-6})
+            with pytest.raises(ValueError):
+                filter_bank(name)
+
+    @pytest.mark.parametrize("name,side", [t for t in _TABLES if t[0] != "haar"])
+    def test_sum_preserving_move_refused_by_reconstruction(self, monkeypatch, name, side):
+        # shifting 1e-6 between two taps of one parity keeps the lowpass and
+        # the alternating (highpass) sums, so only the reconstruction check
+        # can see it; haar has no two taps of one parity
+        table = np.asarray(wavelet._CATALOG[name][side], dtype=np.float64)
+        taps = [n for n in np.flatnonzero(table) if n + 2 < len(table) and table[n + 2]]
+        assert taps
+        signs = (-1.0) ** np.arange(len(table))
+        for n in taps:
+            edited = _edit_table(monkeypatch, name, side, {n: 1e-6, n + 2: -1e-6})
+            assert abs(edited.sum() - table.sum()) < 1e-12
+            assert abs(signs @ edited - signs @ table) < 1e-12
+            with pytest.raises(ValueError):
+                filter_bank(name)
 
 
 def _bank_filters(fb):
