@@ -20,7 +20,7 @@ from .attacks import AttackConfig, eval_logits, pgd
 from .autodiff import Tensor
 from .data import Dataset
 from .errors import DimensionError, InputError, ResolutionError, check_range
-from .wavelet import FilterBank, filter_bank
+from .wavelet import FilterBank, _up_convolve, filter_bank
 
 
 # -- accuracy --------------------------------------------------------------------
@@ -139,27 +139,16 @@ def cascade_wavelet(fb: FilterBank, levels: int = 12):
 
     Returns (grid, psi) with grid step 2**-levels over the support
     [0, len(filter)-1]. For orthogonal banks the synthesis side equals the
-    analysis side.
+    analysis side. From a unit impulse on ``len(lo_s)`` samples, one highpass
+    then ``levels - 1`` lowpass steps of ``sqrt(2) * _up_convolve`` each double
+    the buffer, which stays longer than the support, so nothing wraps.
     """
-    lo = fb.lo_s
-    hi = fb.hi_s
-    sqrt2 = np.sqrt(2.0)
-    phi = np.array([1.0])
-    for _ in range(levels - 1):
-        up = np.zeros(2 * len(phi) - 1)
-        up[::2] = phi
-        phi = sqrt2 * np.convolve(up, lo)
-    shift = 1 << (levels - 1)
-    length = (len(lo) - 1) * (1 << levels) + 1
-    psi = np.zeros(length)
-    for k, g in enumerate(hi):
-        if g == 0.0:
-            continue
-        start = k * shift
-        stop = min(start + len(phi), length)
-        psi[start:stop] += sqrt2 * g * phi[: stop - start]
-    grid = np.arange(length) / float(1 << levels)
-    return grid, psi
+    psi = np.zeros(len(fb.lo_s))
+    psi[0] = 1.0
+    for f in [fb.hi_s] + [fb.lo_s] * (levels - 1):
+        psi = np.sqrt(2.0) * _up_convolve(psi, f, -1)
+    length = (len(fb.lo_s) - 1) * (1 << levels) + 1
+    return np.arange(length) / float(1 << levels), psi[:length]
 
 
 def _wavelet_at(u, grid, psi):

@@ -14,9 +14,9 @@ Conventions (fixed, since the literature varies):
 * subband naming: lh = lowpass vertical / highpass horizontal (horizontal
   detail), hl = the transpose pairing (vertical detail).
 
-All coefficient tables are embedded constants and are validated against the
-quadrature-mirror / perfect-reconstruction identities every time a bank is
-constructed, so a transcription error cannot go unnoticed.
+All coefficient tables are embedded constants. Every time a bank is built,
+its filter sums and its perfect reconstruction, run on the periodic cores
+below, are checked, so a transcription error cannot go unnoticed.
 """
 
 from __future__ import annotations
@@ -130,26 +130,19 @@ def filter_bank(name: str) -> FilterBank:
 
 
 def _validate(fb: FilterBank):
-    """Quadrature-mirror / perfect-reconstruction identity checks (1e-10)."""
-    lo_a, hi_a, lo_s, hi_s = fb.lo_a, fb.hi_a, fb.lo_s, fb.hi_s
-    if abs(lo_a.sum() - _SQRT2) > _CHECK_TOL:
+    """Sum and perfect-reconstruction checks (1e-10) on the periodic cores."""
+    if abs(fb.lo_a.sum() - _SQRT2) > _CHECK_TOL:
         raise ValueError(f"{fb.name}: lowpass sum differs from sqrt(2)")
-    if abs(hi_a.sum()) > _CHECK_TOL:
+    if abs(fb.hi_a.sum()) > _CHECK_TOL:
         raise ValueError(f"{fb.name}: highpass sum differs from 0")
-    # two-channel PR: sum_n lo_a[n] lo_s[n+2k] + hi_a[n] hi_s[n+2k] = 2*delta_k.
-    # With lo_s = lo_a the highpass term equals the lowpass one, so for an
-    # orthogonal bank this is the unit norm and even-shift orthogonality of
-    # the lowpass, at twice their strictness.
-    length = len(lo_a)
-    for k in range(-(length // 2), length // 2 + 1):
-        acc = 0.0
-        for n in range(length):
-            m = n + 2 * k
-            if 0 <= m < length:
-                acc += lo_a[n] * lo_s[m] + hi_a[n] * hi_s[m]
-        want = 2.0 if k == 0 else 0.0
-        if abs(acc - want) > _CHECK_TOL:
-            raise ValueError(f"{fb.name}: PR identity fails at shift {2 * k}")
+    # analysis then synthesis of each unit impulse, both channels summed, gives
+    # it back: at twice the filter length no filter shift wraps onto another
+    eye = np.eye(2 * len(fb.lo_a))
+    rec = sum(_up_convolve(_correlate_down(eye, a, -1), s, -1)
+              for a, s in ((fb.lo_a, fb.lo_s), (fb.hi_a, fb.hi_s)))
+    err = np.abs(rec - eye).max()
+    if err > _CHECK_TOL:
+        raise ValueError(f"{fb.name}: perfect reconstruction fails by {err:.3g}")
 
 
 # -- 1-D periodic analysis/synthesis cores (polyphase, float64 accumulation) --
@@ -160,7 +153,8 @@ def _validate(fb: FilterBank):
 # circularly by ``j // 2``. Zero taps are skipped. Taps are added in increasing
 # index order into a float64 buffer that starts at zero, each term being an
 # ``np.float64`` coefficient times a slice; only element-wise numpy ops run, so
-# the rounding depends neither on buffer alignment nor on a BLAS path.
+# the rounding depends neither on buffer alignment nor on a BLAS path. The
+# cores also run the bank checks, the WAP norm and the cascade wavelet.
 
 
 def _along(axis, start=None, stop=None, step=None):
@@ -303,6 +297,12 @@ def wavelet_average_pool(x: Tensor, fb: FilterBank) -> Tensor:
     stride aliases every frequency above the new Nyquist rate into the kept
     samples (Zhang 2019, "Making Convolutional Networks Shift-Invariant
     Again", arXiv:1904.11486); the longer banks filter before they subsample.
+
+    Every base's WAP filter has even taps summing to 1/sqrt(2) and odd taps
+    to 0, and every lowpass sums to 1/sqrt(2) on each parity. So a global
+    average after WAP is ½ the mean of the even-even pixels, and after LPF 2×
+    the mean, for any base: at ``after_final_relu`` the base cannot change
+    the logits beyond rounding.
     """
     f = wap_filter(fb)
     return _separable(x, f, f)
@@ -317,28 +317,13 @@ def wavelet_low_pass_pool(x: Tensor, fb: FilterBank) -> Tensor:
     return _separable(x, fb.lo_a, fb.lo_a)
 
 
-# wap_lipschitz_estimate's power iteration: map size, steps and start seed
+# wap_lipschitz_estimate's map size
 LIPSCHITZ_MAP = 16
-LIPSCHITZ_ITERS = 60
-LIPSCHITZ_SEED = 0
 
 
 def wap_lipschitz_estimate(fb: FilterBank) -> float:
-    """Largest singular value of the pooling map, by power iteration on the
-    composition of the layer with its adjoint (the adjoint comes from the
-    registered backward rule, so this also exercises the gradient path)."""
-    rng = np.random.default_rng(LIPSCHITZ_SEED)
-    v = rng.standard_normal((1, 1, LIPSCHITZ_MAP, LIPSCHITZ_MAP)).astype(np.float32)
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(LIPSCHITZ_ITERS):
-        vt = Tensor(v, requires_grad=True)
-        y = wavelet_average_pool(vt, fb)
-        sigma = float(np.linalg.norm(y.data))
-        (y * Tensor(y.data)).sum().backward()
-        u = vt.grad.astype(np.float64)  # = WAP^T WAP v
-        norm = np.linalg.norm(u)
-        if norm == 0.0:
-            return 0.0
-        v = (u / norm).astype(np.float32)
-    return sigma
+    """Largest singular value of the pooling map on a LIPSCHITZ_MAP square,
+    exactly: the pool is D^T x D with D the (L x L/2) analysis matrix of
+    ``wap_filter(fb)``, so its norm is sigma_max(D) squared."""
+    d = _correlate_down(np.eye(LIPSCHITZ_MAP), wap_filter(fb), -1)
+    return float(np.linalg.norm(d, 2) ** 2)

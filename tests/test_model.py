@@ -437,6 +437,25 @@ class TestForward:
             assert abs(got - fd) / scale < 1e-2
 
 
+class TestBaseAtFinalPosition:
+    """Behind ``after_final_relu`` only the global average reads the pool,
+    and it sees ½ the mean of the even-even pixels after any base's WAP and 2×
+    the mean after any base's LPF (``tests/test_wavelet.py``,
+    TestBaseUnderGlobalAverage). So there the base cannot change the logits;
+    at the stem it does."""
+
+    @pytest.mark.parametrize("variant", POOLING_VARIANTS)
+    def test_logits_agree_across_bases_only_after_final_relu(self, rng, variant):
+        x = Tensor(rng.random((4, 3, 32, 32)).astype(np.float32))
+        for position, same in (("after_final_relu", True), ("after_first_conv", False)):
+            logits = [build_model(small_cfg(wavelet_base=base, wap_position=position,
+                                            pooling_variant=variant), seed=0)
+                      .forward(x).data.astype(np.float64) for base in SUPPORTED_BASES]
+            for base, got in zip(SUPPORTED_BASES[1:], logits[1:]):
+                rel = np.abs(got - logits[0]).max() / np.abs(logits[0]).max()
+                assert (rel <= 1e-6) == same, (position, base, rel)
+
+
 class TestWholeModelOracle:
     """The float64 oracle against the model in eval mode at every haar WAP
     position and with the stage disabled: the logits, and the input gradient
