@@ -74,17 +74,23 @@ def eval_logits(model, x) -> np.ndarray:
     return logits
 
 
+def _objective(logits, y, kappa):
+    """Per-row ascent objective of the logits (higher = stronger) and the
+    gradient of its mean: the cross-entropy for kappa None, else the negated
+    CW margin."""
+    if kappa is None:
+        return ad.cross_entropy_rows(logits, y)
+    rows, grad = ad.margin_rows(logits, y, kappa)
+    return -rows, -grad
+
+
 def _input_grad(model, x, y, kappa):
     t = Tensor(x, requires_grad=True)
     # the tape records only the paths from the input, so no rule builds a
     # weight gradient; the finiteness check below reports any overflow
     with ad.no_grad(t), np.errstate(over="ignore", invalid="ignore"):
         logits = model.forward(t, training=False)
-        if kappa is None:
-            loss = ad.softmax_cross_entropy(logits, y)
-        else:
-            loss = -ad.cw_margin_loss(logits, y, kappa)
-        loss.backward()
+        logits.backward(_objective(logits.data, y, kappa)[1])
     if not np.all(np.isfinite(t.grad)):
         raise NumericError("non-finite input gradient during attack")
     return t.grad
@@ -131,12 +137,7 @@ def _iterated_signed_ascent(model, x, y, cfg, seed, momentum=None, kappa=None):
             x_adv = _box_then_ball(x_adv + alpha * direction, x, eps)
         if cfg.restarts == 1:
             return AttackResult(x_adv=x_adv, grad_calls=grad_calls)
-        # per-sample ascent objective of the final iterate (higher = stronger)
-        logits = eval_logits(model, x_adv)
-        if kappa is None:
-            final_loss = ad.cross_entropy_rows(logits, y)[0]
-        else:
-            final_loss = -np.maximum(ad.margin_rows(logits, y)[0], -kappa)
+        final_loss = _objective(eval_logits(model, x_adv), y, kappa)[0]
         if best_loss is None:
             best_loss, best_x = final_loss, x_adv
             continue

@@ -7,10 +7,10 @@ input) has no rule and no parents; a primitive that takes a tensor requiring
 gradient gives its output both. The node does not hold the output's array,
 and each rule keeps only the arrays it reads: conv2d its weight, plus its
 input when the weight trains; batch norm x-hat and its scale, plus its input
-for an eval-mode trainable gamma; relu a boolean mask; linear and mul the
-other operand; add, scale, sums, the global average and the wavelet filters
-nothing but shapes. So an activation dies as soon as the forward drops its
-last reference, unless a rule reads that very array. A rule keeps such an
+for an eval-mode trainable gamma; relu a boolean mask; linear the other
+operand; add, scale, the global average and the wavelet filters nothing but
+shapes. So an activation dies as soon as the forward drops its last
+reference, unless a rule reads that very array. A rule keeps such an
 array by reference, not as a copy, so nothing may write to an array after a
 primitive has read it until the backward is done: the model's in-place ReLU
 overwrites only an activation the forward has just made, before any
@@ -21,14 +21,15 @@ recorded only when one of its inputs is one of ``leaves`` or was recorded
 from them there, so a gradient for one tensor (an attack's input, Grad-CAM's
 features) builds no rule for any other; ``no_grad()`` records nothing.
 
-Calling ``backward`` on a scalar replays the recorded rules in reverse
+``t.backward(grad)`` seeds the tape with ``grad``, the gradient with
+respect to ``t`` (of t's shape), and replays the recorded rules in reverse
 topological order, visiting each node exactly once. The walk consumes the
 tape: as soon as a node's rule has run, the node lets go of its gradient, its
 rule (and with it the arrays the rule saved) and its parents, so the graph is
 freed while it is walked and only leaves keep ``grad``. Gradient that reaches
 a walked node raises UsageError rather than being summed a second time.
 
-Reductions (sums, means, batch statistics, losses), dense products and a
+Reductions (means, batch statistics, losses), dense products and a
 convolution whose columns fit in one block accumulate in float64 before
 rounding back to float32, which keeps finite-difference gradient checks
 stable. Larger convolutions stream their im2col columns through batch blocks
@@ -50,9 +51,12 @@ is a transposed convolution, i.e. a direct one with the flipped kernel
 phases (a, b), a stride-1 correlation of the zero-padded output gradient
 with the flipped taps W[:, :, a::s, b::s] gives that phase's pixels.
 
-Elementwise ``add`` and ``mul`` take equal shapes only: there is no
-broadcasting. Only ``scale``, a float32 multiply, takes a constant; Tensor
-operators take Tensors, and ``-t`` is ``scale(t, -1)``.
+Losses are not primitives: ``cross_entropy_rows`` and ``margin_rows`` are
+numpy functions of the logits that return their per-row float64 values and
+the float32 gradient of the rows' mean, the seed a backward from the logits
+takes. Elementwise ``add`` takes equal shapes only: there is no
+broadcasting. ``scale``, a float32 multiply, takes a constant; the one
+operator is ``+``, on Tensors.
 
 There is no GPU path, no higher-order differentiation and no mixed
 precision; single-sequence execution is bit-deterministic.
@@ -156,17 +160,16 @@ class Tensor:
     def _parents(self):
         return self._node._parents
 
-    def backward(self):
+    def backward(self, grad):
         """Populate ``grad`` on every requires_grad leaf reachable from this
-        scalar, releasing the graph as it goes: once a node's rule has run,
-        the node drops its gradient, its rule and its parents. A graph can be
-        walked once; gradient that reaches a walked node raises UsageError.
-        Calls on separate graphs without zeroing accumulate into the leaves
-        they share."""
-        if self.data.size != 1:
-            raise UsageError("backward requires a scalar loss tensor")
+        tensor, starting from ``grad``, the seed: the gradient with respect
+        to this tensor, of its shape. The graph is released as it is walked:
+        once a node's rule has run, the node drops its gradient, its rule and
+        its parents. A graph can be walked once; gradient that reaches a
+        walked node raises UsageError. Calls on separate graphs without
+        zeroing accumulate into the leaves they share."""
         order = _topo_order(self)
-        self._node._accumulate(np.ones_like(self.data))
+        self._node._accumulate(grad)
         while order:
             node = order.pop()
             if node._backward is None:  # a leaf keeps its gradient
@@ -179,15 +182,6 @@ class Tensor:
 
     def __add__(self, other):
         return add(self, other) if isinstance(other, Tensor) else NotImplemented
-
-    def __mul__(self, other):
-        return mul(self, other) if isinstance(other, Tensor) else NotImplemented
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def sum(self):
-        return sum_all(self)
 
 
 def _walked(g):
@@ -261,23 +255,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data + b.data, (na, nb), backward)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise a * b of equal shapes."""
-    _check_same_shape(a, b, "mul")
-    na, nb = _grad_node(a), _grad_node(b)
-    # each side's gradient reads only the other operand
-    a_data = a.data if nb is not None else None
-    b_data = b.data if na is not None else None
-
-    def backward(g):
-        if na is not None:
-            na._accumulate(g * b_data)
-        if nb is not None:
-            nb._accumulate(g * a_data)
-
-    return _make(a.data * b.data, (na, nb), backward)
-
-
 def scale(x: Tensor, s: float) -> Tensor:
     """x * s in float32, in x's memory order; the gradient is the same
     product."""
@@ -299,15 +276,6 @@ def relu(x: Tensor) -> Tensor:
                        fresh=True)
 
     return _make(np.maximum(x.data, 0.0, dtype=np.float32), (nx,), backward)
-
-
-def sum_all(x: Tensor) -> Tensor:
-    nx, shape = _grad_node(x), x.data.shape
-
-    def backward(g):
-        nx._accumulate(np.broadcast_to(g, shape))
-
-    return _make(np.float32(x.data.sum(dtype=np.float64)), (nx,), backward)
 
 
 # -- dense layers --------------------------------------------------------------
@@ -620,27 +588,6 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
 # -- losses ----------------------------------------------------------------------
 
 
-def cross_entropy_rows(logits, labels):
-    """Per-row -log softmax(z)[label] and the softmax itself, with z the
-    logits in float64, max-stabilised."""
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=1, keepdims=True)
-    ez = np.exp(z)
-    denom = ez.sum(axis=1, keepdims=True)
-    return np.log(denom[:, 0]) - z[np.arange(len(labels)), labels], ez / denom
-
-
-def margin_rows(logits, labels):
-    """Per-row margin z_y - max_{c != y} z_c in float64, and the strongest
-    other class."""
-    z = np.asarray(logits, dtype=np.float64)
-    rows = np.arange(len(labels))
-    masked = z.copy()
-    masked[rows, labels] = -np.inf
-    best_other = masked.argmax(axis=1)
-    return z[rows, labels] - masked[rows, best_other], best_other
-
-
 def check_labels(labels, n, num_classes):
     """``labels`` as int64 of shape ``(n,)``, each in ``[0, num_classes)``: the
     one label check of the losses, the attacks, clean accuracy and datasets."""
@@ -653,51 +600,45 @@ def check_labels(labels, n, num_classes):
     return labels.astype(np.int64, copy=False)
 
 
-def _loss_labels(logits, labels, what):
-    if logits.data.ndim != 2:
+def _loss_inputs(logits, labels, what):
+    """The logits as float64 [N,C] and the checked labels."""
+    z = np.asarray(logits, dtype=np.float64)
+    if z.ndim != 2:
         raise DimensionError(f"{what} expects logits[N,C]")
-    return check_labels(labels, *logits.data.shape)
+    return z, check_labels(labels, *z.shape)
 
 
-def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean over the batch of -log softmax(logits)[label], max-stabilised."""
-    labels = _loss_labels(logits, labels, "softmax_cross_entropy")
-    n = len(labels)
-    rows, probs = cross_entropy_rows(logits.data, labels)
-    loss = np.float32(rows.mean())
-    node = _grad_node(logits)
-
-    def backward(g):
-        d = probs.copy()
-        d[np.arange(n), labels] -= 1.0
-        node._accumulate((float(g.reshape(())) / n * d).astype(np.float32))
-
-    return _make(loss, (node,), backward)
+def cross_entropy_rows(logits, labels):
+    """Per-row -log softmax(z)[label], with z the logits in float64,
+    max-stabilised, and the gradient of their mean: softmax minus the one-hot
+    labels, over N."""
+    z, labels = _loss_inputs(logits, labels, "cross_entropy_rows")
+    rows = np.arange(len(labels))
+    z = z - z.max(axis=1, keepdims=True)
+    ez = np.exp(z)
+    denom = ez.sum(axis=1, keepdims=True)
+    d = ez / denom
+    d[rows, labels] -= 1.0
+    return np.log(denom[:, 0]) - z[rows, labels], (1.0 / len(d) * d).astype(np.float32)
 
 
-def cw_margin_loss(logits: Tensor, labels, kappa: float = 0.0) -> Tensor:
-    """Mean over the batch of max(z_y - max_{c != y} z_c, -kappa).
-
-    Minimising this margin drives misclassification; attacks ascend on its
-    negation. The backward rule routes gradient to the true-class logit and
-    the strongest competing logit for samples not yet clipped at -kappa.
-    """
-    labels = _loss_labels(logits, labels, "cw_margin_loss")
-    n = len(labels)
-    margin, best_other = margin_rows(logits.data, labels)
-    clipped = margin <= -kappa
-    loss = np.float32(np.maximum(margin, -kappa).mean())
-    node, shape = _grad_node(logits), logits.data.shape
-
-    def backward(g):
-        d = np.zeros(shape)
-        live = ~clipped
-        rows = np.arange(n)[live]
-        d[rows, labels[live]] += 1.0
-        d[rows, best_other[live]] -= 1.0
-        node._accumulate((float(g.reshape(())) / n * d).astype(np.float32))
-
-    return _make(loss, (node,), backward)
+def margin_rows(logits, labels, kappa):
+    """Per-row CW margin max(z_y - max_{c != y} z_c, -kappa) in float64, and
+    the gradient of its mean: +1 at the label and -1 at the strongest other
+    class, over N, on the rows not clipped at -kappa (a NaN margin is not
+    clipped). Minimising it drives misclassification; attacks ascend on its
+    negation."""
+    z, labels = _loss_inputs(logits, labels, "margin_rows")
+    rows = np.arange(len(labels))
+    masked = z.copy()
+    masked[rows, labels] = -np.inf
+    best_other = masked.argmax(axis=1)
+    margin = z[rows, labels] - masked[rows, best_other]
+    live = rows[~(margin <= -kappa)]
+    d = np.zeros(z.shape)
+    d[live, labels[live]] += 1.0
+    d[live, best_other[live]] -= 1.0
+    return np.maximum(margin, -kappa), (1.0 / len(d) * d).astype(np.float32)
 
 
 # -- optimiser ---------------------------------------------------------------------

@@ -276,6 +276,13 @@ SWEEPS = {
 
 def cmd_sweep(cfg: RunConfig, out_dir: str, args) -> int:
     column, variants, delta = SWEEPS[args.target]
+    # after the final ReLU only the global average reads the pool, and it
+    # gives every base the same value; a disabled stage has no pool
+    position = cfg["model.wap_position"]
+    if args.target == "bases" and position in ("after_final_relu", "disabled"):
+        raise ConfigError(f"sweep bases at model.wap_position={position} gives every base "
+                          f"the same model; set model.wap_position=after_first_conv or "
+                          f"before_final_relu")
     train, val = _load_datasets(cfg)
     rows = []
     for name, overrides in variants:

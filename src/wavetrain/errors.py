@@ -32,7 +32,7 @@ class InputError(WavetrainError, ValueError):
 
 
 class UsageError(WavetrainError, RuntimeError):
-    """API misuse (e.g. backward on a non-scalar, missing gradients)."""
+    """API misuse (e.g. backward through a walked graph, missing gradients)."""
 
 
 class ConfigError(WavetrainError, ValueError):

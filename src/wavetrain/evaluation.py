@@ -121,7 +121,7 @@ def gradcam(model, x, class_id: int) -> np.ndarray:
     logits, features = model.forward(Tensor(x), training=False, return_features=True)
     onehot = np.zeros(logits.shape, dtype=np.float32)
     onehot[0, class_id] = 1.0
-    ad.mul(logits, Tensor(onehot)).sum().backward()
+    logits.backward(onehot)
 
     weights = features.grad[0].mean(axis=(1, 2))            # alpha_k
     cam = np.maximum((weights[:, None, None] * features.data[0]).sum(axis=0), 0.0)

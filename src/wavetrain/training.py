@@ -149,14 +149,14 @@ def adversarial_train(model: Model, train_set: Dataset, val_set: Dataset,
                 adv = pgd(model, xb, yb, cfg.train_attack,
                           seed=cfg.seed + 100_003 * epoch + step).x_adv
             logits = model.forward(Tensor(adv), training=True)
-            loss = ad.softmax_cross_entropy(logits, yb)
-            loss_value = loss.item()
+            rows, grad = ad.cross_entropy_rows(logits.data, yb)
+            loss_value = float(np.float32(rows.mean()))
             if not math.isfinite(loss_value):
                 raise NumericError(
                     f"training loss became non-finite at epoch {epoch} step {step}"
                 )
             opt.zero_grad()
-            loss.backward()
+            logits.backward(grad)
             gnorms.append(gradient_norm(model))
             opt.step()
             losses.append(loss_value)

@@ -127,7 +127,7 @@ def test_criterion_2_wap_contract(rng):
         x0 = rng.standard_normal((1, 1, 6, 6)).astype(np.float32)
         r = rng.standard_normal((1, 1, 3, 3)).astype(np.float32)
         t = Tensor(x0, requires_grad=True)
-        ad.mul(wavelet_average_pool(t, haar), Tensor(r)).sum().backward()
+        wavelet_average_pool(t, haar).backward(r)
 
         def oracle(v):
             bands = dwt2d_oracle(v, haar)

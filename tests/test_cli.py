@@ -170,10 +170,12 @@ class TestSweeps:
             "gap": ("variant", ["adversarial", "natural", "delta"]),
         }[target]
         out = tmp_path / "sb"
+        # the base acts on the logits only before the final ReLU
+        position = ["--set", "model.wap_position=after_first_conv"] if target == "bases" else []
         rc = main(["sweep", target, "--out-dir", str(out),
                    "--set", "train.epochs=0",
                    "--set", "data.n_train=16", "--set", "data.n_val=16",
-                   "--set", "attack.steps=1"])
+                   "--set", "attack.steps=1"] + position)
         assert rc == 0
         header, rows = read_csv(out / f"sweep_{target}.csv")
         assert header == [column, "clean", "fgsm", "pgd", "mim", "cw"]
@@ -285,6 +287,9 @@ BAD_VALUES = [
     "attack --set attack.kind=nes --set nes.fd_eta=1e300",
     "attack --set attack.kind=cw --set attack.step_size=1e300",
     "train --set train.attack_step_size=1e300",
+    # positions where every base gives the same model
+    "sweep bases",
+    "sweep bases --set model.wap_position=disabled",
     "heatmap --set heatmap.eps_f=1e39",
 ]
 
@@ -313,6 +318,19 @@ class TestErrors:
         err = capsys.readouterr().err
         assert rc == 2
         assert "error[config]" in err and "attack.kind" in err
+
+    @pytest.mark.parametrize("position", ["after_final_relu", "disabled"])
+    def test_sweep_bases_refused_before_any_work(self, tmp_path, capsys, monkeypatch, position):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a model before checking model.wap_position")
+
+        monkeypatch.setattr(cli, "build_model", refuse)
+        rc = main(["sweep", "bases", "--out-dir", str(tmp_path / "o"),
+                   "--set", f"model.wap_position={position}"] + FAST)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"error[config]: sweep bases at model.wap_position={position}" in err
+        assert "after_first_conv" in err and "before_final_relu" in err
 
     def test_non_utf8_config_file_exit_2(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"

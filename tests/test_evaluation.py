@@ -325,7 +325,7 @@ class TestGradCam:
         logits, features = model.forward(t, return_features=True)
         onehot = np.zeros(logits.shape, dtype=np.float32)
         onehot[0, class_id] = 1.0
-        ad.mul(logits, Tensor(onehot)).sum().backward()
+        logits.backward(onehot)
         alphas = features.grad[0].mean(axis=(1, 2))
 
         # finite differences: bump one whole feature map by h

@@ -241,7 +241,7 @@ class TestBuild:
         x = Tensor(rng.random((2, 3, 32, 32)).astype(np.float32), requires_grad=True)
         logits, features = model.forward(x, return_features=True)
         assert features.requires_grad and features._parents == ()
-        ad.softmax_cross_entropy(logits, np.array([1, 3])).backward()
+        logits.backward(ad.cross_entropy_rows(logits.data, np.array([1, 3]))[1])
         assert features.grad.shape == features.shape
         assert x.grad is None
         with_grad = {name for name, p in model.params.items() if p.grad is not None}
@@ -417,8 +417,8 @@ class TestForward:
         labels = np.array([3])
 
         xt = Tensor(x0, requires_grad=True)
-        loss = ad.softmax_cross_entropy(model.forward(xt, training=False), labels)
-        loss.backward()
+        logits = model.forward(xt, training=False)
+        logits.backward(ad.cross_entropy_rows(logits.data, labels)[1])
 
         def loss_at(v):
             return eval_forward_oracle(model, v.reshape(x0.shape), labels)
@@ -473,7 +473,7 @@ class TestWholeModelOracle:
         labels = rng.integers(0, 2, n)
         xt = Tensor(x, requires_grad=True)
         logits = model.forward(xt)
-        ad.softmax_cross_entropy(logits, labels).backward()
+        logits.backward(ad.cross_entropy_rows(logits.data, labels)[1])
 
         want = eval_logits_oracle(model, x)
         assert np.abs(logits.data - want).max() < 1e-5 * np.abs(want).max()
@@ -574,7 +574,7 @@ class TestDecimatedStem:
         for net, out in ((model, got), (twin, want)):
             xt = Tensor(x, requires_grad=True)
             logits = net.forward(xt)
-            ad.mul(logits, Tensor(g)).sum().backward()
+            logits.backward(g)
             out += [logits.data, xt.grad, net.params["stem.weight"].grad]
         assert got[0].tobytes() == want[0].tobytes()
         assert relative_errors(got[1], want[1]).max() < 1e-4
@@ -616,7 +616,7 @@ class TestDecimatedStem:
         for m in (model, twin):
             xt = Tensor(x, requires_grad=True)
             logits = m.forward(xt)
-            ad.softmax_cross_entropy(logits, labels).backward()
+            logits.backward(ad.cross_entropy_rows(logits.data, labels)[1])
             outs.append((logits.data, xt.grad))
         assert outs[0][0].tobytes() == outs[1][0].tobytes()
         assert relative_errors(outs[0][1], outs[1][1]).max() < 1e-4
@@ -639,7 +639,7 @@ class TestDecimatedStem:
         pooled = np.ascontiguousarray(model_module.wavelet_average_pool(Tensor(x), model.fb).data)
         moved = scaled.data.view(np.uint32) != pooled.view(np.uint32)
         assert list(np.flatnonzero(moved)) == [0, 2, 4]
-        ad.mul(scaled, Tensor(kept)).sum().backward()
+        scaled.backward(kept)
         assert kt.grad.tobytes() == half.tobytes()
 
 
@@ -701,7 +701,7 @@ class TestDecimatedTail:
         for m in (model, twin):
             xt = Tensor(x, requires_grad=True)
             logits = m.forward(xt)
-            ad.softmax_cross_entropy(logits, labels).backward()
+            logits.backward(ad.cross_entropy_rows(logits.data, labels)[1])
             x_adv = pgd(m, x, labels, attack, seed=7).x_adv
             outs.append((logits.data.tobytes(), xt.grad, x_adv.tobytes()))
         assert outs[0][0] == outs[1][0] and outs[0][2] == outs[1][2]

@@ -206,9 +206,9 @@ class TestAdversarialTrain:
             for start in range(0, len(perm), cfg.batch_size):
                 idx = perm[start : start + cfg.batch_size]
                 logits = twin.forward(Tensor(train.images[idx]), training=True)
-                loss = ad.softmax_cross_entropy(logits, train.labels[idx])
+                grad = ad.cross_entropy_rows(logits.data, train.labels[idx])[1]
                 opt.zero_grad()
-                loss.backward()
+                logits.backward(grad)
                 opt.step()
 
         for name in twin.params:
