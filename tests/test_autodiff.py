@@ -909,7 +909,7 @@ class TestGradientChecksAllPrimitives:
 
     def test_relu(self, rng):
         for _ in range(self.CASES):
-            self._check(lambda t: ad.relu(t), rng.standard_normal((3, 5)).astype(np.float32))
+            self._check(ad.relu, rng.standard_normal((3, 5)).astype(np.float32))
 
     @pytest.mark.parametrize("s", [0.5, -1.0, 3.7])
     def test_scale(self, rng, s):
@@ -940,7 +940,7 @@ class TestGradientChecksAllPrimitives:
     def test_avg_pool(self, rng):
         for _ in range(self.CASES):
             self._check(
-                lambda t: ad.global_avg_pool(t),
+                ad.global_avg_pool,
                 rng.standard_normal((2, 2, 4, 4)).astype(np.float32),
             )
 
