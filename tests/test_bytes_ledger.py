@@ -1,11 +1,11 @@
 """Bytes ledger: sha256 prefixes of every output that runs through the loss
-and the backward, at a tiny fixed config (depth 1, width 1, two classes, 64
-training and 32 validation samples).
+and the backward, and of the files the CLI writes, at a tiny fixed config
+(depth 1, width 1, two classes, 64 training and 32 validation samples).
 
-A change that moves any of these bytes edits ``LEDGER``, so the diff of this
-table is the record of what moved. The digests were written with numpy 2.4.6
-on OpenBLAS 0.3.31 (Haswell kernels); float32 GEMM bits can differ under
-another BLAS kernel.
+A change that moves any of these bytes edits ``LEDGER`` or ``CLI_LEDGER``,
+so the diff of these tables is the record of what moved. The digests were
+written with numpy 2.4.6 on OpenBLAS 0.3.31 (Haswell kernels); float32 GEMM
+bits can differ under another BLAS kernel.
 """
 
 import hashlib
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from wavetrain.attacks import WHITE_BOX, AttackConfig, NesConfig, logits_oracle, nes_attack
+from wavetrain.cli import main
 from wavetrain.data import synthetic_dataset
 from wavetrain.evaluation import gradcam
 from wavetrain.model import ModelConfig, build_model
@@ -120,3 +121,53 @@ def test_ledger(position, base):
     want = LEDGER[position, base]
     moved = {name: got[name] for name in want if got[name] != want[name]}
     assert got.keys() == want.keys() and not moved, moved
+
+
+# the CLI's flags at the ledger's tiny config: 64 training and 32 validation
+# samples, two epochs of PGD-3 in batches of 32, PGD-3 (and the other
+# white-box attacks) at evaluation
+CLI_CONFIG = ["--set", "data.n_train=64", "--set", "data.n_val=32",
+              "--set", "train.epochs=2", "--set", "train.batch_size=32",
+              "--set", "train.attack_steps=3", "--set", "attack.steps=3"]
+
+# (command, the settings it adds to CLI_CONFIG, the files it writes) of each
+# row; a command given --checkpoint reads the model the first row trains, and
+# the sweeps at zero epochs skip training but keep their delta rows
+CLI_RUNS = (
+    (["train"], [], ("history.csv",)),
+    (["heatmap"], ["heatmap.rows=3", "heatmap.cols=4", "heatmap.samples_per_cell=8"],
+     ("heatmap.csv", "heatmap.pgm")),
+    (["gradcam"], [], ("gradcam.csv", "gradcam.pgm")),
+    (["sweep", "ablation"], ["train.epochs=0"], ("sweep_ablation.csv",)),
+    (["sweep", "gap"], ["train.epochs=0"], ("sweep_gap.csv",)),
+    (["check", "wavelet"], [], ("wavelet_check.csv",)),
+    (["check", "theorems"], [], ("theorem_check.csv",)),
+)
+
+CLI_LEDGER = {
+    "history.csv": "1783193dff86353b",
+    "heatmap.csv": "e6c5c7e5b1679b60", "heatmap.pgm": "1dd49fdd6eba5efe",
+    "gradcam.csv": "74ed5e4145fcf694", "gradcam.pgm": "b9acd24f719498ad",
+    "sweep_ablation.csv": "47219a0aa004e7f1", "sweep_gap.csv": "77562b6bbd7adfb4",
+    "wavelet_check.csv": "5873465fcd92363f", "theorem_check.csv": "591a45ead0ba830a",
+}
+
+
+def cli_digests(root):
+    """Every CLI ledger entry, file name -> sha256 prefix of its bytes."""
+    out = {}
+    checkpoint = ["--checkpoint", str(root / "train" / "model.ckpt")]
+    for command, settings, files in CLI_RUNS:
+        out_dir = root / "_".join(command)
+        argv = command + (checkpoint if command[0] in ("heatmap", "gradcam") else [])
+        argv += ["--out-dir", str(out_dir)] + CLI_CONFIG
+        assert main(argv + [w for kv in settings for w in ("--set", kv)]) == 0
+        for name in files:
+            out[name] = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()[:16]
+    return out
+
+
+def test_cli_ledger(tmp_path):
+    got = cli_digests(tmp_path)
+    moved = {name: got[name] for name in CLI_LEDGER if got[name] != CLI_LEDGER[name]}
+    assert got.keys() == CLI_LEDGER.keys() and not moved, moved
