@@ -55,8 +55,7 @@ Losses are not primitives: ``cross_entropy_rows`` and ``margin_rows`` are
 numpy functions of the logits that return their per-row float64 values and
 the float32 gradient of the rows' mean, the seed a backward from the logits
 takes. Elementwise ``add`` takes equal shapes only: there is no
-broadcasting. ``scale``, a float32 multiply, takes a constant; the one
-operator is ``+``, on Tensors.
+broadcasting. ``scale``, a float32 multiply, takes a constant.
 
 There is no GPU path, no higher-order differentiation and no mixed
 precision; single-sequence execution is bit-deterministic.
@@ -135,9 +134,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def item(self):
-        return float(self.data.reshape(-1)[0])
-
     # -- autograd ------------------------------------------------------------
 
     @property
@@ -156,10 +152,6 @@ class Tensor:
     def _backward(self, rule):
         self._node._backward = rule
 
-    @property
-    def _parents(self):
-        return self._node._parents
-
     def backward(self, grad):
         """Populate ``grad`` on every requires_grad leaf reachable from this
         tensor, starting from ``grad``, the seed: the gradient with respect
@@ -177,11 +169,6 @@ class Tensor:
             if node.grad is not None:  # else no path gave it gradient
                 node._backward(node.grad)
             node.grad, node._backward, node._parents = None, _walked, ()
-
-    # -- operator sugar --------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other) if isinstance(other, Tensor) else NotImplemented
 
 
 def _walked(g):

@@ -167,20 +167,21 @@ def cmd_attack(cfg: RunConfig, out_dir: str, args) -> int:
     return 0
 
 
+def _write_map(out_dir: str, stem: str, name: str, header, matrix):
+    """``matrix`` as ``<stem>.pgm`` and as ``<stem>.csv``, one row per cell."""
+    write_pgm(os.path.join(out_dir, f"{stem}.pgm"), matrix)
+    rows = [(i, j, matrix[i, j]) for i in range(matrix.shape[0]) for j in range(matrix.shape[1])]
+    write_csv(os.path.join(out_dir, f"{stem}.csv"), name, header, rows)
+
+
 def cmd_heatmap(cfg: RunConfig, out_dir: str, args) -> int:
     model, val = _checkpoint_and_val(cfg, args)
     grid = fourier_heat_map(model, val, eps_f=cfg["heatmap.eps_f"],
                             samples_per_cell=cfg["heatmap.samples_per_cell"],
                             seed=cfg["seed"], rows=cfg["heatmap.rows"] or None,
                             cols=cfg["heatmap.cols"] or None)
-    write_pgm(os.path.join(out_dir, "heatmap.pgm"), grid.error_rates)
-    csv_rows = [
-        (i, j, grid.error_rates[i, j])
-        for i in range(grid.error_rates.shape[0])
-        for j in range(grid.error_rates.shape[1])
-    ]
-    write_csv(os.path.join(out_dir, "heatmap.csv"), "fourier-heatmap",
-              ("freq_row", "freq_col", "error_rate"), csv_rows)
+    _write_map(out_dir, "heatmap", "fourier-heatmap", ("freq_row", "freq_col", "error_rate"),
+               grid.error_rates)
     print(f"heat map {grid.error_rates.shape} mean error "
           f"{grid.error_rates.mean():.4f}")
     return 0
@@ -196,10 +197,7 @@ def cmd_gradcam(cfg: RunConfig, out_dir: str, args) -> int:
     if class_id < 0:
         class_id = int(eval_logits(model, image[None]).argmax(axis=1)[0])
     cam = gradcam(model, image, class_id)
-    write_pgm(os.path.join(out_dir, "gradcam.pgm"), cam)
-    csv_rows = [(i, j, cam[i, j]) for i in range(cam.shape[0]) for j in range(cam.shape[1])]
-    write_csv(os.path.join(out_dir, "gradcam.csv"), "gradcam",
-              ("row", "col", "weight"), csv_rows)
+    _write_map(out_dir, "gradcam", "gradcam", ("row", "col", "weight"), cam)
     print(f"gradcam for sample {index} class {class_id}: peak {cam.max():.3f}")
     return 0
 
@@ -257,25 +255,23 @@ def cmd_check_theorems(cfg: RunConfig, out_dir: str, args) -> int:
     return 0
 
 
-# target -> (first column, variants, delta row). A variant is a name plus the
-# RunConfig values it overrides; the delta row is the first variant's metrics
-# minus the second's.
+# target -> (first column, variants). A variant is a name plus the RunConfig
+# values it overrides. A sweep of two variants ends with a delta row, the
+# first variant's metrics minus the second's.
 SWEEPS = {
-    "bases": ("base", [(base, {"model.wavelet_base": base}) for base in SUPPORTED_BASES],
-              False),
+    "bases": ("base", [(base, {"model.wavelet_base": base}) for base in SUPPORTED_BASES]),
     "ablation": ("variant", [
         ("with_wavelet", {}),
         ("without_wavelet", {"model.wavelet_base": None, "model.wap_position": "disabled"}),
-    ], True),
-    "positions": ("position", [(pos, {"model.wap_position": pos}) for pos in WAP_POSITIONS],
-                  False),
-    "gap": ("variant", [("adversarial", {}), ("natural", {"train.attack_epsilon": 0.0})],
-            True),
+    ]),
+    "positions": ("position", [(pos, {"model.wap_position": pos}) for pos in WAP_POSITIONS]),
+    "gap": ("variant", [("adversarial", {}), ("natural", {"train.attack_epsilon": 0.0})]),
 }
 
 
 def cmd_sweep(cfg: RunConfig, out_dir: str, args) -> int:
-    column, variants, delta = SWEEPS[args.target]
+    column, variants = SWEEPS[args.target]
+    delta = len(variants) == 2
     # after the final ReLU only the global average reads the pool, and it
     # gives every base the same value; a disabled stage has no pool
     position = cfg["model.wap_position"]

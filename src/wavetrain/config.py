@@ -187,19 +187,20 @@ def _file_items(text):
     return [line for line in lines if line and not line.startswith("#")]
 
 
-def parse_config_text(text: str) -> RunConfig:
-    return RunConfig(parse_pairs(split_items(_file_items(text))))
+def parse_config_text(text: str, overrides=()) -> RunConfig:
+    """The RunConfig of config file ``text``, then key=value ``overrides``."""
+    return RunConfig(parse_pairs(split_items(_file_items(text) + list(overrides))))
 
 
 def load_config(path=None, overrides=()) -> RunConfig:
     """Parse an optional config file, then apply key=value overrides."""
-    items = []
+    text = ""
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as f:
-                items = _file_items(f.read())
+                text = f.read()
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
         except OSError as exc:
             raise ConfigError(f"{path}: cannot read the config file ({exc.strerror})") from None
-    return RunConfig(parse_pairs(split_items(items + list(overrides))))
+    return parse_config_text(text, overrides)

@@ -1,7 +1,7 @@
 """Evaluation harnesses: accuracy under attack, Fourier heat maps, Grad-CAM,
 and numerical checks of the wavelet coefficient decay bounds.
 
-The decay harness probes Hoelder-continuous functions |x-b|^alpha against
+The decay harness probes the Hoelder-continuous function |x-b|^alpha against
 dilated/translated wavelets evaluated by the cascade algorithm and fits the
 log-log slope of |<f, psi_{a,b}>| against the scale a; the theory predicts
 slope alpha + 1/2 for compactly supported bases. Multiplicative constants
@@ -49,12 +49,7 @@ def accuracy(model, dataset: Dataset, attack: Optional[AttackConfig] = None,
 @dataclass
 class HeatMapGrid:
     error_rates: np.ndarray   # [rows, cols] in [0,1]
-    eps_f: float
     samples_per_cell: int
-
-    def __post_init__(self):
-        if not (self.error_rates.min() >= 0.0 and self.error_rates.max() <= 1.0):
-            raise InputError("error rates must lie in [0,1]")
 
 
 def fourier_basis_image(h: int, w: int, i: int, j: int) -> np.ndarray:
@@ -63,10 +58,7 @@ def fourier_basis_image(h: int, w: int, i: int, j: int) -> np.ndarray:
     spectrum[i % h, j % w] += 1.0
     spectrum[(-i) % h, (-j) % w] += 1.0
     img = np.fft.ifft2(spectrum).real
-    norm = np.linalg.norm(img)
-    if norm == 0.0:
-        raise InputError(f"degenerate Fourier cell ({i},{j})")
-    return (img / norm).astype(np.float32)
+    return (img / np.linalg.norm(img)).astype(np.float32)
 
 
 def fourier_heat_map(model, dataset: Dataset, eps_f: float = 4.0,
@@ -102,7 +94,7 @@ def fourier_heat_map(model, dataset: Dataset, eps_f: float = 4.0,
             xb = dataset.images[idx] + signs[:, :, None, None] * basis[None, None]
             preds = eval_logits(model, xb).argmax(axis=1)
             grid[i, j] = float((preds != dataset.labels[idx]).mean())
-    return HeatMapGrid(grid, eps_f=eps_f, samples_per_cell=samples_per_cell)
+    return HeatMapGrid(grid, samples_per_cell=samples_per_cell)
 
 
 # -- Grad-CAM ------------------------------------------------------------------------
@@ -151,25 +143,11 @@ def cascade_wavelet(fb: FilterBank, levels: int = 12):
     return np.arange(length) / float(1 << levels), psi[:length]
 
 
-def _wavelet_at(u, grid, psi):
-    """Evaluate the tabulated wavelet at arbitrary points (0 outside support)."""
-    return np.interp(u, grid, psi, left=0.0, right=0.0)
-
-
 @dataclass
 class DecayFit:
-    base: str
-    alpha: float
     samples: list            # (scale, |<f, psi_{a,b}>|) pairs, scales decreasing
     fitted_slope: float
     theoretical_slope: float
-
-    def __post_init__(self):
-        scales = [s for s, _ in self.samples]
-        if any(b >= a for a, b in zip(scales, scales[1:])):
-            raise InputError("scales must be strictly decreasing")
-        if any(m < 0 for _, m in self.samples):
-            raise InputError("coefficient magnitudes must be >= 0")
 
 
 def _coefficient(probe, b, a, grid, psi, x0, x1, points):
@@ -181,21 +159,25 @@ def _coefficient(probe, b, a, grid, psi, x0, x1, points):
         raise ResolutionError(
             f"only {samples_under:.1f} quadrature samples under scale {a}; need >= 16"
         )
-    psi_vals = _wavelet_at((x - b) / a, grid, psi) / np.sqrt(a)
+    # the tabulated wavelet at the quadrature points, 0 outside its support
+    psi_vals = np.interp((x - b) / a, grid, psi, left=0.0, right=0.0) / np.sqrt(a)
     return float((probe(x) * psi_vals).sum() * step)
 
 
+# theorem_decay_check: the kink of its probe
+DECAY_KINK = 0.25
+
+
 def theorem_decay_check(base: str, alpha: float, scales: Sequence[float],
-                        b: float = 0.25, grid_points: int = 1 << 16,
-                        probe=None, kink_frac: float = 0.0) -> DecayFit:
+                        grid_points: int = 1 << 16, kink_frac: float = 0.0) -> DecayFit:
     """Fit the decay exponent of |<f, psi_{a,b}>| for a Hoelder-alpha probe.
 
-    Default probe: f(x) = |x - b|**alpha, whose coefficients scale exactly
-    like a**(alpha + 1/2) for compactly supported wavelets. ``kink_frac``
-    slides the wavelet so the probe's kink sits at that fraction of its
-    support: bases with several vanishing moments annihilate an integer-alpha
-    probe that is one-sided polynomial over the support (kink at the edge),
-    so they need the kink strictly inside.
+    The probe is f(x) = |x - b|**alpha with b = DECAY_KINK, whose
+    coefficients scale exactly like a**(alpha + 1/2) for compactly supported
+    wavelets. ``kink_frac`` slides the wavelet so the probe's kink sits at
+    that fraction of its support: bases with several vanishing moments
+    annihilate an integer-alpha probe that is one-sided polynomial over the
+    support (kink at the edge), so they need the kink strictly inside.
     """
     check_range("alpha", alpha, "(0,1]", InputError)
     check_range("kink_frac", kink_frac, "[0,1)", InputError)
@@ -204,8 +186,8 @@ def theorem_decay_check(base: str, alpha: float, scales: Sequence[float],
         raise InputError("need at least two positive scales")
     fb = filter_bank(base)
     grid, psi = cascade_wavelet(fb)
-    if probe is None:
-        probe = lambda x: np.abs(x - b) ** alpha
+    b = DECAY_KINK
+    probe = lambda x: np.abs(x - b) ** alpha
 
     support = grid[-1]
     x0 = b - scales[0] * kink_frac * support
@@ -219,8 +201,7 @@ def theorem_decay_check(base: str, alpha: float, scales: Sequence[float],
     if (mags <= 0).any():
         raise InputError("zero coefficient magnitude; probe does not excite the wavelet")
     slope = float(np.polyfit(np.log(np.array(scales)), np.log(mags), 1)[0])
-    return DecayFit(base=base, alpha=alpha, samples=samples,
-                    fitted_slope=slope, theoretical_slope=alpha + 0.5)
+    return DecayFit(samples=samples, fitted_slope=slope, theoretical_slope=alpha + 0.5)
 
 
 @dataclass

@@ -267,7 +267,7 @@ class Model:
             del o
             y = self._relu(self._bn(f"{prefix}.bn2", y, training))
             y = ad.conv2d(y, self.params[f"{prefix}.conv2.weight"], stride=step, padding=1)
-            h = y + h
+            h = ad.add(y, h)
             del y
         h = self._bn("bn_final", h, training)
         if cfg.wap_position == "before_final_relu":

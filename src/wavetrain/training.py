@@ -37,12 +37,6 @@ from .model import Model
 LR_DECAY = 0.1   # learning-rate factor at each milestone
 
 
-def default_train_attack() -> AttackConfig:
-    # 10 iterations at 2/255 with random init; epsilon 0.031
-    return AttackConfig(epsilon=0.031, step_size=2.0 / 255.0, steps=10,
-                        random_init=True)
-
-
 @dataclass
 class TrainConfig:
     epochs: int
@@ -51,7 +45,9 @@ class TrainConfig:
     lr_milestones: tuple = ()
     momentum: float = 0.9
     weight_decay: float = 5e-4
-    train_attack: AttackConfig = field(default_factory=default_train_attack)
+    # PGD-10 at 2/255 with random init; epsilon 0.031
+    train_attack: AttackConfig = field(default_factory=lambda: AttackConfig(
+        epsilon=0.031, step_size=2.0 / 255.0, steps=10, random_init=True))
     early_stop_patience: int = 0     # 0 disables early stopping
     seed: int = 0
 

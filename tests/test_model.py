@@ -240,7 +240,7 @@ class TestBuild:
         model = build_model(small_cfg(wap_position=position), seed=0)
         x = Tensor(rng.random((2, 3, 32, 32)).astype(np.float32), requires_grad=True)
         logits, features = model.forward(x, return_features=True)
-        assert features.requires_grad and features._parents == ()
+        assert features.requires_grad and features._node._parents == ()
         logits.backward(ad.cross_entropy_rows(logits.data, np.array([1, 3]))[1])
         assert features.grad.shape == features.shape
         assert x.grad is None
@@ -263,7 +263,7 @@ class TestBuild:
         model.forward(x, training=training, return_features=True)
         # the stem, 3 blocks of two convs and two norms, 2 projections, bn_final
         assert len(outs) == 16
-        assert not any(out.requires_grad or out._parents for out in outs)
+        assert not any(out.requires_grad or out._node._parents for out in outs)
 
     def test_same_seed_bit_identical(self):
         a = build_model(small_cfg(), seed=42)

@@ -325,10 +325,10 @@ class TestDwt2d:
         a, b, c, d = 1.0, 2.0, -0.5, 3.0
         x = Tensor(np.array([[a, b], [c, d]]).reshape(1, 1, 2, 2))
         s = dwt2d(x, filter_bank("haar"))
-        assert abs(s.ll.item() - (a + b + c + d) / 2) < 1e-6
-        assert abs(s.lh.item() - (a - b + c - d) / 2) < 1e-6
-        assert abs(s.hl.item() - (a + b - c - d) / 2) < 1e-6
-        assert abs(s.hh.item() - (a - b - c + d) / 2) < 1e-6
+        assert abs(s.ll.data.item() - (a + b + c + d) / 2) < 1e-6
+        assert abs(s.lh.data.item() - (a - b + c - d) / 2) < 1e-6
+        assert abs(s.hl.data.item() - (a + b - c - d) / 2) < 1e-6
+        assert abs(s.hh.data.item() - (a - b - c + d) / 2) < 1e-6
 
     @pytest.mark.parametrize("name", SUPPORTED_BASES)
     def test_matches_direct_filtering_oracle(self, rng, name):
