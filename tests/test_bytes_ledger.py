@@ -1,8 +1,10 @@
 """Bytes ledger: sha256 prefixes of every output that runs through the loss
-and the backward, and of the files the CLI writes, at a tiny fixed config
-(depth 1, width 1, two classes, 64 training and 32 validation samples).
+and the backward, of the eval logits and the input gradient at every pooling
+position, and of the files the CLI writes, at a tiny fixed config (depth 1,
+width 1, two classes, 64 training and 32 validation samples).
 
-A change that moves any of these bytes edits ``LEDGER`` or ``CLI_LEDGER``,
+A change that moves any of these bytes edits ``LEDGER``, ``POSITION_LEDGER``
+or ``CLI_LEDGER``,
 so the diff of these tables is the record of what moved. The digests were
 written with numpy 2.4.6 on OpenBLAS 0.3.31 (Haswell kernels); float32 GEMM
 bits can differ under another BLAS kernel.
@@ -13,7 +15,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from wavetrain.attacks import WHITE_BOX, AttackConfig, NesConfig, logits_oracle, nes_attack
+from wavetrain.attacks import (WHITE_BOX, AttackConfig, NesConfig, _input_grad, eval_logits,
+                               logits_oracle, nes_attack)
 from wavetrain.cli import main
 from wavetrain.data import synthetic_dataset
 from wavetrain.evaluation import gradcam
@@ -119,6 +122,52 @@ def ledger_digests(position, base):
 def test_ledger(position, base):
     got = ledger_digests(position, base)
     want = LEDGER[position, base]
+    moved = {name: got[name] for name in want if got[name] != want[name]}
+    assert got.keys() == want.keys() and not moved, moved
+
+
+# (wap_position, wavelet_base, depth) -> the eval logits and the input
+# gradient of the cross-entropy for 17 validation samples of a fresh model.
+# At depth 1 haar decimates the stem conv (after_first_conv) or the last
+# block (the final positions) and db5 runs the full pool; at depth 2 haar's
+# last block has no projection, so it runs the full pool too. The eval
+# forward takes no tape and the gradient pass records one from the input.
+POSITION_LEDGER = {
+    ("after_first_conv", "haar", 1): {"logits": "1043847e620149a6",
+                                      "input-grad": "b668561c22e6918a"},
+    ("after_first_conv", "db5", 1): {"logits": "b6dcd66abf60e044",
+                                     "input-grad": "f882c34fa6b306b1"},
+    ("before_final_relu", "haar", 1): {"logits": "9d59395e2ae392b9",
+                                       "input-grad": "469feb153b38fe13"},
+    ("before_final_relu", "db5", 1): {"logits": "abe3e06ac52158e8",
+                                      "input-grad": "1256095764e4712a"},
+    ("after_final_relu", "haar", 1): {"logits": "9d59395e2ae392b9",
+                                      "input-grad": "469feb153b38fe13"},
+    ("after_final_relu", "db5", 1): {"logits": "c0a183410f6e8734",
+                                     "input-grad": "7fdfc27c2a2d36e7"},
+    ("disabled", "haar", 1): {"logits": "449a1d35d512c665",
+                              "input-grad": "26d5817430fe6088"},
+    ("disabled", "db5", 1): {"logits": "449a1d35d512c665",
+                             "input-grad": "26d5817430fe6088"},
+    ("after_final_relu", "haar", 2): {"logits": "79057f40065f6d6c",
+                                      "input-grad": "fb9df5759389fc63"},
+}
+
+
+def position_digests(position, base, depth):
+    """The eval logits and the input gradient of one model, name -> digest."""
+    val = _data()[1]
+    x, y = val.images[:17], val.labels[:17]
+    model = build_model(ModelConfig(depth=depth, width=1, num_classes=2, wap_position=position,
+                                    wavelet_base=base), seed=1)
+    return {"logits": _digest(eval_logits(model, x)),
+            "input-grad": _digest(_input_grad(model, x, y, None))}
+
+
+@pytest.mark.parametrize("position,base,depth", POSITION_LEDGER)
+def test_position_ledger(position, base, depth):
+    got = position_digests(position, base, depth)
+    want = POSITION_LEDGER[position, base, depth]
     moved = {name: got[name] for name in want if got[name] != want[name]}
     assert got.keys() == want.keys() and not moved, moved
 
