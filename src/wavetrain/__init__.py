@@ -65,7 +65,7 @@ def _keep_heap_mapped():
 
 _keep_heap_mapped()
 
-from .autodiff import SGDMomentum, Tensor, no_grad
+from .autodiff import SGDMomentum, Tensor, tape
 from .wavelet import SUPPORTED_BASES, FilterBank, SubbandSet, filter_bank
 
 __all__ = [
@@ -75,7 +75,7 @@ __all__ = [
     "SubbandSet",
     "Tensor",
     "filter_bank",
-    "no_grad",
+    "tape",
 ]
 
 __version__ = "0.1.0"

@@ -67,7 +67,7 @@ def eval_logits(model, x) -> np.ndarray:
     logit raises NumericError: a float64 sum cannot overflow on float32
     values and carries any NaN or inf through."""
     # the check below reports any overflow, so numpy need not warn first
-    with ad.no_grad(), np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         logits = model.forward(Tensor(x), training=False).data
     if not math.isfinite(logits.sum(dtype=np.float64)):
         raise NumericError("non-finite logits in an eval forward")
@@ -85,10 +85,10 @@ def _objective(logits, y, kappa):
 
 
 def _input_grad(model, x, y, kappa):
-    t = Tensor(x, requires_grad=True)
+    t = Tensor(x)
     # the tape records only the paths from the input, so no rule builds a
     # weight gradient; the finiteness check below reports any overflow
-    with ad.no_grad(t), np.errstate(over="ignore", invalid="ignore"):
+    with ad.tape(t), np.errstate(over="ignore", invalid="ignore"):
         logits = model.forward(t, training=False)
         logits.backward(_objective(logits.data, y, kappa)[1])
     if not np.all(np.isfinite(t.grad)):

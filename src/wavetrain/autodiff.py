@@ -3,11 +3,11 @@
 Tensors hold row-major float32 buffers, and each owns a node of the implicit
 tape (the operation graph): its gradient, its backward rule, the nodes of its
 parents that take gradient, and its shape. A leaf's node (a parameter or an
-input) has no rule and no parents; a primitive that takes a tensor requiring
-gradient gives its output both. The node does not hold the output's array,
-and each rule keeps only the arrays it reads: conv2d its weight, plus its
-input when the weight trains; batch norm x-hat and its scale, plus its input
-for an eval-mode trainable gamma; relu a boolean mask; linear the other
+input) has no rule and no parents; a primitive the tape records gives its
+output both. The node does not hold the output's array, and each rule keeps
+only the arrays it reads: conv2d its weight, plus its input when the weight
+takes gradient; batch norm x-hat and its scale, plus its input for an
+eval-mode gamma that takes gradient; relu a boolean mask; linear the other
 operand; add, scale, the global average and the wavelet filters nothing but
 shapes. So an activation dies as soon as the forward drops its last
 reference, unless a rule reads that very array. A rule keeps such an
@@ -16,10 +16,11 @@ primitive has read it until the backward is done: the model's in-place ReLU
 overwrites only an activation the forward has just made, before any
 primitive reads it, and the optimiser steps after the backward.
 
-``no_grad(*leaves)`` is the one tape switch: inside it a primitive is
+``tape(*leaves)`` is the one recording rule: inside it a primitive is
 recorded only when one of its inputs is one of ``leaves`` or was recorded
-from them there, so a gradient for one tensor (an attack's input, Grad-CAM's
-features) builds no rule for any other; ``no_grad()`` records nothing.
+from them there, so a gradient for some tensors (a training step's
+parameters, an attack's input, Grad-CAM's features) builds no rule for any
+other. Outside any tape nothing is recorded.
 
 ``t.backward(grad)`` seeds the tape with ``grad``, the gradient with
 respect to ``t`` (of t's shape), and replays the recorded rules in reverse
@@ -69,13 +70,13 @@ import numpy as np
 
 from .errors import DimensionError, InputError, UsageError, check_range
 
-_recordable = None  # inside no_grad: the nodes the tape records from
+_recordable = frozenset()  # the nodes the tape records from: none outside a tape
 
 
 @contextlib.contextmanager
-def no_grad(*leaves):
-    """Record only the paths from ``leaves`` inside the context; with no
-    leaves, record nothing (eval-only forward passes)."""
+def tape(*leaves):
+    """Record the paths from ``leaves``, and only those, inside the
+    context."""
     global _recordable
     prev = _recordable
     _recordable = {t._node for t in leaves}
@@ -121,11 +122,10 @@ class Tensor:
     """Dense float32 array and the tape node that holds its ``grad``: a
     leaf's, or one a primitive recorded with a rule and parents."""
 
-    __slots__ = ("data", "requires_grad", "_node")
+    __slots__ = ("data", "_node")
 
-    def __init__(self, data, requires_grad=False):
+    def __init__(self, data):
         self.data = _f32(data)
-        self.requires_grad = bool(requires_grad)
         self._node = _Node(self.data.shape, (), None)
 
     # -- basic introspection -------------------------------------------------
@@ -153,8 +153,8 @@ class Tensor:
         self._node._backward = rule
 
     def backward(self, grad):
-        """Populate ``grad`` on every requires_grad leaf reachable from this
-        tensor, starting from ``grad``, the seed: the gradient with respect
+        """Populate ``grad`` on every leaf the tape recorded this tensor
+        from, starting from ``grad``, the seed: the gradient with respect
         to this tensor, of its shape. The graph is released as it is walked:
         once a node's rule has run, the node drops its gradient, its rule and
         its parents. A graph can be walked once; gradient that reaches a
@@ -198,11 +198,10 @@ def _topo_order(root):
 
 
 def _grad_node(t):
-    """The tape node that gradient for ``t`` goes to, or None when ``t``
-    takes none or the tape does not record from it. A rule captures these,
-    never its parent tensors, so it keeps no parent's array alive."""
-    recorded = t.requires_grad if _recordable is None else t._node in _recordable
-    return t._node if recorded else None
+    """The tape node that gradient for ``t`` goes to, or None when the tape
+    does not record from ``t``. A rule captures these, never its parent
+    tensors, so it keeps no parent's array alive."""
+    return t._node if t._node in _recordable else None
 
 
 def _make(data, parents, backward):
@@ -211,10 +210,8 @@ def _make(data, parents, backward):
     out = Tensor(data)
     parents = tuple(p for p in parents if p is not None)
     if parents:
-        out.requires_grad = True
         out._node = _Node(out.data.shape, parents, backward)
-        if _recordable is not None:
-            _recordable.add(out._node)
+        _recordable.add(out._node)
     return out
 
 

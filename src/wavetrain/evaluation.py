@@ -110,7 +110,10 @@ def gradcam(model, x, class_id: int) -> np.ndarray:
         raise InputError("gradcam expects a single image")
     check_range("class_id", class_id, f"[0,{model.cfg.num_classes})", InputError)
 
-    logits, features = model.forward(Tensor(x), training=False, return_features=True)
+    # the full feature map, unrecorded, then a tape from it through the head
+    features = model.features(Tensor(x))
+    with ad.tape(features):
+        logits = model.head(features)
     onehot = np.zeros(logits.shape, dtype=np.float32)
     onehot[0, class_id] = 1.0
     logits.backward(onehot)

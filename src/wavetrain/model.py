@@ -3,7 +3,7 @@
 Structure: 3x3 stem conv, three groups of pre-activation residual blocks
 (strides 1, 2, 2; widths 16k, 32k, 64k), final BN+ReLU, the configured
 wavelet pooling stage, a global average and a fully connected classifier.
-``forward`` checks once that its input is [N, 3, 32, 32]: ``INPUT_SIZE`` is
+``features`` checks once that its input is [N, 3, 32, 32]: ``INPUT_SIZE`` is
 the CIFAR image size, at which every pool sees an even map (32x32 at the
 stem, 8x8 at a final position). Every parameter and buffer name and shape
 comes from one table, ``state_layout``, which reads neither the pooling
@@ -14,21 +14,22 @@ A WAP whose filter is one tap at offset 0 (haar; ``wavelet.wap_decimation``
 gives its coefficient c) keeps only the even-even pixels of its input, times
 c*c = 1/2. Where the convs feeding it can compute only those pixels they do,
 and the stage is just that scale: the stem conv at stride 2 after the stem,
-in every mode; at a final position, in eval mode without ``return_features``
-and with a projection on the last block (depth 1), that block's conv2 at
-stride 2 and its projection at twice its stride, with bn_final (running
-statistics) and ReLU on the 4x4 map. Training mode (batch statistics read
-the whole map), Grad-CAM's features, depth >= 2, LPF and the other bases run
-the full map, then the pool. That scale is ``autodiff.scale`` by 0.5, one
+in every mode; at a final position, in an eval ``forward`` with a
+projection on the last block (depth 1), that block's conv2 at stride 2 and
+its projection at twice its stride, with bn_final (running statistics) and
+ReLU on the 4x4 map. Training mode (batch statistics read the whole map),
+``features`` called on its own, depth >= 2, LPF and the other bases run the
+full map, then the pool. That scale is ``autodiff.scale`` by 0.5, one
 float32 multiply forward and back. It keeps the pool's bytes except that a
 kept -0.0 stays -0.0 (the pool adds taps into +0.0) and an odd subnormal's
 half, a tie, rounds to even (the pool's float64 taps round it toward zero).
 
-``forward(..., return_features=True)`` runs the trunk without a tape and
-returns the final ReLU's output as a new ``requires_grad`` leaf. The head
-(the wavelet stage at ``after_final_relu``, the average, the classifier) runs
-under ``no_grad(features)``: a backward from the logits stops at the
-features and gives no parameter a gradient.
+``forward`` is ``head(features(x))``. Grad-CAM calls the two itself:
+``features`` outside any tape gives the final ReLU's output as an unrecorded
+leaf, and ``head`` (the wavelet stage at ``after_final_relu``, the average,
+the classifier) under ``autodiff.tape(features)`` records only the paths
+from it, so a backward from the logits stops at the features and gives no
+parameter a gradient.
 
 Both decimations give the full graph's logits bytes at most batch sizes, but
 conv2d picks its blocking from the conv's own size (width 1): the stride-2
@@ -204,7 +205,7 @@ class Model:
             if name.startswith("buffer:"):
                 self.buffers[name[len("buffer:"):]] = array
             else:
-                self.params[name] = Tensor(array, requires_grad=True)
+                self.params[name] = Tensor(array)
 
     def initialize(self, seed: int):
         """Draw every He-normal weight from one generator, in layout order."""
@@ -228,9 +229,10 @@ class Model:
 
     @staticmethod
     def _relu(h):
-        """ReLU of an activation the forward has just made. Without a tape
-        nothing else holds its map, so it is overwritten in place."""
-        if h.requires_grad:
+        """ReLU of an activation the forward has just made. When the tape
+        did not record it, nothing else holds its map, so it is overwritten
+        in place."""
+        if ad._grad_node(h) is not None:
             return ad.relu(h)
         np.maximum(h.data, 0.0, out=h.data)
         return h
@@ -244,10 +246,13 @@ class Model:
             return wavelet_low_pass_pool(x, self.fb)
         return wavelet_average_pool(x, self.fb)
 
-    def _features(self, x, training, tail):
-        """Stem to final ReLU. ``tail`` decimates the last block for a
-        one-tap pool at a final position."""
+    def features(self, x: Tensor, training: bool = False, tail: bool = False):
+        """Stem to final ReLU of an [N, 3, 32, 32] input. ``tail`` decimates
+        the last block for a one-tap pool at a final position."""
         cfg = self.cfg
+        if x.data.shape[1:] != (3, INPUT_SIZE, INPUT_SIZE):
+            raise DimensionError(f"expected input [N,3,{INPUT_SIZE},{INPUT_SIZE}], "
+                                 f"got {x.data.shape}")
         stem = cfg.wap_position == "after_first_conv"
         decimated = stem and self._keep is not None
         h = ad.conv2d(x, self.params["stem.weight"], stride=2 if decimated else 1, padding=1)
@@ -274,31 +279,19 @@ class Model:
             h = self._pool(h, tail)
         return self._relu(h)
 
-    def _head(self, h, tail):
+    def head(self, h: Tensor, tail: bool = False):
         """The wavelet stage at ``after_final_relu``, the average, the classifier."""
         if self.cfg.wap_position == "after_final_relu":
             h = self._pool(h, tail)
         return ad.linear(ad.global_avg_pool(h), self.params["fc.weight"], self.params["fc.bias"])
 
-    def forward(self, x: Tensor, training: bool = False, return_features: bool = False):
-        cfg = self.cfg
-        if x.data.shape[1:] != (3, INPUT_SIZE, INPUT_SIZE):
-            raise DimensionError(f"expected input [N,3,{INPUT_SIZE},{INPUT_SIZE}], "
-                                 f"got {x.data.shape}")
+    def forward(self, x: Tensor, training: bool = False):
         # in eval mode bn_final and ReLU are pointwise, so a one-tap WAP at
         # a final position lets the last block compute only the pixels it
-        # keeps; training-mode batch statistics and Grad-CAM read the full map
+        # keeps; training-mode batch statistics read the full map
         tail = (self._keep is not None and self._blocks[-1][4] and not training
-                and not return_features
-                and cfg.wap_position in ("before_final_relu", "after_final_relu"))
-        if not return_features:
-            return self._head(self._features(x, training, tail), tail)
-        # no tape for the trunk and only the features' paths in the head, so
-        # backward from the logits stops at the features
-        with ad.no_grad():
-            features = Tensor(self._features(x, training, tail).data, requires_grad=True)
-        with ad.no_grad(features):
-            return self._head(features, tail), features
+                and self.cfg.wap_position in ("before_final_relu", "after_final_relu"))
+        return self.head(self.features(x, training, tail), tail)
 
     # -- bookkeeping ----------------------------------------------------------
 

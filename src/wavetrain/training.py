@@ -118,8 +118,6 @@ def adversarial_train(model: Model, train_set: Dataset, val_set: Dataset,
     """Train against PGD adversaries of the current model; return the
     checkpoint of the best epoch (see the module docstring) plus the
     history."""
-    if len(train_set) == 0 or len(val_set) == 0:
-        raise ConfigError("datasets must be non-empty")
     rng = np.random.default_rng(cfg.seed)
     opt = SGDMomentum(list(model.params.values()), lr=cfg.lr_initial,
                       momentum=cfg.momentum, weight_decay=cfg.weight_decay)
@@ -144,7 +142,8 @@ def adversarial_train(model: Model, train_set: Dataset, val_set: Dataset,
             else:
                 adv = pgd(model, xb, yb, cfg.train_attack,
                           seed=cfg.seed + 100_003 * epoch + step).x_adv
-            logits = model.forward(Tensor(adv), training=True)
+            with ad.tape(*model.params.values()):
+                logits = model.forward(Tensor(adv), training=True)
             rows, grad = ad.cross_entropy_rows(logits.data, yb)
             loss_value = float(np.float32(rows.mean()))
             if not math.isfinite(loss_value):

@@ -165,8 +165,9 @@ class TestMim:
         # step-by-step reference: sign of the L1-normalized gradient
         cur = x.copy()
         for _ in range(steps):
-            t = Tensor(cur, requires_grad=True)
-            logits = toy.forward(t)
+            t = Tensor(cur)
+            with ad.tape(t):
+                logits = toy.forward(t)
             logits.backward(ad.cross_entropy_rows(logits.data, y)[1])
             g = t.grad
             norms = np.abs(g).sum(axis=(1, 2, 3), keepdims=True)

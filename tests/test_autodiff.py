@@ -13,6 +13,7 @@ from wavetrain import autodiff as ad
 from wavetrain.autodiff import SGDMomentum, Tensor
 from wavetrain.errors import DimensionError, InputError, UsageError
 from wavetrain.model import ModelConfig, build_model
+from wavetrain.wavelet import filter_bank, wavelet_average_pool, wavelet_low_pass_pool
 
 from gradcheck import central_differences, relative_errors
 
@@ -74,6 +75,11 @@ def model_conv_shapes(monkeypatch, cfg):
 
 
 BATCHES = (1, 3, 8, 25, 32, 64)
+
+
+def recorded(t):
+    """Whether a tape recorded the primitive that made ``t``."""
+    return t._node._parents != ()
 
 
 def blocked_gemm(cols, w2, small):
@@ -169,8 +175,9 @@ def assert_input_grad_matches_reference(rng, n, cin_hw, wshape, stride, padding)
     w = (rng.standard_normal(wshape) / np.sqrt(np.prod(wshape[1:]))).astype(np.float32)
     want = None
     for trainable in (False, True):
-        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=trainable)
-        out = ad.conv2d(xt, wt, stride=stride, padding=padding)
+        xt, wt = Tensor(x), Tensor(w)
+        with ad.tape(xt, wt) if trainable else ad.tape(xt):
+            out = ad.conv2d(xt, wt, stride=stride, padding=padding)
         if want is None:
             g = rng.standard_normal(out.shape).astype(np.float32)
             want = input_grad_reference(w, g, stride, padding, *cin_hw[1:])
@@ -283,8 +290,9 @@ class TestConv2d:
             np.float32
         )
         g = rng.standard_normal((n, k, out_h, out_h)).astype(np.float32)
-        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
-        out = ad.conv2d(xt, wt, stride=stride, padding=padding)
+        xt, wt = Tensor(x), Tensor(w)
+        with ad.tape(xt, wt):
+            out = ad.conv2d(xt, wt, stride=stride, padding=padding)
         out.backward(g)
         assert np.abs(out.data - conv2d_oracle(x, w, stride, padding)).max() < 1e-5
         dx, dw = conv2d_oracle_adjoint(x, w, g, stride, padding)
@@ -322,8 +330,9 @@ class TestConvBlockEdges:
             want = conv2d_reference(x, w, stride, padding)
             dx = input_grad_reference(w, g, stride, padding, h, h)
             for trainable in (False, True):
-                xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=trainable)
-                out = ad.conv2d(xt, wt, stride=stride, padding=padding)
+                xt, wt = Tensor(x), Tensor(w)
+                with ad.tape(xt, wt) if trainable else ad.tape(xt):
+                    out = ad.conv2d(xt, wt, stride=stride, padding=padding)
                 assert out.data.strides == want.strides, (n, trainable)
                 assert out.data.tobytes() == want.tobytes(), (n, trainable)
                 out.backward(g)
@@ -350,15 +359,16 @@ class TestConvMemory:
     @pytest.mark.parametrize("trainable, no_tape", [(False, False), (True, True), (True, False)],
                              ids=["frozen", "no_grad", "trainable"])
     def test_forward_holds_one_padded_block(self, rng, trainable, no_tape):
-        # frozen: the weight takes no gradient; no_grad: it would, but no tape
-        # is recorded; trainable: the rule keeps the input it was given, not
-        # a padded copy of it
+        # frozen: the tape does not record from the weight; no_grad: no tape
+        # is open; trainable: the rule keeps the input it was given, not a
+        # padded copy of it
         x = Tensor(rng.standard_normal((64, 16, 32, 32)).astype(np.float32))
-        w = Tensor(rng.standard_normal((16, 16, 3, 3)).astype(np.float32), requires_grad=trainable)
+        w = Tensor(rng.standard_normal((16, 16, 3, 3)).astype(np.float32))
         # one sample's 32x32 output pixels of 3*3*16 taps fill a block
         assert ad._BLOCK // (32 * 32 * 144) == 1
         out_bytes, padded_block, column_block = x.data.nbytes, 34 * 34 * 16 * 4, 32 * 32 * 144 * 4
-        with ad.no_grad() if no_tape else contextlib.nullcontext():
+        tape = ad.tape(w) if trainable else ad.tape()
+        with contextlib.nullcontext() if no_tape else tape:
             ad.conv2d(x, w, stride=1, padding=1)  # numpy's caches
             tracemalloc.start()
             try:
@@ -367,16 +377,17 @@ class TestConvMemory:
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
-        assert out.requires_grad == (trainable and not no_tape)
+        assert recorded(out) == (trainable and not no_tape)
         assert peak < out_bytes + padded_block + column_block + CONV_FORWARD_SLACK
 
     def test_frozen_weight_keeps_no_column_matrix(self, rng):
-        x = Tensor(rng.standard_normal((16, 16, 32, 32)).astype(np.float32), requires_grad=True)
+        x = Tensor(rng.standard_normal((16, 16, 32, 32)).astype(np.float32))
         w = Tensor(rng.standard_normal((16, 16, 3, 3)).astype(np.float32))
         im2col_bytes = 16 * 16 * 9 * 32 * 32 * 4
         tracemalloc.start()
         try:
-            out = ad.conv2d(x, w, stride=1, padding=1)
+            with ad.tape(x):
+                out = ad.conv2d(x, w, stride=1, padding=1)
             out.backward(np.ones_like(out.data))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -389,13 +400,13 @@ class TestConvMemory:
         import resource
 
         model = build_model(ModelConfig(depth=1, width=1, num_classes=2), seed=0)
-        for p in model.params.values():
-            p.requires_grad = False
         x = rng.random((32, 3, 32, 32)).astype(np.float32)
         y = rng.integers(0, 2, size=32)
 
         def input_gradient_pass():
-            logits = model.forward(Tensor(x, requires_grad=True), training=False)
+            t = Tensor(x)
+            with ad.tape(t):
+                logits = model.forward(t, training=False)
             logits.backward(ad.cross_entropy_rows(logits.data, y)[1])
 
         for _ in range(2):
@@ -432,7 +443,7 @@ class TestSimpleOps:
     @pytest.mark.parametrize("op", [ad.add])
     @pytest.mark.parametrize("shape", [(3,), (1, 3), (2, 1), (3, 2)])
     def test_elementwise_refuses_unequal_shapes(self, op, shape):
-        a = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+        a = Tensor(np.ones((2, 3), dtype=np.float32))
         b = Tensor(np.ones(shape, dtype=np.float32))
         with pytest.raises(DimensionError, match="equal shapes"):
             op(a, b)
@@ -450,50 +461,126 @@ class TestSimpleOps:
     def test_negation_equals_multiplying_by_minus_one(self):
         x = np.array([0.0, -0.0, 1.5, -2.25, 1e-45, np.inf, np.nan], dtype=np.float32)
         g = np.array([0.0, -0.0, 3.0, -1.0, -1e-45, 2.0, -np.nan], dtype=np.float32)
-        t = Tensor(x, requires_grad=True)
-        out = ad.scale(t, -1.0)
+        t = Tensor(x)
+        with ad.tape(t):
+            out = ad.scale(t, -1.0)
         out._backward(g)
         minus_one = np.float32(-1.0)
         assert out.data.tobytes() == (x * minus_one).tobytes()
         assert t.grad.tobytes() == (g * minus_one).tobytes()
 
 
+def primitive_case(rng, name):
+    """The operands of one primitive, each a tensor that could take
+    gradient, and the function that runs it on them."""
+    def t(*shape):
+        return Tensor(rng.standard_normal(shape).astype(np.float32))
+
+    def bn(training):
+        return lambda x, g, b: ad.batch_norm(x, g, b, np.zeros(3, np.float32),
+                                             np.ones(3, np.float32), training)
+
+    fb = filter_bank("db5")
+    return {
+        "add": ((t(2, 3), t(2, 3)), ad.add),
+        "scale": ((t(2, 3),), lambda x: ad.scale(x, 0.5)),
+        "relu": ((t(2, 3),), ad.relu),
+        "linear": ((t(2, 4), t(4, 3), t(3)), ad.linear),
+        "conv2d": ((t(2, 3, 6, 6), t(4, 3, 3, 3)), lambda x, w: ad.conv2d(x, w, 1, 1)),
+        "global_avg_pool": ((t(2, 3, 4, 4),), ad.global_avg_pool),
+        "batch_norm-train": ((t(2, 3, 4, 4), t(3), t(3)), bn(True)),
+        "batch_norm-eval": ((t(2, 3, 4, 4), t(3), t(3)), bn(False)),
+        "wap": ((t(2, 3, 8, 8),), lambda x: wavelet_average_pool(x, fb)),
+        "lpf": ((t(2, 3, 8, 8),), lambda x: wavelet_low_pass_pool(x, fb)),
+    }[name]
+
+
+PRIMITIVES = ("add", "scale", "relu", "linear", "conv2d", "global_avg_pool",
+              "batch_norm-train", "batch_norm-eval", "wap", "lpf")
+
+
+class TestRecordingRule:
+    """Only ``tape(*leaves)`` records: outside any tape no primitive gets
+    parents, and a backward gives nothing but its seed a gradient; inside
+    ``tape(w)`` only w takes gradient."""
+
+    @pytest.mark.parametrize("name", PRIMITIVES)
+    def test_outside_any_tape_no_primitive_gets_parents(self, rng, name):
+        operands, op = primitive_case(rng, name)
+        out = op(*operands)
+        assert not recorded(out) and out._backward is None
+        out.backward(np.ones_like(out.data))
+        assert [t.grad for t in operands] == [None] * len(operands)
+
+    @pytest.mark.parametrize("name", PRIMITIVES)
+    def test_inside_a_tape_only_its_leaf_takes_gradient(self, rng, name):
+        operands, op = primitive_case(rng, name)
+        for i, w in enumerate(operands):
+            for t in operands:
+                t.grad = None
+            with ad.tape(w):
+                out = op(*operands)
+            assert recorded(out)
+            out.backward(np.ones_like(out.data))
+            assert [t.grad is not None for t in operands] == [t is w for t in operands], i
+
+    @pytest.mark.parametrize("training", [False, True])
+    @pytest.mark.parametrize("kw", [
+        dict(wap_position="after_first_conv"),
+        dict(wap_position="after_final_relu"),
+        dict(wap_position="before_final_relu", wavelet_base="db5"),
+        dict(wap_position="after_final_relu", pooling_variant="lpf"),
+        dict(wap_position="disabled", wavelet_base=None),
+    ])
+    def test_a_model_forward_outside_any_tape_leaves_no_parameter_a_gradient(
+            self, rng, kw, training):
+        model = build_model(ModelConfig(depth=1, width=1, num_classes=2, **kw), seed=0)
+        x = Tensor(rng.random((2, 3, 32, 32)).astype(np.float32))
+        logits = model.forward(x, training=training)
+        assert not recorded(logits)
+        logits.backward(np.ones_like(logits.data))
+        assert [n for n, p in model.params.items() if p.grad is not None] == []
+        assert x.grad is None
+
+
 class TestTapeSwitch:
-    """``no_grad(*leaves)`` records only the paths from its leaves."""
+    """``tape(*leaves)`` records only the paths from its leaves."""
 
     def test_only_the_leaves_take_gradient(self, rng):
-        x = Tensor(rng.standard_normal((3, 4)).astype(np.float32), requires_grad=True)
-        w = Tensor(rng.standard_normal((4, 2)).astype(np.float32), requires_grad=True)
-        b = Tensor(rng.standard_normal(2).astype(np.float32), requires_grad=True)
-        out = ad.relu(ad.linear(x, w, b))
+        x = Tensor(rng.standard_normal((3, 4)).astype(np.float32))
+        w = Tensor(rng.standard_normal((4, 2)).astype(np.float32))
+        b = Tensor(rng.standard_normal(2).astype(np.float32))
+        with ad.tape(x, w, b):
+            out = ad.relu(ad.linear(x, w, b))
         out.backward(np.ones_like(out.data))
         want = x.grad
         x.grad = w.grad = b.grad = None
-        with ad.no_grad(x):
+        with ad.tape(x):
             out = ad.relu(ad.linear(x, w, b))
         out.backward(np.ones_like(out.data))
         assert x.grad.tobytes() == want.tobytes()
         assert w.grad is None and b.grad is None
 
     def test_a_node_recorded_elsewhere_is_not_recorded_from(self, rng):
-        w = Tensor(rng.standard_normal(3).astype(np.float32), requires_grad=True)
-        h = ad.relu(w)  # recorded outside the context
-        x = Tensor(rng.standard_normal(3).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal(3).astype(np.float32))
+        with ad.tape(w):
+            h = ad.relu(w)  # recorded by another tape
+        x = Tensor(rng.standard_normal(3).astype(np.float32))
         g = rng.standard_normal(3).astype(np.float32)
-        with ad.no_grad(x):
+        with ad.tape(x):
             out = ad.add(x, h)
-            assert not ad.relu(h).requires_grad
+            assert not recorded(ad.relu(h))
         out.backward(g)
         assert np.array_equal(x.grad, g)
         assert w.grad is None
 
     def test_no_leaves_record_nothing_and_contexts_nest(self, rng):
-        x = Tensor(rng.standard_normal(3).astype(np.float32), requires_grad=True)
-        with ad.no_grad(x):
-            with ad.no_grad():
-                assert not ad.relu(x).requires_grad
-            assert ad.relu(x).requires_grad
-        assert ad.relu(x).requires_grad and not ad.relu(Tensor(x.data)).requires_grad
+        x = Tensor(rng.standard_normal(3).astype(np.float32))
+        with ad.tape(x):
+            with ad.tape():
+                assert not recorded(ad.relu(x))
+            assert recorded(ad.relu(x))
+        assert not recorded(ad.relu(x))  # outside any tape
 
 
 class TestSoftmaxCrossEntropy:
@@ -523,7 +610,7 @@ class TestSoftmaxCrossEntropy:
             logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
             return -logp[np.arange(len(labels)), labels].mean()
 
-        t = Tensor(logits, requires_grad=True)
+        t = Tensor(logits)
         t.backward(ad.cross_entropy_rows(t.data, labels)[1])
         fd = central_differences(oracle, logits, dtype=np.float64)
         assert relative_errors(t.grad, fd).max() < 1e-3
@@ -577,25 +664,26 @@ class TestLossRows:
 
 class TestBackward:
     def test_sum_gradient_is_ones(self, rng):
-        x = Tensor(rng.standard_normal((3, 4)).astype(np.float32), requires_grad=True)
+        x = Tensor(rng.standard_normal((3, 4)).astype(np.float32))
         x.backward(np.ones_like(x.data))
         assert np.array_equal(x.grad, np.ones((3, 4), dtype=np.float32))
 
     @pytest.mark.parametrize("shape", [(), (2,), (2, 1), (1, 2), (3, 4)])
     def test_seed_of_another_shape_rejected(self, shape):
-        x = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
-        out = ad.relu(x)
+        x = Tensor(np.ones((2, 3), dtype=np.float32))
+        with ad.tape(x):
+            out = ad.relu(x)
         with pytest.raises(DimensionError, match="does not match"):
             out.backward(np.ones(shape, dtype=np.float32))
         assert out.grad is None and x.grad is None
 
     def test_no_recorded_ops_is_noop(self):
         x = Tensor([5.0])
-        x.backward(np.ones_like(x.data))  # leaf without requires_grad: nothing to do
+        x.backward(np.ones_like(x.data))  # no recorded rule: nothing to do
         assert x.grad is not None  # seed landed on the tensor itself
 
     def test_accumulation_without_zeroing(self):
-        x = Tensor([1.0, 1.0], requires_grad=True)
+        x = Tensor([1.0, 1.0])
         x.backward(np.ones_like(x.data))
         x.backward(np.ones_like(x.data))
         assert np.allclose(x.grad, [2.0, 2.0])
@@ -616,9 +704,10 @@ class TestBackward:
             logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
             return -logp[np.arange(len(labels)), labels].mean()
 
-        params = [Tensor(p, requires_grad=True) for p in (w1, b1, w2, b2)]
-        h = ad.relu(ad.linear(Tensor(x), params[0], params[1]))
-        z = ad.linear(h, params[2], params[3])
+        params = [Tensor(p) for p in (w1, b1, w2, b2)]
+        with ad.tape(*params):
+            h = ad.relu(ad.linear(Tensor(x), params[0], params[1]))
+            z = ad.linear(h, params[2], params[3])
         z.backward(ad.cross_entropy_rows(z.data, labels)[1])
 
         arrays = [a.astype(np.float64) for a in (w1, b1, w2, b2)]
@@ -643,14 +732,14 @@ def _copying_accumulate(self, g, fresh=False):
 
 def acceptance_batch(trainable=True, n=8):
     """The acceptance model (haar pooling after the stem conv), a batch of
-    ``n`` inputs that require grad, and their labels."""
+    ``n`` inputs, their labels, and the leaves a tape records from: the
+    inputs, and the parameters when ``trainable``."""
     model = build_model(ModelConfig(depth=1, width=1, num_classes=2,
                                     wap_position="after_first_conv"), seed=0)
-    for p in model.params.values():
-        p.requires_grad = trainable
     rng = np.random.default_rng(0)
-    x = Tensor(rng.standard_normal((n, 3, 32, 32)).astype(np.float32), requires_grad=True)
-    return model, x, rng.integers(0, 2, size=n)
+    x = Tensor(rng.standard_normal((n, 3, 32, 32)).astype(np.float32))
+    leaves = (x, *model.params.values()) if trainable else (x,)
+    return model, x, rng.integers(0, 2, size=n), leaves
 
 
 class TestGradientHandOver:
@@ -674,8 +763,8 @@ class TestGradientHandOver:
 
             return make(data, parents, rule)
 
-        model, x, y = acceptance_batch(trainable)
-        with monkeypatch.context() as m:
+        model, x, y, leaves = acceptance_batch(trainable)
+        with monkeypatch.context() as m, ad.tape(*leaves):
             m.setattr(ad, "_make", recording_make)
             logits = model.forward(x, training=trainable)
         nodes = ad._topo_order(logits)
@@ -710,22 +799,26 @@ class TestGradientHandOver:
     def test_tensor_used_twice_gets_summed_gradient(self, rng):
         x = rng.standard_normal((2, 3, 4, 4)).astype(np.float32)
         g = rng.standard_normal(x.shape).astype(np.float32)
-        t = Tensor(x, requires_grad=True)
-        ad.add(t, t)._backward(g)
+        t = Tensor(x)
+        with ad.tape(t):
+            ad.add(t, t)._backward(g)
         assert np.array_equal(t.grad, g + g)
         # a handed-over relu gradient plus a copied add gradient
-        t = Tensor(x, requires_grad=True)
-        ad.add(ad.relu(t), t).backward(g)
+        t = Tensor(x)
+        with ad.tape(t):
+            out = ad.add(ad.relu(t), t)
+        out.backward(g)
         assert np.array_equal(t.grad, g * (x > 0) + g)
 
     @pytest.mark.parametrize("trainable", [False, True])
     def test_second_backward_accumulates(self, trainable):
-        model, x, y = acceptance_batch(trainable)
-        tensors = [x] + (list(model.params.values()) if trainable else [])
-        logits = model.forward(x, training=False)
+        model, x, y, tensors = acceptance_batch(trainable)
+        with ad.tape(*tensors):
+            logits = model.forward(x, training=False)
         logits.backward(ad.cross_entropy_rows(logits.data, y)[1])
         first = [t.grad.copy() for t in tensors]
-        logits = model.forward(x, training=False)
+        with ad.tape(*tensors):
+            logits = model.forward(x, training=False)
         logits.backward(ad.cross_entropy_rows(logits.data, y)[1])
         for t, g in zip(tensors, first):
             assert np.array_equal(t.grad, g + g)
@@ -773,8 +866,9 @@ class TestTapeRelease:
     def _loss():
         """The acceptance model, its input, its training-mode logits and
         their cross-entropy gradient."""
-        model, x, y = acceptance_batch()
-        logits = model.forward(x, training=True)
+        model, x, y, leaves = acceptance_batch()
+        with ad.tape(*leaves):
+            logits = model.forward(x, training=True)
         return model, x, logits, ad.cross_entropy_rows(logits.data, y)[1]
 
     def test_only_leaves_keep_grad(self):
@@ -805,11 +899,11 @@ class TestTapeRelease:
             relus.append(None)
             return relu(x)
 
-        model, x, y = acceptance_batch(trainable=training)
+        model, x, y, leaves = acceptance_batch(trainable=training)
         params = {id(p.data) for p in model.params.values()}
         gc.disable()  # reference counting alone must free them
         try:
-            with monkeypatch.context() as m:
+            with monkeypatch.context() as m, ad.tape(*leaves):
                 m.setattr(ad, "_make", recording_make)
                 m.setattr(ad, "relu", counting_relu)
                 logits = model.forward(x, training=training)
@@ -840,12 +934,13 @@ class TestTapeRelease:
     def test_training_step_peak_memory(self):
         peaks = {}
         for n in TRAIN_STEP_PEAK:
-            model, x, y = acceptance_batch(n=n)
+            model, x, y, _ = acceptance_batch(n=n)
             opt = SGDMomentum(model.params.values(), lr=0.1, momentum=0.9, weight_decay=5e-4)
 
             def step():
                 opt.zero_grad()
-                logits = model.forward(Tensor(x.data), training=True)
+                with ad.tape(*model.params.values()):
+                    logits = model.forward(Tensor(x.data), training=True)
                 logits.backward(ad.cross_entropy_rows(logits.data, y)[1])
                 opt.step()
 
@@ -860,12 +955,13 @@ class TestTapeRelease:
         assert all(peaks[n] < bound for n, bound in TRAIN_STEP_PEAK.items()), peaks
 
     def test_memory_after_backward_is_the_leaf_gradients(self):
-        model, x, y = acceptance_batch()
+        model, x, y, leaves = acceptance_batch()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             # held, as a training step holds it until its next loss
-            logits = model.forward(x, training=True)
+            with ad.tape(*leaves):
+                logits = model.forward(x, training=True)
             logits.backward(ad.cross_entropy_rows(logits.data, y)[1])
             after = tracemalloc.get_traced_memory()[0]
         finally:
@@ -879,11 +975,12 @@ class TestTapeRelease:
         with pytest.raises(UsageError, match="already walked"):
             logits.backward(seed)
         # a new graph over a walked node reaches it too
-        x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
-        h = ad.relu(x)
-        h.backward(np.ones_like(h.data))
-        with pytest.raises(UsageError, match="already walked"):
-            ad.add(h, h).backward(np.ones_like(h.data))
+        x = Tensor(np.ones(3, dtype=np.float32))
+        with ad.tape(x):
+            h = ad.relu(x)
+            h.backward(np.ones_like(h.data))
+            with pytest.raises(UsageError, match="already walked"):
+                ad.add(h, h).backward(np.ones_like(h.data))
         assert np.array_equal(x.grad, np.ones(3, dtype=np.float32))
 
 
@@ -894,8 +991,9 @@ class TestGradientChecksAllPrimitives:
 
     def _check(self, build, x0, seed=None):
         """The gradient of sum(seed * build(t)), seed all ones by default."""
-        t = Tensor(x0, requires_grad=True)
-        out = build(t)
+        t = Tensor(x0)
+        with ad.tape(t):
+            out = build(t)
         seed = np.ones_like(out.data) if seed is None else seed
         out.backward(seed)
 
@@ -995,11 +1093,10 @@ class TestBatchNorm:
             out = xhat * gv.reshape(1, -1, 1, 1) + bv.reshape(1, -1, 1, 1)
             return (out * r.astype(np.float64)).sum()
 
-        xt = Tensor(x0, requires_grad=True)
-        gt = Tensor(gamma0, requires_grad=True)
-        bt = Tensor(beta0, requires_grad=True)
-        out = ad.batch_norm(xt, gt, bt, np.zeros(3, np.float32), np.ones(3, np.float32),
-                            training=True)
+        xt, gt, bt = Tensor(x0), Tensor(gamma0), Tensor(beta0)
+        with ad.tape(xt, gt, bt):
+            out = ad.batch_norm(xt, gt, bt, np.zeros(3, np.float32), np.ones(3, np.float32),
+                                training=True)
         out.backward(r)
 
         g64, b64 = gamma0.astype(np.float64), beta0.astype(np.float64)
@@ -1034,10 +1131,9 @@ class TestBatchNorm:
         want_dgamma = (g * xhat).sum(axis=(0, 2, 3), dtype=np.float64).astype(np.float32)
         want_dbeta = g.sum(axis=(0, 2, 3), dtype=np.float64).astype(np.float32)
 
-        xt = Tensor(x, requires_grad=True)
-        gt = Tensor(gamma, requires_grad=trainable)
-        bt = Tensor(beta, requires_grad=trainable)
-        out = ad.batch_norm(xt, gt, bt, rmean.copy(), rvar.copy(), training=False)
+        xt, gt, bt = Tensor(x), Tensor(gamma), Tensor(beta)
+        with ad.tape(xt, gt, bt) if trainable else ad.tape(xt):
+            out = ad.batch_norm(xt, gt, bt, rmean.copy(), rvar.copy(), training=False)
         out._backward(g)
         assert out.data.tobytes() == want_out.tobytes()
         assert xt.grad.tobytes() == want_dx.tobytes()
@@ -1058,7 +1154,7 @@ class TestDeterminism:
 
 
 def _sgd_param(values):
-    return Tensor(np.array(values, dtype=np.float32), requires_grad=True)
+    return Tensor(np.array(values, dtype=np.float32))
 
 
 class TestSgdMomentum:
@@ -1112,7 +1208,7 @@ class TestSgdMomentum:
             SGDMomentum([_sgd_param([0.0])], **{"lr": 0.1, **kwargs})
 
     def test_optimizer_class_steps_params(self, rng):
-        p = Tensor(rng.standard_normal(4).astype(np.float32), requires_grad=True)
+        p = Tensor(rng.standard_normal(4).astype(np.float32))
         opt = SGDMomentum([p], lr=0.1, momentum=0.0)
         before = p.data.copy()
         p.backward(p.data + p.data)  # the gradient of sum(p * p)

@@ -114,19 +114,22 @@ class HighFreqEnergyModel:
 
 
 class SpatialMeanModel:
-    """logits[:, c] = spatial mean of input channel c; features = the input,
-    as a leaf the logits are built from (as in ``Model``)."""
+    """logits[:, c] = spatial mean of input channel c: the features are the
+    input and the head is the average (as ``Model.features`` and ``head``)."""
 
     class _Cfg:
         num_classes = 3
 
     cfg = _Cfg()
 
-    def forward(self, x, training=False, return_features=False):
-        if return_features:
-            features = Tensor(x.data, requires_grad=True)
-            return ad.global_avg_pool(features), features
-        return ad.global_avg_pool(x)
+    def features(self, x):
+        return x
+
+    def head(self, h):
+        return ad.global_avg_pool(h)
+
+    def forward(self, x, training=False):
+        return self.head(self.features(x))
 
 
 class TestAccuracy:
@@ -299,11 +302,9 @@ class TestGradCam:
 
     def test_uniform_logit_shift_leaves_cam_unchanged(self, rng):
         class Shifted(SpatialMeanModel):
-            def forward(self, x, training=False, return_features=False):
-                out = super().forward(x, training, return_features)
-                logits = out[0] if return_features else out
-                shifted = ad.add(logits, Tensor(np.full(logits.shape, 5.0, dtype=np.float32)))
-                return (shifted, out[1]) if return_features else shifted
+            def head(self, h):
+                logits = super().head(h)
+                return ad.add(logits, Tensor(np.full(logits.shape, 5.0, dtype=np.float32)))
 
         x = rng.standard_normal((3, 8, 8)).astype(np.float32)
         assert np.array_equal(
@@ -315,8 +316,9 @@ class TestGradCam:
         x = rng.standard_normal((3, 8, 8)).astype(np.float32)
         class_id = 2
 
-        t = Tensor(x[None], requires_grad=True)
-        logits, features = model.forward(t, return_features=True)
+        features = model.features(Tensor(x[None]))
+        with ad.tape(features):
+            logits = model.head(features)
         onehot = np.zeros(logits.shape, dtype=np.float32)
         onehot[0, class_id] = 1.0
         logits.backward(onehot)

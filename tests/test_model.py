@@ -225,7 +225,7 @@ class TestBuild:
     def test_wap_feature_map_is_4x4_before_avg_pool(self, rng):
         model = build_model(small_cfg(), seed=0)
         x = Tensor(rng.random((1, 3, 32, 32)).astype(np.float32))
-        _, features = model.forward(x, return_features=True)
+        features = model.features(x)
         # features are pre-wavelet-stage (8x8); the stage halves them to 4x4
         assert features.shape[2:] == (8, 8)
         from wavetrain.wavelet import wavelet_average_pool
@@ -235,12 +235,15 @@ class TestBuild:
     @pytest.mark.parametrize("position", ["after_first_conv", "before_final_relu",
                                           "after_final_relu"])
     def test_returned_features_are_the_head_leaf(self, rng, position):
-        # backward from the logits stops at the features: only they take
+        # features outside any tape, then the head under a tape from them:
+        # backward from the logits stops at the features, so only they take
         # gradient, the input, the trunk and the classifier none
         model = build_model(small_cfg(wap_position=position), seed=0)
-        x = Tensor(rng.random((2, 3, 32, 32)).astype(np.float32), requires_grad=True)
-        logits, features = model.forward(x, return_features=True)
-        assert features.requires_grad and features._node._parents == ()
+        x = Tensor(rng.random((2, 3, 32, 32)).astype(np.float32))
+        features = model.features(x)
+        with ad.tape(features):
+            logits = model.head(features)
+        assert features._node._parents == () and logits._node._parents != ()
         logits.backward(ad.cross_entropy_rows(logits.data, np.array([1, 3]))[1])
         assert features.grad.shape == features.shape
         assert x.grad is None
@@ -259,11 +262,11 @@ class TestBuild:
                 outs.append(op(*args, **kwargs))
                 return outs[-1]
             monkeypatch.setattr(ad, name, recording)
-        x = Tensor(rng.random((2, 3, 32, 32)).astype(np.float32), requires_grad=True)
-        model.forward(x, training=training, return_features=True)
+        x = Tensor(rng.random((2, 3, 32, 32)).astype(np.float32))
+        model.features(x, training=training)
         # the stem, 3 blocks of two convs and two norms, 2 projections, bn_final
         assert len(outs) == 16
-        assert not any(out.requires_grad or out._node._parents for out in outs)
+        assert not any(out._node._parents for out in outs)
 
     def test_same_seed_bit_identical(self):
         a = build_model(small_cfg(), seed=42)
@@ -356,8 +359,10 @@ class TestForward:
             tracemalloc.stop()
         assert peak < EVAL_FORWARD_PEAK
         # the in-place ReLUs of the no-tape forward give the taped bytes
-        taped = model.forward(Tensor(x, requires_grad=True), training=False)
-        assert taped.requires_grad and logits.tobytes() == taped.data.tobytes()
+        xt = Tensor(x)
+        with ad.tape(xt):
+            taped = model.forward(xt, training=False)
+        assert taped._node._parents != () and logits.tobytes() == taped.data.tobytes()
 
     def test_zero_input_logits_equal_bias(self, rng):
         model = build_model(small_cfg(), seed=0)
@@ -370,7 +375,7 @@ class TestForward:
         # distinctness smoke check: wavelet stage vs identity stride-2 pick
         model = build_model(small_cfg(), seed=3)
         x = Tensor(rng.random((1, 3, 32, 32)).astype(np.float32))
-        logits, features = model.forward(x, return_features=True)
+        features = model.features(x)
         from wavetrain.wavelet import wavelet_average_pool
         wap_out = wavelet_average_pool(features, model.fb).data
         subsample = features.data[:, :, 0::2, 0::2]
@@ -416,8 +421,9 @@ class TestForward:
         x0 = rng.random((1, 3, 32, 32)).astype(np.float32)
         labels = np.array([3])
 
-        xt = Tensor(x0, requires_grad=True)
-        logits = model.forward(xt, training=False)
+        xt = Tensor(x0)
+        with ad.tape(xt):
+            logits = model.forward(xt, training=False)
         logits.backward(ad.cross_entropy_rows(logits.data, labels)[1])
 
         def loss_at(v):
@@ -471,8 +477,9 @@ class TestWholeModelOracle:
         model.forward(Tensor(rng.random((8, 3, 32, 32)).astype(np.float32)), training=True)
         x = rng.random((n, 3, 32, 32)).astype(np.float32)
         labels = rng.integers(0, 2, n)
-        xt = Tensor(x, requires_grad=True)
-        logits = model.forward(xt)
+        xt = Tensor(x)
+        with ad.tape(xt):
+            logits = model.forward(xt)
         logits.backward(ad.cross_entropy_rows(logits.data, labels)[1])
 
         want = eval_logits_oracle(model, x)
@@ -572,8 +579,9 @@ class TestDecimatedStem:
         g = rng.standard_normal((n, 2)).astype(np.float32)
         got, want = [], []
         for net, out in ((model, got), (twin, want)):
-            xt = Tensor(x, requires_grad=True)
-            logits = net.forward(xt)
+            xt = Tensor(x)
+            with ad.tape(xt, *net.params.values()):
+                logits = net.forward(xt)
             logits.backward(g)
             out += [logits.data, xt.grad, net.params["stem.weight"].grad]
         assert got[0].tobytes() == want[0].tobytes()
@@ -614,8 +622,9 @@ class TestDecimatedStem:
         labels = rng.integers(0, 2, 8)
         outs = []
         for m in (model, twin):
-            xt = Tensor(x, requires_grad=True)
-            logits = m.forward(xt)
+            xt = Tensor(x)
+            with ad.tape(xt):
+                logits = m.forward(xt)
             logits.backward(ad.cross_entropy_rows(logits.data, labels)[1])
             outs.append((logits.data, xt.grad))
         assert outs[0][0].tobytes() == outs[1][0].tobytes()
@@ -630,8 +639,9 @@ class TestDecimatedStem:
                         dtype=np.float32)[None, None]
         half = kept * np.float32(0.5)
         model = build_model(ModelConfig(**STEM_HAAR), seed=0)
-        kt = Tensor(kept, requires_grad=True)
-        scaled = model._pool(kt, decimated=True)
+        kt = Tensor(kept)
+        with ad.tape(kt):
+            scaled = model._pool(kt, decimated=True)
         assert scaled.data.tobytes() == half.tobytes()
         assert np.signbit(scaled.data[0, 0, 0, 0])
         x = np.zeros((1, 1, 2, 2 * kept.shape[3]), dtype=np.float32)
@@ -699,8 +709,9 @@ class TestDecimatedTail:
         attack = AttackConfig(epsilon=0.031, step_size=2 / 255, steps=3, random_init=True)
         outs = []
         for m in (model, twin):
-            xt = Tensor(x, requires_grad=True)
-            logits = m.forward(xt)
+            xt = Tensor(x)
+            with ad.tape(xt):
+                logits = m.forward(xt)
             logits.backward(ad.cross_entropy_rows(logits.data, labels)[1])
             x_adv = pgd(m, x, labels, attack, seed=7).x_adv
             outs.append((logits.data.tobytes(), xt.grad, x_adv.tobytes()))
@@ -716,7 +727,7 @@ class TestDecimatedTail:
 
     @pytest.mark.parametrize("kw,forward_kw,pool_calls", [
         ({}, dict(training=True), 1),
-        ({}, dict(return_features=True), 1),
+        ({}, dict(features_then_head=True), 1),  # called on their own, as by Grad-CAM
         (dict(pooling_variant="lpf"), {}, 1),
         (dict(wavelet_base="db5"), {}, 1),
         (dict(depth=2), {}, 1),
@@ -728,7 +739,11 @@ class TestDecimatedTail:
         model = build_model(ModelConfig(**{**TAIL_HAAR, "wap_position": "after_final_relu",
                                            **kw}), seed=0)
         strides, pools = record_tail(monkeypatch, model)
-        model.forward(Tensor(np.zeros((2, 3, 32, 32))), **forward_kw)
+        x = Tensor(np.zeros((2, 3, 32, 32)))
+        if forward_kw.get("features_then_head"):
+            model.head(model.features(x))
+        else:
+            model.forward(x, **forward_kw)
         full = {"conv2": [1], "proj": [2]}
         assert strides == {name: full[name] for name in strides}
         assert len(pools) == pool_calls

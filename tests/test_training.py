@@ -205,7 +205,8 @@ class TestAdversarialTrain:
             perm = rng.permutation(len(train))
             for start in range(0, len(perm), cfg.batch_size):
                 idx = perm[start : start + cfg.batch_size]
-                logits = twin.forward(Tensor(train.images[idx]), training=True)
+                with ad.tape(*twin.params.values()):
+                    logits = twin.forward(Tensor(train.images[idx]), training=True)
                 grad = ad.cross_entropy_rows(logits.data, train.labels[idx])[1]
                 opt.zero_grad()
                 logits.backward(grad)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavetrain import wavelet
-from wavetrain.autodiff import Tensor
+from wavetrain.autodiff import Tensor, tape
 from wavetrain.errors import DimensionError, UnsupportedBaseError
 from wavetrain.wavelet import (
     SUPPORTED_BASES,
@@ -233,8 +233,9 @@ class TestPolyphaseCores:
         x = rng.standard_normal(shape).astype(np.float32)
         g = rng.standard_normal(shape[:2] + (shape[2] // 2, shape[3] // 2)).astype(np.float32)
 
-        t = Tensor(x, requires_grad=True)
-        out = wavelet_average_pool(t, fb)
+        t = Tensor(x)
+        with tape(t):
+            out = wavelet_average_pool(t, fb)
         out._backward(g)
 
         want_fwd = filt_down_oracle(filt_down_oracle(x, f, -1), f, -2).astype(np.float32)
@@ -256,8 +257,9 @@ class TestPolyphaseCores:
             return view
 
         def run(xin, gin):
-            t = Tensor(xin, requires_grad=True)
-            out = wavelet_average_pool(t, fb)
+            t = Tensor(xin)
+            with tape(t):
+                out = wavelet_average_pool(t, fb)
             out._backward(gin)
             return out.data.tobytes(), t.grad.tobytes()
 
@@ -305,8 +307,9 @@ class TestCoreBytes:
         for x in self._inputs(rng, shape)[:2]:
             want = correlate_down_moveaxis(correlate_down_moveaxis(x, f, -1), f, -2).astype(
                 np.float32)
-            t = Tensor(x, requires_grad=True)
-            out = wavelet_average_pool(t, fb)
+            t = Tensor(x)
+            with tape(t):
+                out = wavelet_average_pool(t, fb)
             out._backward(g)
             assert out.data.tobytes() == want.tobytes()
             assert t.grad.tobytes() == want_bwd.tobytes()
@@ -425,8 +428,10 @@ class TestWaveletAveragePool:
         x0 = rng.standard_normal((1, 1, 6, 6)).astype(np.float32)
         r = rng.standard_normal((1, 1, 3, 3)).astype(np.float32)
 
-        t = Tensor(x0, requires_grad=True)
-        wavelet_average_pool(t, fb).backward(r)
+        t = Tensor(x0)
+        with tape(t):
+            pooled = wavelet_average_pool(t, fb)
+        pooled.backward(r)
 
         def oracle(v):
             bands = dwt2d_oracle(v, fb)
